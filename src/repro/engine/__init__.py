@@ -22,7 +22,6 @@ from .engine import (
     EngineBatchStats,
     EngineConfig,
     ExecutionEngine,
-    default_engine,
 )
 from .fingerprint import (
     grid_fingerprint,
@@ -50,7 +49,6 @@ __all__ = [
     "EngineBatchStats",
     "EngineConfig",
     "ExecutionEngine",
-    "default_engine",
     "ProcessScheduler",
     "UnitFailure",
     "WorkerSpec",

@@ -42,7 +42,6 @@ __all__ = [
     "EngineBatchStats",
     "EngineConfig",
     "ExecutionEngine",
-    "default_engine",
     "stats_delta",
 ]
 
@@ -565,31 +564,3 @@ def stats_delta(
             total = (hits or 0) + (misses or 0)  # type: ignore[operator]
             value["hit_rate"] = (hits or 0) / total if total else 0.0  # type: ignore[operator]
     return delta
-
-
-def default_engine(
-    *,
-    workers: int = 1,
-    cache_dir: Optional[Path | str] = None,
-    registry: Optional[ModelRegistry] = None,
-    solver_backend: str = "auto",
-    plan_cache_entries: int = 128,
-    wavelength_chunk: Optional[int] = None,
-    batch_size: int = 1,
-    execution_mode: str = "thread",
-    processes: int = 0,
-) -> ExecutionEngine:
-    """Convenience constructor mirroring the CLI's engine flags."""
-    return ExecutionEngine(
-        EngineConfig(
-            workers=workers,
-            cache_dir=cache_dir,
-            solver_backend=solver_backend,
-            plan_cache_entries=plan_cache_entries,
-            wavelength_chunk=wavelength_chunk,
-            batch_size=batch_size,
-            execution_mode=execution_mode,
-            processes=processes,
-        ),
-        registry=registry,
-    )

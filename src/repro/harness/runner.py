@@ -479,134 +479,18 @@ def run_model(
 ) -> EvalReport:
     """Evaluate one client over the suite under one prompt configuration.
 
-    With ``config.execution_mode == "process"`` (and no live ``engine`` /
-    ``golden_store``, which cannot cross process boundaries) the problem x
-    sample units are sharded across worker processes; the report is
-    byte-identical to the thread-mode run.
+    A one-client :func:`run_sweep` over the one restriction setting: the same
+    work units, journal keys, fold order and execution tiers, so the report
+    is byte-identical to the matching report of a full sweep.
     """
-    config = config if config is not None else SweepConfig()
     model = getattr(client, "name", type(client).__name__)
-    if config.execution_mode == "process" and engine is None and golden_store is None:
-        client_specs = _client_specs([client])
-        problems = config.select_problems()
-        journal, completed = _open_journal(config, (model,), (include_restrictions,))
-        units = [
-            (include_restrictions, 0, problem_index, sample_index)
-            for problem_index in range(len(problems))
-            for sample_index in range(config.samples_per_problem)
-        ]
-        samples, _ = _map_units_process(
-            config,
-            client_specs,
-            (include_restrictions,),
-            units,
-            problems,
-            model_names=(model,),
-            journal=journal,
-            completed=completed,
-        )
-        if journal is not None:
-            journal.close()
-        packs = {problem.pack for problem in problems}
-        report = EvalReport(
-            model=model,
-            with_restrictions=include_restrictions,
-            samples_per_problem=config.samples_per_problem,
-            max_feedback_iterations=config.max_feedback_iterations,
-            pack=packs.pop() if len(packs) == 1 else "mixed",
-        )
-        for sample in samples:
-            report.add(sample)
-        return report
-    if engine is None and golden_store is None:
-        engine = ExecutionEngine(config.engine_config())
-    if golden_store is None:
-        golden_store = GoldenStore(
-            num_wavelengths=config.num_wavelengths,
-            engine=engine,
-            pack=config.pack,
-            pack_params=config.pack_params,
-        )
-    evaluation_config = config.evaluation_config(include_restrictions=include_restrictions)
-    evaluator = Evaluator(evaluation_config, golden_store=golden_store, engine=engine)
-    prompt_config = config.prompt_config(include_restrictions=include_restrictions)
-    if config.journal_dir is None:
-        return evaluator.run_suite(client, config.select_problems(), prompt_config=prompt_config)
-    return _run_model_journaled(
-        config, client, model, include_restrictions, evaluator, prompt_config
-    )
-
-
-def _run_model_journaled(
-    config: SweepConfig,
-    client: LLMClient,
-    model: str,
-    include_restrictions: bool,
-    evaluator: Evaluator,
-    prompt_config: PromptConfig,
-) -> EvalReport:
-    """The thread-tier twin of :meth:`Evaluator.run_suite`, checkpointed.
-
-    Replicates ``run_suite``'s unit enumeration and fold order exactly --
-    per-sample units on the engine's pool, or lockstep batched dispatch when
-    ``batch_size > 1`` -- but serves journaled trajectories without
-    recomputing them and records each fresh one as it completes, so the
-    report is byte-identical to an uncheckpointed (or uninterrupted) run.
-    """
-    problems = config.select_problems()
-    journal, completed = _open_journal(config, (model,), (include_restrictions,))
-    assert journal is not None
-    units = [
-        (problem, sample_index)
-        for problem in problems
-        for sample_index in range(config.samples_per_problem)
-    ]
-    keys = [
-        unit_key(include_restrictions, model, problem.name, sample_index)
-        for problem, sample_index in units
-    ]
-    try:
-        if getattr(evaluator.engine.config, "batch_size", 1) > 1:
-            pending = [index for index, key in enumerate(keys) if key not in completed]
-            for index in pending:
-                fault_point("sweep.unit", key="|".join(map(str, keys[index])))
-            fresh = evaluator.run_samples_batched(
-                [(client, units[index][0], units[index][1]) for index in pending],
-                prompt_config=prompt_config,
-            )
-            samples: List[Optional[SampleResult]] = [completed.get(key) for key in keys]
-            for index, sample in zip(pending, fresh):
-                journal.record(keys[index], sample)
-                samples[index] = sample
-        else:
-
-            def run_unit(indexed: Tuple[int, Tuple[Problem, int]]) -> SampleResult:
-                index, (problem, sample_index) = indexed
-                done = completed.get(keys[index])
-                if done is not None:
-                    return done
-                fault_point("sweep.unit", key="|".join(map(str, keys[index])))
-                sample = evaluator.run_sample(
-                    client, problem, sample_index, prompt_config=prompt_config
-                )
-                journal.record(keys[index], sample)
-                return sample
-
-            samples = evaluator.engine.map(run_unit, list(enumerate(units)))
-    finally:
-        journal.close()
-    packs = {problem.pack for problem in problems}
-    report = EvalReport(
-        model=model,
-        with_restrictions=include_restrictions,
-        samples_per_problem=config.samples_per_problem,
-        max_feedback_iterations=config.max_feedback_iterations,
-        pack=packs.pop() if len(packs) == 1 else "mixed",
-    )
-    for sample in samples:
-        assert sample is not None
-        report.add(sample)
-    return report
+    return run_sweep(
+        config,
+        clients=[client],
+        restriction_settings=(include_restrictions,),
+        engine=engine,
+        golden_store=golden_store,
+    ).report(model, with_restrictions=include_restrictions)
 
 
 def run_sweep(
@@ -616,6 +500,7 @@ def run_sweep(
     restriction_settings: Sequence[bool] = (False, True),
     clients: Optional[Sequence[LLMClient]] = None,
     engine: Optional[ExecutionEngine] = None,
+    golden_store: Optional[GoldenStore] = None,
 ) -> SweepResult:
     """Run the full Tables III / IV sweep.
 
@@ -629,6 +514,11 @@ def run_sweep(
     derived from ``(base_seed, problem, sample)`` alone, and results are
     folded back in loop order, so the returned reports are byte-identical for
     any worker count.
+
+    ``engine`` and ``golden_store`` let a caller keep simulations and golden
+    responses warm across sweeps (the evaluation service does); the golden
+    store defaults to one on the engine.  Live objects cannot cross a
+    process boundary, so the process tier ignores both.
     """
     config = config if config is not None else SweepConfig()
     if clients is None:
@@ -638,8 +528,9 @@ def run_sweep(
     model_names = [getattr(client, "name", type(client).__name__) for client in clients]
     if config.execution_mode == "process":
         # Process tier: ship picklable specs, rebuild everything worker-side.
-        # A caller-provided engine cannot cross the process boundary and is
-        # ignored here; workers share its on-disk tiers via cache_dir.
+        # A caller-provided engine or golden store cannot cross the process
+        # boundary and is ignored here; workers share the on-disk tiers via
+        # cache_dir.
         client_specs = _client_specs(clients)
         problems = config.select_problems()
         restriction_settings = tuple(restriction_settings)
@@ -680,13 +571,18 @@ def run_sweep(
             report.add(sample)
         return result
     if engine is None:
-        engine = ExecutionEngine(config.engine_config())
-    golden_store = GoldenStore(
-        num_wavelengths=config.num_wavelengths,
-        engine=engine,
-        pack=config.pack,
-        pack_params=config.pack_params,
-    )
+        engine = (
+            golden_store.engine
+            if golden_store is not None
+            else ExecutionEngine(config.engine_config())
+        )
+    if golden_store is None:
+        golden_store = GoldenStore(
+            num_wavelengths=config.num_wavelengths,
+            engine=engine,
+            pack=config.pack,
+            pack_params=config.pack_params,
+        )
     problems = config.select_problems()
     restriction_settings = tuple(restriction_settings)
 

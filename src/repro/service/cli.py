@@ -29,6 +29,7 @@ from typing import Dict, Optional, Sequence
 
 from ..engine.engine import EXECUTION_MODES
 from ..faults import RetryPolicy
+from ..harness.cli import _parse_pack_params
 from ..sim.circuit import SOLVER_BACKENDS
 from .client import ServiceClient, ServiceError
 from .daemon import ServiceDaemon
@@ -173,22 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit 1 when the candidate regresses (the CI gate)",
     )
     return parser
-
-
-def _parse_pack_params(raw: Optional[Sequence[str]]) -> Optional[Dict[str, object]]:
-    """``KEY=VALUE`` pairs -> pack params (VALUE parsed as JSON when possible)."""
-    if not raw:
-        return None
-    params: Dict[str, object] = {}
-    for item in raw:
-        key, separator, value = item.partition("=")
-        if not separator or not key:
-            raise SystemExit(f"--pack-param must look like KEY=VALUE, got {item!r}")
-        try:
-            params[key] = json.loads(value)
-        except json.JSONDecodeError:
-            params[key] = value
-    return params
 
 
 def _spec_from_args(args: argparse.Namespace) -> JobSpec:

@@ -195,13 +195,16 @@ class ServiceDaemon:
         return self.address
 
     def stop(self) -> None:
-        """Stop serving (idempotent)."""
-        if self._server is None:
+        """Stop serving (idempotent; concurrent calls are safe)."""
+        # Locals: the shutdown op's stop() runs on its own thread and may
+        # clear the attributes while this call is still using them.
+        server, thread = self._server, self._thread
+        if server is None:
             return
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
+        server.shutdown()
+        server.server_close()
+        if thread is not None:
+            thread.join(timeout=10.0)
         self._server = None
         self._thread = None
 
@@ -213,10 +216,13 @@ class ServiceDaemon:
         """Foreground serve (the CLI's ``serve`` loop): start, then block."""
         if self._server is None:
             self.start()
-        assert self._thread is not None
+        # A local for the same reason as in stop(): the shutdown op clears
+        # ``_thread`` while this loop is still waiting on it.
+        thread = self._thread
+        assert thread is not None
         try:
-            while self._thread.is_alive():
-                self._thread.join(timeout=0.5)
+            while thread.is_alive():
+                thread.join(timeout=0.5)
         except KeyboardInterrupt:
             self.stop()
 

@@ -66,7 +66,6 @@ from ..netlist.errors import WrongPortError
 from ..netlist.schema import Netlist, format_endpoint, parse_endpoint
 from .cascade import CascadePlan, _dependent_rows, build_cascade_plan, structural_masks
 from .guardrails import _record_degradation, collect_degradations, solve_with_fallback
-from .kernels import Kernels, get_kernels, resolve_kernel_mode
 from .sparams import SMatrix
 
 __all__ = [
@@ -291,12 +290,6 @@ class CompiledCircuit:
     num_edges:
         Cross-component edges of the full signal-flow condensation (before
         column restriction) -- a size metric for introspection.
-    kernel_mode:
-        The :mod:`repro.sim.kernels` dispatch mode stamped at compile time
-        (``"numba"``, ``"python"`` or ``None`` = numpy path).  Execution
-        resolves it through :func:`~repro.sim.kernels.get_kernels`, which
-        degrades unsatisfiable modes (a spilled plan loaded where numba is
-        absent) back to numpy -- availability changes speed, never results.
     """
 
     fingerprint: str
@@ -317,7 +310,6 @@ class CompiledCircuit:
     cover_mirror: Optional[np.ndarray]
     stack_members: Tuple[np.ndarray, ...]
     num_edges: int
-    kernel_mode: Optional[str] = None
 
     @property
     def num_ports(self) -> int:
@@ -1147,7 +1139,6 @@ def compile_netlist(
         cover_mirror=cover_mirror,
         stack_members=stack_members,
         num_edges=num_edges,
-        kernel_mode=resolve_kernel_mode(),
     )
 
 
@@ -1173,7 +1164,6 @@ def _execute_group(
     max_block: Optional[int],
     stack_positions: Optional[Sequence[np.ndarray]] = None,
     flat_stacks: Optional[Sequence[Optional[np.ndarray]]] = None,
-    kern: Optional[Kernels] = None,
 ) -> None:
     """Run one column group's schedule, writing its columns of ``out``.
 
@@ -1183,11 +1173,6 @@ def _execute_group(
     are member-aligned, as :func:`build_stacks` produces them.
     ``flat_stacks`` optionally holds element-major flattened views of the
     deduplicated stacks for the fast contiguous-row coefficient gather.
-    ``kern`` optionally supplies the JIT dispatch table the plan was
-    compiled with (see :mod:`repro.sim.kernels`); ``None`` runs the
-    vectorised numpy path.  Both paths compute identical sums (the kernels
-    differ only in floating-point association inside a segment, well below
-    the 1e-9 equivalence budget).
     """
     num_cols = group.workspace_cols
     block = _auto_block(group, num_wavelengths)
@@ -1197,26 +1182,16 @@ def _execute_group(
 
     # Edge coefficients for the whole grid, edge-major to align with the
     # workspace layout: coef[e] is the (W,) gain of edge e, gathered in one
-    # advanced-indexing op per instance stack (or one kernel call).
+    # advanced-indexing op per instance stack.
     coef: Optional[np.ndarray] = None
     buffer: Optional[np.ndarray] = None
     if group.num_edges:
         coef = np.empty((group.num_edges, num_wavelengths), dtype=complex)
         for gather in group.coef_gathers:
             if stack_positions is None:
-                if kern is not None:
-                    kern.gather_strided(
-                        coef,
-                        stacks[gather.stack],
-                        gather.pos,
-                        gather.m_rows,
-                        gather.m_cols,
-                        gather.positions,
-                    )
-                else:
-                    coef[gather.positions] = stacks[gather.stack][
-                        gather.pos, :, gather.m_rows, gather.m_cols
-                    ]
+                coef[gather.positions] = stacks[gather.stack][
+                    gather.pos, :, gather.m_rows, gather.m_cols
+                ]
                 continue
             pos = stack_positions[gather.stack][gather.pos]
             flat = None if flat_stacks is None else flat_stacks[gather.stack]
@@ -1226,27 +1201,13 @@ def _execute_group(
                 # take instead of one strided vector copy per edge.
                 size = stacks[gather.stack].shape[2]
                 flat_index = (pos * size + gather.m_rows) * size + gather.m_cols
-                if kern is not None:
-                    kern.gather_rows(coef, flat, flat_index, gather.positions)
-                else:
-                    coef[gather.positions] = np.take(flat, flat_index, axis=0)
-            elif kern is not None:
-                kern.gather_strided(
-                    coef,
-                    stacks[gather.stack],
-                    pos,
-                    gather.m_rows,
-                    gather.m_cols,
-                    gather.positions,
-                )
+                coef[gather.positions] = np.take(flat, flat_index, axis=0)
             else:
                 coef[gather.positions] = stacks[gather.stack][
                     pos, :, gather.m_rows, gather.m_cols
                 ]
-        if kern is None:
-            # One reusable contribution buffer sized for the largest level
-            # (the fused pull kernel needs no temporary at all).
-            buffer = np.empty((group.max_push_edges, block, num_cols), dtype=complex)
+        # One reusable contribution buffer sized for the largest level.
+        buffer = np.empty((group.max_push_edges, block, num_cols), dtype=complex)
 
     # The (rows, block, cols) workspace is port-major in the group's
     # compacted row order: per-row slabs are contiguous, and each level's
@@ -1265,14 +1226,7 @@ def _execute_group(
 
         for step in group.steps:
             pull = step.pull
-            if pull is not None and kern is not None:
-                # Fused gather + multiply + segment-sum: one pass over the
-                # level's edges, no contribution temporary.
-                kern.pull_level(
-                    ws, pull.src, coef, pull.start, lo, pull.starts,
-                    pull.row_lo, pull.assign,
-                )
-            elif pull is not None:
+            if pull is not None:
                 count = pull.stop - pull.start
                 # np.take needs a contiguous out; the preallocated buffer is
                 # only contiguous at full block width (the tail block pays a
@@ -1322,17 +1276,10 @@ def _execute_group(
             for cluster in step.clusters:
                 size = int(cluster.rows.size)
                 system = np.zeros((width, size, size), dtype=complex)
-                if kern is not None:
-                    for instance, sys_rows, sys_cols, m_rows, m_cols in cluster.fill:
-                        kern.cluster_fill(
-                            system, matrices[instance], sys_rows, sys_cols,
-                            m_rows, m_cols, lo,
-                        )
-                else:
-                    for instance, sys_rows, sys_cols, m_rows, m_cols in cluster.fill:
-                        system[:, sys_rows, sys_cols] = -matrices[instance][
-                            lo:hi, m_rows, m_cols
-                        ]
+                for instance, sys_rows, sys_cols, m_rows, m_cols in cluster.fill:
+                    system[:, sys_rows, sys_cols] = -matrices[instance][
+                        lo:hi, m_rows, m_cols
+                    ]
                 diagonal = np.arange(size)
                 system[:, diagonal, diagonal] += 1.0
                 rhs = ws[cluster.rows].transpose(1, 0, 2)
@@ -1394,9 +1341,6 @@ def execute_cascade(
             "(a port is connected to several partners)"
         )
     num_external = compiled.num_external
-    # Kernel dispatch was decided at compile time; unsatisfiable modes
-    # (e.g. a spilled plan in a numba-less process) resolve to None = numpy.
-    kern = get_kernels(compiled.kernel_mode)
     if stacks is None:
         stacks = build_stacks(compiled, matrices)
     flat_stacks: Optional[List[Optional[np.ndarray]]] = None
@@ -1426,7 +1370,6 @@ def execute_cascade(
                 max_block,
                 stack_positions,
                 flat_stacks,
-                kern,
             )
         mirror = compiled.cover_mirror
         # S[i, j] = S[j, i] for the dropped columns; their remaining
@@ -1448,7 +1391,6 @@ def execute_cascade(
             max_block,
             stack_positions,
             flat_stacks,
-            kern,
         )
     return out
 

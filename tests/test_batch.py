@@ -20,7 +20,7 @@ import pytest
 
 from repro._cache import LRUCache
 from repro.bench.packs import get_pack, pack_names
-from repro.engine import EngineConfig, ExecutionEngine, TaskScheduler, default_engine
+from repro.engine import EngineConfig, ExecutionEngine, TaskScheduler
 from repro.harness.cli import build_parser
 from repro.harness.runner import SweepConfig, run_sweep
 from repro.netlist import Instance, Netlist
@@ -474,10 +474,6 @@ class TestEngineBatch:
         assert stats["solver_batch"]["samples"] == 3
         assert 0.0 <= stats["batch_fusion_rate"] <= 1.0
         assert stats["batch_size"] == 4
-
-    def test_default_engine_threads_batch_size(self):
-        engine = default_engine(batch_size=7)
-        assert engine.config.batch_size == 7
 
 
 # ----------------------------------------------------------------------

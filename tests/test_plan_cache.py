@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.bench.packs import get_pack, pack_names
-from repro.engine.engine import EngineConfig, ExecutionEngine, default_engine
+from repro.engine.engine import EngineConfig, ExecutionEngine
 from repro.engine.scheduler import TaskScheduler
 from repro.harness.cli import build_parser
 from repro.harness.runner import SweepConfig
@@ -469,11 +469,6 @@ class TestKnobPlumbing:
         assert engine.solver.max_wavelength_chunk == 13
         stats = engine.stats()
         assert "plan_cache" in stats and "plan_hit_rate" in stats
-
-    def test_default_engine_threads_plan_knobs(self):
-        engine = default_engine(plan_cache_entries=5, wavelength_chunk=9)
-        assert engine.solver._plan_cache.max_entries == 5
-        assert engine.solver.max_wavelength_chunk == 9
 
     def test_sweep_config_threads_plan_knobs(self):
         config = SweepConfig(plan_cache_entries=11, wavelength_chunk=17)

@@ -285,6 +285,61 @@ def test_shutdown_op_stops_daemon(tmp_path):
         daemon.stop()  # idempotent
 
 
+class _StubServer:
+    """Socket-server stand-in: shutdown and close return at once."""
+
+    def shutdown(self):
+        pass
+
+    def server_close(self):
+        pass
+
+
+class _RacingThread:
+    """Server-thread stand-in that exits during the foreground loop's join,
+    letting the shutdown op's ``stop()`` finish before the loop looks again."""
+
+    def __init__(self, daemon):
+        self.daemon = daemon
+        self.alive = True
+
+    def is_alive(self):
+        return self.alive
+
+    def join(self, timeout=None):
+        if self.alive:
+            self.alive = False
+            self.daemon.stop()
+
+
+def test_serve_forever_returns_when_stop_finishes_first(tmp_path):
+    with EvalService(tmp_path / "race.db", job_workers=1) as service:
+        daemon = ServiceDaemon(service)
+        daemon._server, daemon._thread = _StubServer(), _RacingThread(daemon)
+        daemon.serve_forever()
+        assert daemon._thread is None
+
+
+def test_stop_survives_a_concurrent_stop(tmp_path):
+    class ReentrantServer(_StubServer):
+        """A second stop() runs to completion inside the first one's shutdown."""
+
+        def __init__(self, daemon):
+            self.daemon = daemon
+            self.calls = 0
+
+        def shutdown(self):
+            self.calls += 1
+            if self.calls == 1:
+                self.daemon.stop()
+
+    with EvalService(tmp_path / "restop.db", job_workers=1) as service:
+        daemon = ServiceDaemon(service)
+        daemon._server = ReentrantServer(daemon)
+        daemon.stop()
+        assert daemon._server is None
+
+
 # ======================================================================
 # CLI front doors (in-process)
 # ======================================================================

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.bench.packs import pack_names, get_pack
-from repro.engine.engine import EngineConfig, ExecutionEngine, default_engine
+from repro.engine.engine import EngineConfig, ExecutionEngine
 from repro.harness.cli import build_parser
 from repro.harness.runner import SweepConfig
 from repro.netlist import Instance, Netlist
@@ -278,7 +278,7 @@ class TestBackendPlumbing:
         assert _max_abs_diff(dense_result, cascade_result) <= EQUIVALENCE_ATOL
 
     def test_engine_threads_backend_to_solver(self):
-        engine = default_engine(solver_backend="cascade")
+        engine = ExecutionEngine(EngineConfig(solver_backend="cascade"))
         assert engine.solver.backend == "cascade"
         assert engine.config.solver_backend == "cascade"
 
