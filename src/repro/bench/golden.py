@@ -21,7 +21,6 @@ import numpy as np
 
 from ..constants import DEFAULT_NUM_WAVELENGTHS, default_wavelength_grid
 from ..engine.engine import ExecutionEngine
-from ..engine.fingerprint import netlist_fingerprint
 from ..sim.analysis import FrequencyResponse
 from ..sim.circuit import CircuitSolver
 from ..sim.registry import ModelRegistry
@@ -92,7 +91,7 @@ class GoldenStore:
         rebuilds of a pack (same problem name, different golden design) can
         never hit a stale entry -- neither in memory nor on disk.
         """
-        fingerprint = netlist_fingerprint(problem.golden_netlist())[:12]
+        fingerprint = problem.golden_fingerprint[:12]
         return f"{problem.pack}.{problem.name}.golden.{self.num_wavelengths}.{fingerprint}"
 
     def _cache_path(self, golden_key: str) -> Optional[Path]:

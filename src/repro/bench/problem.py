@@ -12,8 +12,10 @@ Each of the 24 benchmark problems bundles (Section III-B of the paper):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Tuple
 
+from ..engine.fingerprint import netlist_fingerprint
 from ..netlist.schema import Netlist
 from ..netlist.validation import PortSpec
 
@@ -71,11 +73,23 @@ class Problem:
     port_spec: PortSpec
     pack: str = "core"
 
-    def golden_netlist(self) -> Netlist:
-        """Build (a fresh copy of) the expert-written golden netlist."""
+    # The golden design is built once per problem, on first use.  Rebuilding a
+    # pack (or ``dataclasses.replace``) makes new problems with fresh memos.
+    @cached_property
+    def shared_golden(self) -> Netlist:
+        """The golden netlist, shared by every caller: read it, never mutate it."""
         return self.golden_factory()
 
-    @property
+    @cached_property
+    def golden_fingerprint(self) -> str:
+        """Content fingerprint of the golden netlist (``netlist_fingerprint``)."""
+        return netlist_fingerprint(self.shared_golden)
+
+    @cached_property
     def complexity(self) -> int:
         """Number of instances in the golden design (a difficulty proxy)."""
-        return self.golden_netlist().num_instances()
+        return self.shared_golden.num_instances()
+
+    def golden_netlist(self) -> Netlist:
+        """A fresh, independently mutable copy of the expert-written golden netlist."""
+        return self.shared_golden.copy()

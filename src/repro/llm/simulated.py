@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -80,6 +80,7 @@ class SimulatedDesigner:
         self.registry = registry if registry is not None else default_registry()
         self.base_seed = int(base_seed)
         self.name = self.profile.name
+        self._aptitudes: Dict[str, float] = {}
 
     # ------------------------------------------------------------------
     # Conversation introspection
@@ -155,13 +156,18 @@ class SimulatedDesigner:
         Real models are systematically stronger on some problem families than
         others; the factor is a deterministic function of the profile and the
         problem so all five samples of a problem share it (which is what keeps
-        Pass@5 well below the independent-samples prediction).
+        Pass@5 well below the independent-samples prediction).  Drawn once
+        per problem name and memoised.
         """
-        rng = np.random.default_rng(
-            _stable_seed(self.profile.name, problem.name, self.base_seed, "aptitude")
-        )
-        spread = self.profile.aptitude_spread
-        return float(np.exp(rng.normal(loc=0.0, scale=spread)))
+        aptitude = self._aptitudes.get(problem.name)
+        if aptitude is None:
+            rng = np.random.default_rng(
+                _stable_seed(self.profile.name, problem.name, self.base_seed, "aptitude")
+            )
+            spread = self.profile.aptitude_spread
+            aptitude = float(np.exp(rng.normal(loc=0.0, scale=spread)))
+            self._aptitudes[problem.name] = aptitude
+        return aptitude
 
     def _replay(
         self,
@@ -245,7 +251,9 @@ class SimulatedDesigner:
                 "draft",
             )
         )
-        netlist: Netlist = problem.golden_netlist()
+        # The mutators copy before they change anything, so the shared golden
+        # is only ever read here.
+        netlist: Netlist = problem.shared_golden
         if trajectory.functional_error:
             netlist = apply_functional_mutation(netlist, rng, self.registry)
         wrappers = []

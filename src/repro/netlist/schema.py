@@ -32,17 +32,21 @@ from .errors import OtherSyntaxError
 
 __all__ = ["Instance", "Netlist", "parse_endpoint", "format_endpoint"]
 
+#: Settings values :meth:`Netlist.copy` can share instead of deep-copying.
+_IMMUTABLE_SCALARS = (str, int, float, complex, type(None))
+
 
 def parse_endpoint(endpoint: str) -> Tuple[str, str]:
     """Split an ``"instance,port"`` endpoint string into its two parts."""
     if not isinstance(endpoint, str):
         raise OtherSyntaxError(f"connection endpoint must be a string, got {endpoint!r}")
-    parts = [p.strip() for p in endpoint.split(",")]
-    if len(parts) != 2 or not all(parts):
+    instance, comma, port = endpoint.partition(",")
+    instance, port = instance.strip(), port.strip()
+    if not comma or not instance or not port or "," in port:
         raise OtherSyntaxError(
             f"connection endpoint {endpoint!r} must have the form '<instance>,<port>'"
         )
-    return parts[0], parts[1]
+    return instance, port
 
 
 def format_endpoint(instance: str, port: str) -> str:
@@ -161,10 +165,21 @@ class Netlist:
         return json.dumps(self.to_dict(), indent=indent)
 
     def copy(self) -> "Netlist":
-        """Deep copy (mutation operators rely on this)."""
+        """Deep copy (mutation operators rely on this).
+
+        Immutable scalar settings values are shared; anything else is deep-copied.
+        """
         return Netlist(
-            instances={name: Instance(inst.component, copy.deepcopy(inst.settings))
-                       for name, inst in self.instances.items()},
+            instances={
+                name: Instance(
+                    inst.component,
+                    {
+                        key: value if isinstance(value, _IMMUTABLE_SCALARS) else copy.deepcopy(value)
+                        for key, value in inst.settings.items()
+                    },
+                )
+                for name, inst in self.instances.items()
+            },
             connections=dict(self.connections),
             ports=dict(self.ports),
             models=dict(self.models),

@@ -119,45 +119,55 @@ def _check_models_section(
         )
 
 
-def _ports_of_instance(
-    netlist: Netlist, registry: ModelRegistry, instance_name: str
-) -> Optional[Tuple[str, ...]]:
-    """Return the port tuple of an instance, or None when it cannot be resolved."""
-    inst = netlist.instances.get(instance_name)
-    if inst is None:
-        return None
-    ref = netlist.models.get(inst.component, inst.component)
-    if not isinstance(ref, str) or ref not in registry:
-        return None
-    return registry.get(ref).ports
+#: Instance name -> the ports of its model, or None when the model is unresolved.
+PortTable = Dict[str, Optional[Tuple[str, ...]]]
+
+
+def _port_table(netlist: Netlist, registry: ModelRegistry) -> PortTable:
+    """The :data:`PortTable` of a netlist, resolving each model reference once."""
+    ports_of_ref: Dict[str, Optional[Tuple[str, ...]]] = {}
+    table: PortTable = {}
+    for name, inst in netlist.instances.items():
+        ref = netlist.models.get(inst.component, inst.component)
+        if not isinstance(ref, str):
+            table[name] = None
+            continue
+        if ref not in ports_of_ref:
+            ports_of_ref[ref] = registry.get(ref).ports if ref in registry else None
+        table[name] = ports_of_ref[ref]
+    return table
 
 
 def _check_endpoint(
-    netlist: Netlist,
-    registry: ModelRegistry,
+    ports_of: PortTable,
     endpoint: str,
-    context: str,
+    label: str,
+    raw: str,
     errors: List[NetlistSyntaxError],
 ) -> Optional[Tuple[str, str]]:
-    """Validate one ``instance,port`` endpoint; return the parsed pair if usable."""
+    """Validate one ``instance,port`` endpoint; return the parsed pair if usable.
+
+    Errors are prefixed with the context ``f"{label} {raw!r}"``, built only
+    when one is reported.
+    """
     try:
         instance_name, port = parse_endpoint(endpoint)
     except OtherSyntaxError as exc:
-        errors.append(OtherSyntaxError(f"{context}: {exc.detail}"))
+        errors.append(OtherSyntaxError(f"{label} {raw!r}: {exc.detail}"))
         return None
-    if instance_name not in netlist.instances:
+    if instance_name not in ports_of:
         errors.append(
             DanglingPortError(
-                f"{context}: instance {instance_name!r} does not exist in the netlist; "
+                f"{label} {raw!r}: instance {instance_name!r} does not exist in the netlist; "
                 "do not introduce arbitrary or unused instance names"
             )
         )
         return None
-    ports = _ports_of_instance(netlist, registry, instance_name)
+    ports = ports_of[instance_name]
     if ports is not None and port not in ports:
         errors.append(
             WrongPortError(
-                f"{context}: instance {instance_name!r} does not contain port {port!r}. "
+                f"{label} {raw!r}: instance {instance_name!r} does not contain port {port!r}. "
                 f"Available ports: {list(ports)}"
             )
         )
@@ -166,21 +176,15 @@ def _check_endpoint(
 
 
 def _check_connections(
-    netlist: Netlist, registry: ModelRegistry, errors: List[NetlistSyntaxError]
+    netlist: Netlist,
+    ports_of: PortTable,
+    exposed: Dict[Tuple[str, str], str],
+    errors: List[NetlistSyntaxError],
 ) -> None:
     seen: Dict[Tuple[str, str], str] = {}
-    exposed = set()
-    for ext_name, endpoint in netlist.ports.items():
-        try:
-            exposed.add(parse_endpoint(endpoint))
-        except OtherSyntaxError:
-            continue  # reported by _check_ports
-
     for key, value in netlist.connections.items():
-        key_pair = _check_endpoint(netlist, registry, key, f"connection key {key!r}", errors)
-        value_pair = _check_endpoint(
-            netlist, registry, value, f"connection value {value!r}", errors
-        )
+        key_pair = _check_endpoint(ports_of, key, "connection key", key, errors)
+        value_pair = _check_endpoint(ports_of, value, "connection value", value, errors)
         for pair, raw in ((key_pair, key), (value_pair, value)):
             if pair is None:
                 continue
@@ -210,19 +214,23 @@ def _check_connections(
 
 def _check_ports(
     netlist: Netlist,
-    registry: ModelRegistry,
+    ports_of: PortTable,
     port_spec: Optional[PortSpec],
     errors: List[NetlistSyntaxError],
-) -> None:
+) -> Dict[Tuple[str, str], str]:
+    """Check the external ports; returns each usable exposed endpoint's port name.
+
+    An unusable endpoint can never equal a usable connection endpoint (the
+    verdict depends only on the pair), so leaving it out changes no bound-I/O
+    verdict.
+    """
     if not netlist.ports:
         errors.append(
             WrongPortCountError("the netlist exposes no external ports")
         )
     seen_endpoints: Dict[Tuple[str, str], str] = {}
     for ext_name, endpoint in netlist.ports.items():
-        pair = _check_endpoint(
-            netlist, registry, endpoint, f"external port {ext_name!r}", errors
-        )
+        pair = _check_endpoint(ports_of, endpoint, "external port", ext_name, errors)
         if pair is not None:
             if pair in seen_endpoints:
                 errors.append(
@@ -252,6 +260,7 @@ def _check_ports(
                     f"exposes {num_inputs} input(s) and {num_outputs} output(s)"
                 )
             )
+    return seen_endpoints
 
 
 def collect_violations(
@@ -266,8 +275,9 @@ def collect_violations(
     errors: List[NetlistSyntaxError] = []
     _check_instance_names(netlist, errors)
     _check_models_section(netlist, registry, errors)
-    _check_ports(netlist, registry, port_spec, errors)
-    _check_connections(netlist, registry, errors)
+    ports_of = _port_table(netlist, registry)
+    exposed = _check_ports(netlist, ports_of, port_spec, errors)
+    _check_connections(netlist, ports_of, exposed, errors)
     return errors
 
 

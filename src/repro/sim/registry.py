@@ -88,6 +88,7 @@ class ModelRegistry:
     def __init__(self, infos: Optional[Iterable[ModelInfo]] = None) -> None:
         self._infos: Dict[str, ModelInfo] = {}
         self._version = 0
+        self._api_document: Tuple[int, str] = (-1, "")
         for info in infos or ():
             self.register(info)
 
@@ -129,8 +130,16 @@ class ModelRegistry:
             ) from exc
 
     def api_document(self) -> str:
-        """Render the full API document section of the system prompt."""
-        return "\n".join(self.get(name).api_doc_entry() for name in self.names())
+        """Render the full API document section of the system prompt.
+
+        Rendered once per registry :attr:`version`.
+        """
+        version, document = self._api_document
+        if version != self._version:
+            version = self._version
+            document = "\n".join(self.get(name).api_doc_entry() for name in self.names())
+            self._api_document = (version, document)
+        return document
 
     def copy(self) -> "ModelRegistry":
         """Return a shallow copy (useful for registering custom models)."""

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sim import compare_responses, evaluate_netlist
+from repro.sim import SMatrix, compare_responses, evaluate_netlist
 from repro.sim.analysis import ComparisonResult, FrequencyResponse
 from repro.bench.problems.fundamental import mzi_ps_golden, mzm_golden
 
@@ -72,3 +72,13 @@ class TestCompareResponses:
         candidate = evaluate_netlist(modified, wavelengths)
         loose = compare_responses(candidate, golden_response, atol=0.5)
         assert loose.passed
+
+    def test_all_nan_candidate_fails(self, wavelengths, golden_response):
+        # max(0.0, nan) is 0.0 and nan > atol is False: a NaN spectrum must not
+        # slip through as a perfect match.
+        candidate = evaluate_netlist(mzi_ps_golden(), wavelengths)
+        nan = SMatrix(candidate.wavelengths, candidate.ports, np.full_like(candidate.data, np.nan))
+        result = compare_responses(nan, golden_response)
+        assert not result.passed
+        assert result.max_abs_error == float("inf")
+        assert result.mismatched_pairs == list(golden_response.transmission)

@@ -61,6 +61,19 @@ class TestEvaluateResponse:
         outcome = evaluator.evaluate_response(mzi_ps_problem, "I cannot help with that.")
         assert outcome.error.category is ErrorCategory.OTHER_SYNTAX
 
+    def test_nan_setting_is_functional_error(self, evaluator):
+        # json.loads accepts NaN, the draft validates and simulates, and its
+        # NaN spectra must fail the comparison with the golden response.
+        problem = get_problem("clements_4x4")
+        netlist = problem.golden_netlist()
+        netlist.instances["mzi1"].settings["theta"] = float("nan")
+        assert '"theta": NaN' in netlist.to_json()
+        outcome = evaluator.evaluate_response(problem, format_response("a", netlist.to_json()))
+        assert outcome.syntax_ok and outcome.nonfinite
+        assert not outcome.functional_ok
+        assert outcome.error.category is ErrorCategory.FUNCTIONAL
+        assert "inf" in outcome.error.detail
+
 
 class TestFeedbackLoop:
     def test_perfect_designer_passes_first_try(self, evaluator, mzi_ps_problem):

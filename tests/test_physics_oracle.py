@@ -3,8 +3,9 @@
 Each golden netlist is solved on the dense and on the compiled cascade
 backend, and every solved S-matrix must be finite, reciprocal (``S = Sᵀ``;
 every model the packs use is reciprocal) and passive (largest singular value
-at most one).  None of these checks compares one executor with another, so
-they still catch an error that both executors share.
+at most one); the meshes of lossless elements must also be unitary.  None of
+these checks compares one executor with another, so they still catch an error
+that both executors share.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.bench.packs import get_pack, pack_names
+from repro.bench.suite import get_problem
 from repro.constants import default_wavelength_grid
 
 #: The default sweep's grid.
@@ -31,6 +33,10 @@ IDEALISED_FABRICS = frozenset(
     for n in (4, 8)
 )
 FABRIC_PASSIVITY_MARGIN = 2e-2
+
+#: Core meshes built only of lossless elements (ideal MZIs, couplers, phase
+#: shifters): their S-matrices must be unitary, S†S = I.
+LOSSLESS_MESHES = ("clements_4x4", "clements_8x8", "reck_4x4", "reck_8x8", "umatrix_block")
 
 
 def _registered_goldens():
@@ -52,3 +58,14 @@ def test_golden_is_finite_reciprocal_and_passive(problem, backend, solver):
     assert np.max(np.abs(data - data.transpose(0, 2, 1))) <= TOLERANCE
     margin = FABRIC_PASSIVITY_MARGIN if problem.name in IDEALISED_FABRICS else TOLERANCE
     assert np.max(np.linalg.svd(data, compute_uv=False)) <= 1.0 + margin
+
+
+@pytest.mark.parametrize("backend", ["dense", "cascade"])
+@pytest.mark.parametrize("name", LOSSLESS_MESHES)
+def test_lossless_mesh_is_unitary(name, backend, solver):
+    problem = get_problem(name)
+    data = solver.evaluate(
+        problem.golden_netlist(), WAVELENGTHS, port_spec=problem.port_spec, backend=backend
+    ).data
+    gram = np.einsum("wji,wjk->wik", data.conj(), data)
+    assert np.max(np.abs(gram - np.eye(data.shape[1]))) <= TOLERANCE
