@@ -44,12 +44,27 @@ EXPECTED_PROBLEM_COUNT = 24
 _CACHE: Dict[Tuple[str, Tuple[Tuple[str, str], ...]], Tuple[Problem, ...]] = {}
 _CACHE_LOCK = threading.Lock()
 
+# find_problem_by_description's answers, keyed by the searched text.  Any
+# change to the candidates (a suite entering _CACHE, a pack registration
+# changing) clears it and bumps _DESCRIPTION_VERSION under _CACHE_LOCK; a
+# lookup stores its answer only if the version did not move while it scanned.
+_DESCRIPTION_MEMO: Dict[str, Problem] = {}
+_DESCRIPTION_VERSION = 0
+
+
+def _forget_descriptions() -> None:
+    """Clear the description memo; the caller holds ``_CACHE_LOCK``."""
+    global _DESCRIPTION_VERSION
+    _DESCRIPTION_VERSION += 1
+    _DESCRIPTION_MEMO.clear()
+
 
 def _invalidate_pack_cache(pack_name: str) -> None:
     """Drop every cached suite of ``pack_name`` (the pack was re-registered)."""
     with _CACHE_LOCK:
         for key in [key for key in _CACHE if key[0] == pack_name]:
             del _CACHE[key]
+        _forget_descriptions()
 
 
 _register_invalidation_hook(_invalidate_pack_cache)
@@ -72,8 +87,9 @@ def all_problems(
     outside the cache lock -- builders may themselves call :func:`get_problem`
     or :func:`all_problems` (e.g. to wrap core problems), and the lock is not
     reentrant -- so two threads racing on a cold entry may build the same
-    (deterministic) suite twice, but ``setdefault`` keeps a single canonical
-    tuple that every caller receives.
+    (deterministic) suite twice, but only the first one stored becomes the
+    canonical tuple that every caller receives.  Storing a new entry clears
+    the memo of :func:`find_problem_by_description`.
     """
     pack_obj = get_pack(pack)
     key = _cache_key(pack_obj, params)
@@ -82,7 +98,10 @@ def all_problems(
     if cached is None:
         built = pack_obj.build_problems(params)
         with _CACHE_LOCK:
-            cached = _CACHE.setdefault(key, built)
+            cached = _CACHE.get(key)
+            if cached is None:
+                cached = _CACHE[key] = built
+                _forget_descriptions()
     return cached
 
 
@@ -127,8 +146,15 @@ def find_problem_by_description(text: str) -> Optional[Problem]:
     build of every registered pack, core first.  Returns ``None`` when
     nothing matches.  The simulated designers use this to recognise which
     problem a conversation is about.
+
+    Answers are memoised per text until a suite is built or a pack's
+    registration changes; misses are not memoised.
     """
+    problem = _DESCRIPTION_MEMO.get(text)
+    if problem is not None:
+        return problem
     with _CACHE_LOCK:
+        version = _DESCRIPTION_VERSION
         built = [problems for _, problems in sorted(_CACHE.items())]
     candidates: List[Problem] = [p for problems in built for p in problems]
     for pack in pack_names():
@@ -136,6 +162,9 @@ def find_problem_by_description(text: str) -> Optional[Problem]:
     for problem in candidates:
         description = problem.description.strip()
         if description and description in text:
+            with _CACHE_LOCK:
+                if version == _DESCRIPTION_VERSION:
+                    _DESCRIPTION_MEMO[text] = problem
             return problem
     return None
 

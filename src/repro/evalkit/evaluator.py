@@ -94,6 +94,26 @@ class AttemptOutcome:
     nonfinite: bool = False
 
 
+def _classified(error: BaseException) -> PICBenchError:
+    """``error`` classified; it, its classification and their chains lose their tracebacks.
+
+    A stored traceback would keep the failing frames alive -- the draft
+    netlist among their locals -- in a cycle through the outcome that
+    holds the error; reports and feedback read only category and detail.
+    """
+    classified = as_picbench_error(error)
+    pending: List[Optional[BaseException]] = [classified, error]
+    seen = set()
+    while pending:
+        link = pending.pop()
+        if link is None or id(link) in seen:
+            continue
+        seen.add(id(link))
+        link.__traceback__ = None
+        pending += (link.__cause__, link.__context__)
+    return classified
+
+
 def _quality_flags(smatrix) -> Tuple[bool, bool]:
     """The (degraded, nonfinite) annotations of one simulated S-matrix."""
     return bool(smatrix.degraded), not bool(np.all(np.isfinite(smatrix.data)))
@@ -149,7 +169,7 @@ class Evaluator:
                 netlist, self.golden_store.wavelengths, port_spec=problem.port_spec
             )
         except Exception as error:  # noqa: BLE001 - classified below
-            return AttemptOutcome(syntax_ok=False, functional_ok=False, error=as_picbench_error(error))
+            return AttemptOutcome(syntax_ok=False, functional_ok=False, error=_classified(error))
 
         degraded, nonfinite = _quality_flags(smatrix)
         comparison = compare_responses(
@@ -192,7 +212,7 @@ class Evaluator:
                 validate_netlist(netlist, self.registry, problem.port_spec)
             except Exception as error:  # noqa: BLE001 - classified below
                 outcomes[index] = AttemptOutcome(
-                    syntax_ok=False, functional_ok=False, error=as_picbench_error(error)
+                    syntax_ok=False, functional_ok=False, error=_classified(error)
                 )
                 continue
             pending.append(index)
@@ -211,7 +231,7 @@ class Evaluator:
                     outcomes[index] = AttemptOutcome(
                         syntax_ok=False,
                         functional_ok=False,
-                        error=as_picbench_error(result),
+                        error=_classified(result),
                     )
                     continue
                 degraded, nonfinite = _quality_flags(result)

@@ -51,6 +51,12 @@ _CATEGORY_ORDER: Tuple[ErrorCategory, ...] = (
     ErrorCategory.OTHER_SYNTAX,
 )
 
+#: ``(display name, category)`` of every category, in enum order.
+_DISPLAY_NAMES: Tuple[Tuple[str, ErrorCategory], ...] = tuple(
+    (category.display_name, category) for category in ErrorCategory
+)
+
+
 def _stable_seed(*parts: object) -> int:
     """Derive a reproducible 64-bit seed from arbitrary string-able parts."""
     digest = hashlib.sha256("||".join(str(p) for p in parts).encode("utf-8")).digest()
@@ -81,6 +87,8 @@ class SimulatedDesigner:
         self.base_seed = int(base_seed)
         self.name = self.profile.name
         self._aptitudes: Dict[str, float] = {}
+        self._difficulties: Dict[Tuple[str, int], float] = {}
+        self._restriction_sets: Dict[str, frozenset] = {}
 
     # ------------------------------------------------------------------
     # Conversation introspection
@@ -107,26 +115,28 @@ class SimulatedDesigner:
             "knows registered problem packs"
         )
 
-    @staticmethod
-    def _active_restrictions(messages: Conversation) -> frozenset:
+    def _active_restrictions(self, messages: Conversation) -> frozenset:
         """Return the set of Table II categories whose restriction text is present.
 
         The designer reacts to the restrictions it can actually *see* in the
         system prompt, so ablations that include only a subset of Table II
         (``PromptConfig.restriction_categories``) only suppress the matching
-        error classes.
+        error classes.  Memoised per system-prompt text.
         """
-        from ..prompts.restrictions import RESTRICTIONS
-
         system_text = "\n".join(
             message.content for message in messages if message.role == "system"
         )
-        active = {
-            restriction.category
-            for restriction in RESTRICTIONS
-            if restriction.text in system_text
-        }
-        return frozenset(active)
+        active = self._restriction_sets.get(system_text)
+        if active is None:
+            from ..prompts.restrictions import RESTRICTIONS
+
+            active = frozenset(
+                restriction.category
+                for restriction in RESTRICTIONS
+                if restriction.text in system_text
+            )
+            self._restriction_sets[system_text] = active
+        return active
 
     @staticmethod
     def _feedback_turns(messages: Conversation) -> List[str]:
@@ -137,8 +147,8 @@ class SimulatedDesigner:
     def _reported_category(feedback: str) -> Optional[ErrorCategory]:
         if FUNCTIONAL_FEEDBACK in feedback:
             return ErrorCategory.FUNCTIONAL
-        for category in ErrorCategory:
-            if category.display_name in feedback:
+        for display_name, category in _DISPLAY_NAMES:
+            if display_name in feedback:
                 return category
         return None
 
@@ -146,9 +156,14 @@ class SimulatedDesigner:
     # Trajectory replay
     # ------------------------------------------------------------------
     def _difficulty(self, problem: Problem) -> float:
-        instances = max(problem.complexity, 1)
-        factor = 1.0 + self.profile.difficulty_sensitivity * np.log2(instances / 4.0 + 1.0)
-        return float(np.clip(factor, 0.6, 1.9))
+        """Difficulty factor of ``problem``, memoised per (name, complexity)."""
+        key = (problem.name, problem.complexity)
+        difficulty = self._difficulties.get(key)
+        if difficulty is None:
+            instances = max(problem.complexity, 1)
+            factor = 1.0 + self.profile.difficulty_sensitivity * np.log2(instances / 4.0 + 1.0)
+            difficulty = self._difficulties[key] = float(np.clip(factor, 0.6, 1.9))
+        return difficulty
 
     def _aptitude(self, problem: Problem) -> float:
         """Per-(model, problem) aptitude factor.

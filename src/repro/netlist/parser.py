@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Any, Optional, Tuple
+from itertools import accumulate, repeat
+from typing import Any, Optional
 
 from .errors import ExtraContentError, OtherSyntaxError
 from .schema import Netlist
@@ -29,37 +30,48 @@ __all__ = ["parse_netlist_text", "extract_json_object", "parse_netlist_dict"]
 
 _CODE_FENCE_RE = re.compile(r"```(?:json)?\s*(.*?)```", re.DOTALL)
 
+#: One token of a brace scan: a whole JSON string (``"(?:[^"\\]|\\.)*"``
+#: unrolled), a brace, or a quote that never closes (everything after it is
+#: inside that string).
+_JSON_TOKEN_RE = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|[{}]|".*', re.DOTALL)
+_MATCH_GROUP = re.Match.group
+_DEPTH_STEP = {"{": 1, "}": -1}
+
 
 def extract_json_object(text: str) -> Optional[str]:
     """Locate the first balanced top-level JSON object inside ``text``.
 
     Returns the candidate substring, or ``None`` when no balanced object is
     found.  Brace counting ignores braces inside JSON strings.
+
+    Candidate starts are tried at every ``{`` in turn, each scanning as if
+    it began outside a string.  One tokenisation (strings, braces, and an
+    unterminated string running to the end) with running depths answers
+    every start that falls on a brace token of it; only a start that it saw
+    inside a string is tokenised afresh.
     """
     start = text.find("{")
     while start != -1:
-        depth = 0
-        in_string = False
-        escaped = False
-        for idx in range(start, len(text)):
-            char = text[idx]
-            if in_string:
-                if escaped:
-                    escaped = False
-                elif char == "\\":
-                    escaped = True
-                elif char == '"':
-                    in_string = False
-                continue
-            if char == '"':
-                in_string = True
-            elif char == "{":
-                depth += 1
-            elif char == "}":
-                depth -= 1
-                if depth == 0:
-                    return text[start : idx + 1]
-        start = text.find("{", start + 1)
+        matches = list(_JSON_TOKEN_RE.finditer(text, start))
+        tokens = list(map(_MATCH_GROUP, matches))
+        depths = list(accumulate(map(_DEPTH_STEP.get, tokens, repeat(0))))
+        index = 0  # token of the current start, a "{" at depth depths[index]
+        while True:
+            try:
+                close = depths.index(depths[index] - 1, index + 1)
+            except ValueError:
+                pass
+            else:
+                return text[start : matches[close].end()]
+            start = text.find("{", start + 1)
+            if start == -1:
+                return None
+            try:
+                index = tokens.index("{", index + 1)
+            except ValueError:
+                break
+            if matches[index].start() != start:
+                break  # this start lies inside a string token: tokenise from it
     return None
 
 

@@ -25,8 +25,10 @@ from __future__ import annotations
 
 import copy
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .errors import OtherSyntaxError
 
@@ -34,6 +36,68 @@ __all__ = ["Instance", "Netlist", "parse_endpoint", "format_endpoint"]
 
 #: Settings values :meth:`Netlist.copy` can share instead of deep-copying.
 _IMMUTABLE_SCALARS = (str, int, float, complex, type(None))
+
+_INF = float("inf")
+
+
+def _float_json(value: float) -> str:
+    """A float the way ``json``'s encoder spells it (``allow_nan`` on)."""
+    if value != value:
+        return "NaN"
+    if value == _INF:
+        return "Infinity"
+    if value == -_INF:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+#: JSON spellings of the exact leaf types, as ``json.dumps`` writes them.
+_LEAF_JSON: Dict[type, Callable[[Any], str]] = {
+    str: encode_basestring_ascii,
+    float: _float_json,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json_value(value: Any, pad: str) -> str:
+    """``value`` as JSON, for a line indented by ``pad`` (indent 2).
+
+    Exact leaf types are spelled directly; anything else goes through
+    ``json.dumps(value, indent=2)`` with its lines shifted right by ``pad``
+    (encoded strings hold no raw newline).
+    """
+    spell = _LEAF_JSON.get(type(value))
+    if spell is not None:
+        return spell(value)
+    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+
+
+def _write_object(parts: List[str], obj: Any, pad: str) -> None:
+    """Append ``obj`` as an indent-2 JSON object starting on a line indented by ``pad``.
+
+    Only a plain ``dict`` with ``str`` keys is written here; anything else
+    goes whole through :func:`_json_value`, which keeps ``json``'s key
+    coercion and its errors.
+    """
+    if type(obj) is not dict:
+        parts.append(_json_value(obj, pad))
+        return
+    if not obj:
+        parts.append("{}")
+        return
+    mark = len(parts)
+    inner = pad + "  "
+    separator = "{\n" + inner
+    for key, value in obj.items():
+        if type(key) is not str:
+            del parts[mark:]
+            parts.append(_json_value(obj, pad))
+            return
+        parts += (separator, encode_basestring_ascii(key), ": ", _json_value(value, inner))
+        separator = ",\n" + inner
+    parts += ("\n", pad, "}")
 
 
 def parse_endpoint(endpoint: str) -> Tuple[str, str]:
@@ -89,8 +153,8 @@ class Instance:
                 raise OtherSyntaxError(
                     f"instance 'settings' must be an object, got {settings!r}"
                 )
-            extra_keys = sorted(set(obj) - {"component", "settings"})
-            if extra_keys:
+            if len(obj) != 1 + ("settings" in obj):
+                extra_keys = sorted(set(obj) - {"component", "settings"})
                 raise OtherSyntaxError(
                     f"instance object has unsupported keys {extra_keys}; "
                     "only 'component' and 'settings' are allowed"
@@ -160,9 +224,45 @@ class Netlist:
             "models": dict(self.models),
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        """Serialise to a JSON string."""
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        """Serialise to the indent-2 JSON document.
+
+        Byte-identical to ``json.dumps(self.to_dict(), indent=2)``, written
+        straight from the fields: no settings deep copy and no pure-Python
+        generator encoder (which ``indent`` forces on ``json``).
+        """
+        parts = ['{\n  "netlist": {\n    "instances": ']
+        instances = self.instances
+        if not instances:
+            parts.append("{}")
+        elif not all(type(name) is str for name in instances):
+            parts.append(
+                _json_value({name: inst.to_obj() for name, inst in instances.items()}, "    ")
+            )
+        else:
+            separator = "{\n      "
+            for name, inst in instances.items():
+                parts += (separator, encode_basestring_ascii(name), ": ")
+                separator = ",\n      "
+                if not inst.settings:
+                    parts.append(_json_value(inst.component, "      "))
+                    continue
+                parts += (
+                    '{\n        "component": ',
+                    _json_value(inst.component, "        "),
+                    ',\n        "settings": ',
+                )
+                _write_object(parts, inst.settings, "        ")
+                parts.append("\n      }")
+            parts.append("\n    }")
+        for title, section in (("connections", self.connections), ("ports", self.ports)):
+            parts.append(f',\n    "{title}": ')
+            _write_object(parts, section if type(section) is dict else dict(section), "    ")
+        parts.append('\n  },\n  "models": ')
+        models = self.models
+        _write_object(parts, models if type(models) is dict else dict(models), "  ")
+        parts.append("\n}")
+        return "".join(parts)
 
     def copy(self) -> "Netlist":
         """Deep copy (mutation operators rely on this).

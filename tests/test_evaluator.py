@@ -1,9 +1,13 @@
 """Tests for the evaluation loop (Fig. 1): syntax check, functional check, feedback."""
 
+import gc
+from collections import Counter
+
 import pytest
 
 from repro.bench import GoldenStore, get_problem
 from repro.evalkit import EvaluationConfig, Evaluator
+from repro.harness.runner import SweepConfig, run_sweep
 from repro.llm import EchoDesigner, PerfectDesigner, SimulatedDesigner, format_response
 from repro.netlist import ErrorCategory
 from repro.prompts import PromptConfig
@@ -73,6 +77,55 @@ class TestEvaluateResponse:
         assert not outcome.functional_ok
         assert outcome.error.category is ErrorCategory.FUNCTIONAL
         assert "inf" in outcome.error.detail
+
+
+class TestStoredErrors:
+    """Stored attempt errors carry no traceback, so failed drafts are freed at once."""
+
+    def test_classified_errors_and_their_chains_carry_no_traceback(self, evaluator, mzi_ps_problem):
+        truncated = mzi_ps_problem.golden_netlist().to_json()[:-3]
+        items = [
+            # Balanced but invalid JSON: the error is chained to a JSONDecodeError.
+            (mzi_ps_problem, format_response("a", 'note {"netlist": {"instances": {,}}}')),
+            (mzi_ps_problem, "no result section"),
+            (mzi_ps_problem, format_response("a", f"```json\n{truncated}}}\n```")),
+        ]
+        outcomes = [evaluator.evaluate_response(*item) for item in items]
+        outcomes += evaluator.evaluate_responses(items)
+        assert outcomes[0].error.__cause__ is not None
+        for outcome in outcomes:
+            link = outcome.error
+            assert link is not None
+            while link is not None:
+                assert link.__traceback__ is None
+                link = link.__cause__ or link.__context__
+
+    def test_a_sweep_leaves_no_frames_or_netlists_as_cyclic_garbage(self):
+        config = SweepConfig(
+            problems=("mzi_ps", "clements_4x4", "benes_8x8"),
+            samples_per_problem=2,
+            num_wavelengths=TEST_NUM_WAVELENGTHS,
+        )
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            result = run_sweep(config)
+            gc.collect()
+            garbage = Counter(type(obj).__name__ for obj in gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        attempts = [
+            attempt
+            for report in result.reports.values()
+            for samples in report.results.values()
+            for sample in samples
+            for attempt in sample.attempts
+        ]
+        assert any(not attempt.syntax_ok for attempt in attempts)
+        assert {name: garbage[name] for name in ("frame", "traceback", "Netlist", "Instance")} == {
+            "frame": 0, "traceback": 0, "Netlist": 0, "Instance": 0,
+        }
 
 
 class TestFeedbackLoop:
