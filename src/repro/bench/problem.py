@@ -86,6 +86,11 @@ class Problem:
         return netlist_fingerprint(self.shared_golden)
 
     @cached_property
+    def golden_json(self) -> str:
+        """``Netlist.to_json()`` of the golden netlist: the text of an error-free draft."""
+        return self.shared_golden.to_json()
+
+    @cached_property
     def complexity(self) -> int:
         """Number of instances in the golden design (a difficulty proxy)."""
         return self.shared_golden.num_instances()

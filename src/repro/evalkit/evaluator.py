@@ -11,15 +11,22 @@ For every sample of every problem the evaluator:
    (functionality check),
 6. on failure, classifies the error and feeds a correction prompt back to the
    model, iterating up to ``max_feedback_iterations`` times.
+
+Steps 3-5 run once per distinct draft: an evaluator memoises each verdict by
+problem, registry state and response text, so a resubmitted draft -- by
+another sample, feedback round, model or restriction setting -- is served
+from the memo.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable, List, Optional, Sequence, Tuple
+import hashlib
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .._cache import LRUCache
 from ..bench.golden import GoldenStore
 from ..bench.problem import Problem
 from ..bench.suite import all_problems
@@ -34,11 +41,12 @@ from ..llm.base import LLMClient, assistant, system, user
 from ..llm.response import split_response
 from ..netlist.errors import FunctionalError, PICBenchError
 from ..netlist.parser import parse_netlist_text
+from ..netlist.schema import Netlist
 from ..netlist.validation import validate_netlist
 from ..prompts.feedback import build_feedback
 from ..prompts.system_prompt import PromptConfig, build_system_prompt, build_user_prompt
 from ..sim.analysis import compare_responses
-from ..sim.registry import ModelRegistry, default_registry
+from ..sim.registry import ModelRegistry, UnknownModelError, default_registry
 from .classify import as_picbench_error
 from .outcome import AttemptRecord, EvalReport, SampleResult
 
@@ -78,13 +86,23 @@ class EvaluationConfig:
     base_seed: int = 0
 
 
-@dataclass
+#: Capacity of an evaluator's verdict memo; a default sweep judges about
+#: 2,450 distinct drafts.
+VERDICT_MEMO_ENTRIES = 16_384
+
+#: Raw errors that depend on the draft alone; a verdict carrying any other
+#: error (an injected fault, I/O trouble, an unexpected crash) is never memoised.
+_DETERMINISTIC_ERRORS = (PICBenchError, UnknownModelError)
+
+
+@dataclass(frozen=True)
 class AttemptOutcome:
     """Verdict of a single response, before being folded into the records.
 
     ``degraded`` / ``nonfinite`` carry the solver's numerical-guardrail
     annotations (least-squares fallback fired / the S-matrix still held
-    NaN or inf) alongside the verdict.
+    NaN or inf) alongside the verdict.  Outcomes are shared between the
+    attempts that submit the same draft, so they are immutable.
     """
 
     syntax_ok: bool
@@ -114,9 +132,10 @@ def _classified(error: BaseException) -> PICBenchError:
     return classified
 
 
-def _quality_flags(smatrix) -> Tuple[bool, bool]:
-    """The (degraded, nonfinite) annotations of one simulated S-matrix."""
-    return bool(smatrix.degraded), not bool(np.all(np.isfinite(smatrix.data)))
+def _failure(error: Exception) -> Tuple[AttemptOutcome, bool]:
+    """The verdict of a draft whose evaluation raised ``error``, and whether to memoise it."""
+    outcome = AttemptOutcome(syntax_ok=False, functional_ok=False, error=_classified(error))
+    return outcome, isinstance(error, _DETERMINISTIC_ERRORS)
 
 
 class Evaluator:
@@ -131,16 +150,15 @@ class Evaluator:
         engine: Optional[ExecutionEngine] = None,
     ) -> None:
         self.config = config if config is not None else EvaluationConfig()
-        self.registry = registry if registry is not None else default_registry()
-        if engine is None:
+        if engine is None and golden_store is not None:
             # Reuse the golden store's engine so golden and candidate
             # simulations share one content-addressed cache.
-            engine = (
-                golden_store.engine
-                if golden_store is not None
-                else ExecutionEngine(registry=self.registry)
-            )
-        self.engine = engine
+            engine = golden_store.engine
+        # Drafts validate against the registry they are simulated with.
+        if registry is None:
+            registry = engine.registry if engine is not None else default_registry()
+        self.registry = registry
+        self.engine = engine if engine is not None else ExecutionEngine(registry=registry)
         self.golden_store = (
             golden_store
             if golden_store is not None
@@ -155,40 +173,86 @@ class Evaluator:
                 "golden_store and config disagree on the wavelength grid "
                 f"({self.golden_store.num_wavelengths} vs {self.config.num_wavelengths})"
             )
+        self._verdicts: LRUCache[Tuple[object, ...], AttemptOutcome] = LRUCache(
+            VERDICT_MEMO_ENTRIES
+        )
 
     # ------------------------------------------------------------------
     # Single-response evaluation
     # ------------------------------------------------------------------
-    def evaluate_response(self, problem: Problem, response_text: str) -> AttemptOutcome:
-        """Check one raw LLM response for syntax and functional correctness."""
-        try:
-            response = split_response(response_text)
-            netlist = parse_netlist_text(response.result, strict=True)
-            validate_netlist(netlist, self.registry, problem.port_spec)
-            smatrix = self.engine.evaluate(
-                netlist, self.golden_store.wavelengths, port_spec=problem.port_spec
-            )
-        except Exception as error:  # noqa: BLE001 - classified below
-            return AttemptOutcome(syntax_ok=False, functional_ok=False, error=_classified(error))
+    def _verdict_key(self, problem: Problem, response_text: object) -> Optional[Tuple[object, ...]]:
+        """The verdict memo's key for one draft of ``problem`` (``None``: not memoisable).
 
-        degraded, nonfinite = _quality_flags(smatrix)
+        Everything a verdict depends on beyond this evaluator's fixed
+        configuration and golden store: the problem's golden design and port
+        spec, the registries drafts validate and simulate against, and the
+        text itself (128-bit BLAKE2b).
+        """
+        if not isinstance(response_text, str):
+            return None
+        digest = hashlib.blake2b(
+            response_text.encode("utf-8", "surrogatepass"), digest_size=16
+        ).digest()
+        return (
+            problem.pack,
+            problem.name,
+            problem.golden_fingerprint,
+            problem.port_spec,
+            self.registry.version,
+            self.engine.registry.version,
+            digest,
+        )
+
+    def _simulated_verdict(self, problem: Problem, smatrix) -> AttemptOutcome:
+        """The verdict of a draft that simulated to ``smatrix``."""
+        degraded, nonfinite = bool(smatrix.degraded), not bool(np.all(np.isfinite(smatrix.data)))
         comparison = compare_responses(
             smatrix,
             self.golden_store.response_for(problem),
             atol=self.config.functional_atol,
         )
-        if comparison.passed:
-            return AttemptOutcome(
-                syntax_ok=True, functional_ok=True,
-                degraded=degraded, nonfinite=nonfinite,
+        error = None
+        if not comparison.passed:
+            error = FunctionalError(
+                comparison.reason or "the frequency response deviates from the golden design"
             )
         return AttemptOutcome(
             syntax_ok=True,
-            functional_ok=False,
-            error=FunctionalError(comparison.reason or "the frequency response deviates from the golden design"),
+            functional_ok=comparison.passed,
+            error=error,
             degraded=degraded,
             nonfinite=nonfinite,
         )
+
+    def _parse_and_validate(self, problem: Problem, response_text: str) -> Netlist:
+        """The validated netlist of a draft's ``<result>`` section (raises on any violation)."""
+        netlist = parse_netlist_text(split_response(response_text).result, strict=True)
+        validate_netlist(netlist, self.registry, problem.port_spec)
+        return netlist
+
+    def evaluate_response(self, problem: Problem, response_text: str) -> AttemptOutcome:
+        """Check one raw LLM response for syntax and functional correctness.
+
+        Each distinct draft is judged once: the verdict memo serves repeats
+        of a text whose verdict raised nothing or a classified netlist error.
+        """
+        key = self._verdict_key(problem, response_text)
+        if key is not None:
+            memoised = self._verdicts.get(key)
+            if memoised is not None:
+                return memoised
+        try:
+            netlist = self._parse_and_validate(problem, response_text)
+            smatrix = self.engine.evaluate(
+                netlist, self.golden_store.wavelengths, port_spec=problem.port_spec
+            )
+        except Exception as error:  # noqa: BLE001 - classified below
+            outcome, memoise = _failure(error)
+        else:
+            outcome, memoise = self._simulated_verdict(problem, smatrix), True
+        if memoise and key is not None:
+            self._verdicts.put(key, outcome)
+        return outcome
 
     def evaluate_responses(
         self, items: Sequence[Tuple[Problem, str]]
@@ -201,19 +265,25 @@ class Evaluator:
         structure-sharing candidates (samples that differ only in instance
         settings -- the common case across pass@k drafts) into shared
         executor passes of at most ``engine.config.batch_size`` samples.
+        Drafts judged by an earlier call are served from the verdict memo.
         """
         outcomes: List[Optional[AttemptOutcome]] = [None] * len(items)
+        keys = [self._verdict_key(problem, text) for problem, text in items]
         pending: List[int] = []
         netlists = []
         for index, (problem, response_text) in enumerate(items):
+            key = keys[index]
+            if key is not None:
+                memoised = self._verdicts.get(key)
+                if memoised is not None:
+                    outcomes[index] = memoised
+                    continue
             try:
-                response = split_response(response_text)
-                netlist = parse_netlist_text(response.result, strict=True)
-                validate_netlist(netlist, self.registry, problem.port_spec)
+                netlist = self._parse_and_validate(problem, response_text)
             except Exception as error:  # noqa: BLE001 - classified below
-                outcomes[index] = AttemptOutcome(
-                    syntax_ok=False, functional_ok=False, error=_classified(error)
-                )
+                outcomes[index], memoise = _failure(error)
+                if memoise and key is not None:
+                    self._verdicts.put(key, outcomes[index])
                 continue
             pending.append(index)
             netlists.append(netlist)
@@ -226,36 +296,13 @@ class Evaluator:
                 return_exceptions=True,
             )
             for index, result in zip(pending, simulated):
-                problem = items[index][0]
                 if isinstance(result, Exception):
-                    outcomes[index] = AttemptOutcome(
-                        syntax_ok=False,
-                        functional_ok=False,
-                        error=_classified(result),
-                    )
-                    continue
-                degraded, nonfinite = _quality_flags(result)
-                comparison = compare_responses(
-                    result,
-                    self.golden_store.response_for(problem),
-                    atol=self.config.functional_atol,
-                )
-                if comparison.passed:
-                    outcomes[index] = AttemptOutcome(
-                        syntax_ok=True, functional_ok=True,
-                        degraded=degraded, nonfinite=nonfinite,
-                    )
+                    outcome, memoise = _failure(result)
                 else:
-                    outcomes[index] = AttemptOutcome(
-                        syntax_ok=True,
-                        functional_ok=False,
-                        error=FunctionalError(
-                            comparison.reason
-                            or "the frequency response deviates from the golden design"
-                        ),
-                        degraded=degraded,
-                        nonfinite=nonfinite,
-                    )
+                    outcome, memoise = self._simulated_verdict(items[index][0], result), True
+                outcomes[index] = outcome
+                if memoise and keys[index] is not None:
+                    self._verdicts.put(keys[index], outcome)
         assert all(outcome is not None for outcome in outcomes)
         return outcomes  # type: ignore[return-value]
 

@@ -243,7 +243,7 @@ class SweepResult:
 #
 # The parent never ships live objects to workers: each worker receives a
 # picklable payload (the SweepConfig, designer profiles, seeds) and rebuilds
-# its own engine, golden store, evaluators and clients once per process.
+# its own engine, golden store, evaluator and clients once per process.
 # Work units are index tuples into the worker-rebuilt structures, and the
 # scheduler merges results back in unit order, so process-sharded sweeps are
 # byte-identical to sequential ones.
@@ -260,6 +260,22 @@ def _client_specs(clients: Sequence[LLMClient]) -> List[Tuple[DesignerProfile, i
             )
         specs.append((client.profile, client.base_seed))
     return specs
+
+
+def _sweep_evaluator(
+    config: SweepConfig, golden_store: GoldenStore, engine: ExecutionEngine
+) -> Evaluator:
+    """The one evaluator of a sweep (or of one process-tier worker).
+
+    Every unit passes its restriction setting's prompt config explicitly,
+    so both settings share one evaluator and its verdict memo: a draft
+    judged under one setting or model is not judged again under another.
+    """
+    return Evaluator(
+        config.evaluation_config(include_restrictions=False),
+        golden_store=golden_store,
+        engine=engine,
+    )
 
 
 def _build_sweep_worker(payload: Dict[str, object]) -> Dict[str, object]:
@@ -290,14 +306,7 @@ def _build_sweep_worker(payload: Dict[str, object]) -> Dict[str, object]:
             SimulatedDesigner(profile, base_seed=seed)
             for profile, seed in payload["clients"]  # type: ignore[union-attr]
         ],
-        "evaluators": {
-            include_restrictions: Evaluator(
-                config.evaluation_config(include_restrictions=include_restrictions),
-                golden_store=golden_store,
-                engine=engine,
-            )
-            for include_restrictions in restriction_settings
-        },
+        "evaluator": _sweep_evaluator(config, golden_store, engine),
         "prompt_configs": {
             include_restrictions: config.prompt_config(
                 include_restrictions=include_restrictions
@@ -310,7 +319,7 @@ def _build_sweep_worker(payload: Dict[str, object]) -> Dict[str, object]:
 def _run_sweep_unit(context: Dict[str, object], unit: Tuple[bool, int, int, int]):
     """Worker runner: one (restrictions, client, problem, sample) trajectory."""
     include_restrictions, client_index, problem_index, sample_index = unit
-    return context["evaluators"][include_restrictions].run_sample(  # type: ignore[index]
+    return context["evaluator"].run_sample(  # type: ignore[union-attr]
         context["clients"][client_index],  # type: ignore[index]
         context["problems"][problem_index],  # type: ignore[index]
         sample_index,
@@ -334,7 +343,7 @@ def _run_sweep_shard(context: Dict[str, object], units: List[Tuple[bool, int, in
         while hi < len(units) and units[hi][0] == include_restrictions:
             hi += 1
         results.extend(
-            context["evaluators"][include_restrictions].run_samples_batched(  # type: ignore[index]
+            context["evaluator"].run_samples_batched(  # type: ignore[union-attr]
                 [
                     (
                         context["clients"][client_index],  # type: ignore[index]
@@ -586,14 +595,7 @@ def run_sweep(
     problems = config.select_problems()
     restriction_settings = tuple(restriction_settings)
 
-    evaluators = {
-        include_restrictions: Evaluator(
-            config.evaluation_config(include_restrictions=include_restrictions),
-            golden_store=golden_store,
-            engine=engine,
-        )
-        for include_restrictions in restriction_settings
-    }
+    evaluator = _sweep_evaluator(config, golden_store, engine)
     prompt_configs = {
         include_restrictions: config.prompt_config(include_restrictions=include_restrictions)
         for include_restrictions in restriction_settings
@@ -629,7 +631,7 @@ def run_sweep(
                 for unit in pending:
                     fault_point("sweep.unit", key="|".join(map(str, key_of(unit))))
                 fresh = iter(
-                    evaluators[include_restrictions].run_samples_batched(
+                    evaluator.run_samples_batched(
                         [(client, problem, s) for _, client, problem, s in pending],
                         prompt_config=prompt_configs[include_restrictions],
                     )
@@ -652,7 +654,7 @@ def run_sweep(
                 if done is not None:
                     return done
                 fault_point("sweep.unit", key="|".join(map(str, key)))
-                sample = evaluators[include_restrictions].run_sample(
+                sample = evaluator.run_sample(
                     client,
                     problem,
                     sample_index,

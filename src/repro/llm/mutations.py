@@ -6,7 +6,9 @@ takes the current netlist (and a random generator) and returns a
 :class:`MutationResult`: a possibly-modified netlist plus an optional
 text-level wrapper applied after serialisation (used for the "extra content"
 and "malformed JSON" classes that live at the text level rather than the
-netlist level).
+netlist level).  The returned netlist is always a fresh copy; the designer
+uses the in-place forms (:func:`mutate_in_place`,
+:func:`functional_mutation_in_place`) to copy the golden once per draft.
 
 The operators are also reused directly by the validator tests: applying the
 operator for category ``X`` to a valid netlist must make the evaluation
@@ -15,6 +17,7 @@ pipeline report category ``X``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -28,6 +31,8 @@ __all__ = [
     "MutationResult",
     "apply_syntax_mutation",
     "apply_functional_mutation",
+    "functional_mutation_in_place",
+    "mutate_in_place",
     "SYNTAX_MUTATORS",
 ]
 
@@ -44,160 +49,147 @@ def _rng_choice(rng: np.random.Generator, items: List[str]) -> str:
     return items[int(rng.integers(0, len(items)))]
 
 
-def _connected_endpoints(netlist: Netlist) -> List[str]:
-    endpoints: List[str] = []
-    endpoints.extend(netlist.connections.keys())
-    endpoints.extend(netlist.connections.values())
-    return endpoints
-
-
 # ----------------------------------------------------------------------
 # Syntax mutators (one per Table II category)
+#
+# Each operator changes the netlist it is given in place and returns its
+# text-level wrapper, if any.  The public entry points copy first; the
+# simulated designer copies the golden once per draft and chains the
+# operators on that copy.
 # ----------------------------------------------------------------------
-def _mutate_undefined_model(netlist: Netlist, rng: np.random.Generator) -> MutationResult:
+TextWrapper = Callable[[str], str]
+
+
+def _mutate_undefined_model(netlist: Netlist, rng: np.random.Generator) -> None:
     """Reference a model that does not exist in the built-in library."""
-    mutated = netlist.copy()
     bogus_models = ["ring", "mmi", "beamsplitter", "ybranch", "dcoupler", "modulator"]
-    if mutated.models and rng.random() < 0.5:
-        component = _rng_choice(rng, list(mutated.models))
-        mutated.models[component] = _rng_choice(rng, bogus_models)
+    if netlist.models and rng.random() < 0.5:
+        component = _rng_choice(rng, list(netlist.models))
+        netlist.models[component] = _rng_choice(rng, bogus_models)
     else:
-        name = _rng_choice(rng, list(mutated.instances))
+        name = _rng_choice(rng, list(netlist.instances))
         bogus = _rng_choice(rng, bogus_models)
-        mutated.instances[name] = Instance(bogus, dict(mutated.instances[name].settings))
-    return MutationResult(mutated)
+        netlist.instances[name] = Instance(bogus, dict(netlist.instances[name].settings))
 
 
-def _mutate_bound_io_port(netlist: Netlist, rng: np.random.Generator) -> MutationResult:
+def _mutate_bound_io_port(netlist: Netlist, rng: np.random.Generator) -> None:
     """Connect an endpoint that is already exposed as a top-level port."""
-    mutated = netlist.copy()
-    if not mutated.ports or not mutated.instances:
-        return MutationResult(mutated)
-    ext_name = _rng_choice(rng, list(mutated.ports))
-    exposed_endpoint = mutated.ports[ext_name]
+    if not netlist.ports or not netlist.instances:
+        return
+    ext_name = _rng_choice(rng, list(netlist.ports))
+    exposed_endpoint = netlist.ports[ext_name]
     # Wire the exposed endpoint to some other instance port internally.
-    other_instance = _rng_choice(rng, list(mutated.instances))
-    mutated.connections[exposed_endpoint] = f"{other_instance},O1"
-    return MutationResult(mutated)
+    other_instance = _rng_choice(rng, list(netlist.instances))
+    netlist.connections[exposed_endpoint] = f"{other_instance},O1"
 
 
-def _mutate_instances_models_confused(
-    netlist: Netlist, rng: np.random.Generator
-) -> MutationResult:
+def _mutate_instances_models_confused(netlist: Netlist, rng: np.random.Generator) -> None:
     """Mix up the instances and models sections.
 
     The classic confusion (seen with real LLMs, per the paper) is writing the
     model binding as an instance-style object instead of a plain reference
     string, i.e. ``"mmi1x2": {"component": "mmi1x2"}`` inside ``models``.
     """
-    mutated = netlist.copy()
-    if mutated.models:
-        component = _rng_choice(rng, list(mutated.models))
-        ref = mutated.models[component]
-        mutated.models[component] = {"component": ref}  # type: ignore[assignment]
+    if netlist.models:
+        component = _rng_choice(rng, list(netlist.models))
+        ref = netlist.models[component]
+        netlist.models[component] = {"component": ref}  # type: ignore[assignment]
     else:
-        name = _rng_choice(rng, list(mutated.instances))
-        mutated.models[name] = {"component": mutated.instances[name].component}  # type: ignore[assignment]
-    return MutationResult(mutated)
+        name = _rng_choice(rng, list(netlist.instances))
+        netlist.models[name] = {"component": netlist.instances[name].component}  # type: ignore[assignment]
 
 
-def _mutate_extra_content(netlist: Netlist, rng: np.random.Generator) -> MutationResult:
+def _wrap_in_prose(text: str) -> str:
+    return (
+        "Here is the netlist you asked for:\n```json\n"
+        + text
+        + "\n```\nLet me know if you need any adjustment."
+    )
+
+
+def _mutate_extra_content(netlist: Netlist, rng: np.random.Generator) -> TextWrapper:
     """Wrap the JSON in markdown fences and add trailing commentary."""
-    def wrapper(text: str) -> str:
-        return (
-            "Here is the netlist you asked for:\n```json\n"
-            + text
-            + "\n```\nLet me know if you need any adjustment."
-        )
-
-    return MutationResult(netlist.copy(), text_wrapper=wrapper)
+    return _wrap_in_prose
 
 
-def _mutate_duplicate_connection(netlist: Netlist, rng: np.random.Generator) -> MutationResult:
+def _mutate_duplicate_connection(netlist: Netlist, rng: np.random.Generator) -> None:
     """Connect an already-connected port a second time (multi-pin net).
 
     Only existing connection endpoints are reused, so the injected failure is
     unambiguously a duplicate-connection error rather than a wrong-port or
     bound-I/O error.
     """
-    mutated = netlist.copy()
-    keys = list(mutated.connections)
+    keys = list(netlist.connections)
     if len(keys) >= 2:
         first, second = rng.choice(len(keys), size=2, replace=False)
         # Point the second connection at the first connection's target, so that
         # target now has two drivers.
-        mutated.connections[keys[int(second)]] = mutated.connections[keys[int(first)]]
+        netlist.connections[keys[int(second)]] = netlist.connections[keys[int(first)]]
     elif len(keys) == 1:
         key = keys[0]
-        value = mutated.connections[key]
-        mutated.connections[value] = key  # both endpoints now appear twice
-    return MutationResult(mutated)
+        value = netlist.connections[key]
+        netlist.connections[value] = key  # both endpoints now appear twice
 
 
-def _mutate_dangling_port(netlist: Netlist, rng: np.random.Generator) -> MutationResult:
+def _mutate_dangling_port(netlist: Netlist, rng: np.random.Generator) -> None:
     """Introduce a connection to an instance that does not exist."""
-    mutated = netlist.copy()
-    if not mutated.instances:
-        return MutationResult(mutated)
-    source = _rng_choice(rng, list(mutated.instances))
-    mutated.connections[f"{source},O1"] = "floatingNode,I1"
-    return MutationResult(mutated)
+    if not netlist.instances:
+        return
+    source = _rng_choice(rng, list(netlist.instances))
+    netlist.connections[f"{source},O1"] = "floatingNode,I1"
 
 
-def _mutate_wrong_port_count(netlist: Netlist, rng: np.random.Generator) -> MutationResult:
+def _mutate_wrong_port_count(netlist: Netlist, rng: np.random.Generator) -> None:
     """Drop one external port (or rename it off-convention) so the count is wrong."""
-    mutated = netlist.copy()
-    if len(mutated.ports) > 1:
-        victim = _rng_choice(rng, list(mutated.ports))
-        del mutated.ports[victim]
+    if len(netlist.ports) > 1:
+        victim = _rng_choice(rng, list(netlist.ports))
+        del netlist.ports[victim]
     else:
         # A single-port netlist: renaming it to something that is neither an
         # input (I*) nor an output (O*) also violates the port specification.
-        victim = _rng_choice(rng, list(mutated.ports))
-        mutated.ports[f"port{len(mutated.ports)}"] = mutated.ports.pop(victim)
-    return MutationResult(mutated)
+        victim = _rng_choice(rng, list(netlist.ports))
+        netlist.ports[f"port{len(netlist.ports)}"] = netlist.ports.pop(victim)
 
 
-def _mutate_wrong_port(netlist: Netlist, rng: np.random.Generator) -> MutationResult:
+def _mutate_wrong_port(netlist: Netlist, rng: np.random.Generator) -> None:
     """Reference a port the instance does not have (e.g. ``I2`` on an mmi1x2)."""
-    mutated = netlist.copy()
-    if mutated.connections and rng.random() < 0.8:
-        key = _rng_choice(rng, list(mutated.connections))
-        instance, _port = parse_endpoint(mutated.connections[key])
-        mutated.connections[key] = f"{instance},I9"
-    elif mutated.ports:
-        ext = _rng_choice(rng, list(mutated.ports))
-        instance, _port = parse_endpoint(mutated.ports[ext])
-        mutated.ports[ext] = f"{instance},O9"
-    return MutationResult(mutated)
+    if netlist.connections and rng.random() < 0.8:
+        key = _rng_choice(rng, list(netlist.connections))
+        instance, _port = parse_endpoint(netlist.connections[key])
+        netlist.connections[key] = f"{instance},I9"
+    elif netlist.ports:
+        ext = _rng_choice(rng, list(netlist.ports))
+        instance, _port = parse_endpoint(netlist.ports[ext])
+        netlist.ports[ext] = f"{instance},O9"
 
 
-def _mutate_bad_component_name(netlist: Netlist, rng: np.random.Generator) -> MutationResult:
+def _mutate_bad_component_name(netlist: Netlist, rng: np.random.Generator) -> None:
     """Rename an instance so it contains an underscore (prohibited)."""
-    mutated = netlist.copy()
-    old_name = _rng_choice(rng, list(mutated.instances))
+    old_name = _rng_choice(rng, list(netlist.instances))
     new_name = f"{old_name}_1"
 
     def rename(endpoint: str) -> str:
         instance, port = parse_endpoint(endpoint)
         return f"{new_name},{port}" if instance == old_name else endpoint
 
-    mutated.instances[new_name] = mutated.instances.pop(old_name)
-    mutated.connections = {rename(k): rename(v) for k, v in mutated.connections.items()}
-    mutated.ports = {name: rename(v) for name, v in mutated.ports.items()}
-    return MutationResult(mutated)
+    netlist.instances[new_name] = netlist.instances.pop(old_name)
+    netlist.connections = {rename(k): rename(v) for k, v in netlist.connections.items()}
+    netlist.ports = {name: rename(v) for name, v in netlist.ports.items()}
 
 
-def _mutate_other_syntax(netlist: Netlist, rng: np.random.Generator) -> MutationResult:
+def _truncate_closing_brace(text: str) -> str:
+    closing = text.rfind("}")
+    return text[:closing] if closing > 0 else text + "{"
+
+
+def _mutate_other_syntax(netlist: Netlist, rng: np.random.Generator) -> TextWrapper:
     """Emit structurally broken JSON (truncated closing braces)."""
-    def wrapper(text: str) -> str:
-        closing = text.rfind("}")
-        return text[:closing] if closing > 0 else text + "{"
-
-    return MutationResult(netlist.copy(), text_wrapper=wrapper)
+    return _truncate_closing_brace
 
 
-SYNTAX_MUTATORS: Dict[ErrorCategory, Callable[[Netlist, np.random.Generator], MutationResult]] = {
+_IN_PLACE_MUTATORS: Dict[
+    ErrorCategory, Callable[[Netlist, np.random.Generator], Optional[TextWrapper]]
+] = {
     ErrorCategory.UNDEFINED_MODEL: _mutate_undefined_model,
     ErrorCategory.BOUND_IO_PORT: _mutate_bound_io_port,
     ErrorCategory.INSTANCES_MODELS_CONFUSED: _mutate_instances_models_confused,
@@ -211,10 +203,43 @@ SYNTAX_MUTATORS: Dict[ErrorCategory, Callable[[Netlist, np.random.Generator], Mu
 }
 
 
+def _copying(
+    mutate: Callable[[Netlist, np.random.Generator], Optional[TextWrapper]]
+) -> Callable[[Netlist, np.random.Generator], MutationResult]:
+    """The public form of an in-place operator: it changes a copy, never its input."""
+
+    @functools.wraps(mutate, assigned=("__module__", "__name__", "__qualname__", "__doc__"))
+    def mutator(netlist: Netlist, rng: np.random.Generator) -> MutationResult:
+        mutated = netlist.copy()
+        return MutationResult(mutated, mutate(mutated, rng))
+
+    return mutator
+
+
+SYNTAX_MUTATORS: Dict[ErrorCategory, Callable[[Netlist, np.random.Generator], MutationResult]] = {
+    category: _copying(mutate) for category, mutate in _IN_PLACE_MUTATORS.items()
+}
+
+
+def mutate_in_place(
+    netlist: Netlist, category: ErrorCategory, rng: np.random.Generator
+) -> Optional[TextWrapper]:
+    """Apply one syntax error category's operator to ``netlist`` itself.
+
+    Returns the text-level wrapper the category adds after serialisation,
+    or ``None``.  :func:`apply_syntax_mutation` is the copying form.
+    """
+    try:
+        mutate = _IN_PLACE_MUTATORS[category]
+    except KeyError as exc:
+        raise ValueError(f"no syntax mutator for category {category!r}") from exc
+    return mutate(netlist, rng)
+
+
 def apply_syntax_mutation(
     netlist: Netlist, category: ErrorCategory, rng: np.random.Generator
 ) -> MutationResult:
-    """Apply the corruption operator for one syntax error category."""
+    """Apply the corruption operator for one syntax error category to a copy."""
     try:
         mutator = SYNTAX_MUTATORS[category]
     except KeyError as exc:
@@ -239,22 +264,19 @@ _PREFERRED_FUNCTIONAL_PARAMETERS: Tuple[str, ...] = (
 )
 
 
-def apply_functional_mutation(
+def functional_mutation_in_place(
     netlist: Netlist,
     rng: np.random.Generator,
     registry: Optional[ModelRegistry] = None,
-) -> Netlist:
-    """Perturb a magnitude-affecting parameter so the response deviates.
+) -> None:
+    """Perturb a magnitude-affecting parameter of ``netlist`` itself.
 
-    The mutated netlist still validates and simulates; only its frequency
-    response differs from the golden design, which is exactly the "functional
-    error" case of the benchmark.
+    :func:`apply_functional_mutation` is the copying form.
     """
     registry = registry if registry is not None else default_registry()
-    mutated = netlist.copy()
     candidates: List[Tuple[str, str, object]] = []
-    for name, instance in mutated.instances.items():
-        ref = mutated.models.get(instance.component, instance.component)
+    for name, instance in netlist.instances.items():
+        ref = netlist.models.get(instance.component, instance.component)
         if ref not in registry:
             continue
         parameters = registry.get(ref).parameters
@@ -263,9 +285,9 @@ def apply_functional_mutation(
                 candidates.append((name, param, parameters[param]))
                 break
     if not candidates:
-        return mutated
+        return
     name, param, default = candidates[int(rng.integers(0, len(candidates)))]
-    current = mutated.instances[name].settings.get(param, default)
+    current = netlist.instances[name].settings.get(param, default)
     new_value: object
     if param == "state":
         # Switch states are categorical: flip bar/cross or output 1/output 2.
@@ -282,5 +304,20 @@ def apply_functional_mutation(
             new_value = float(current) * 1.6 + 1.0
     else:  # non-numeric parameter: flip bar/cross style values
         new_value = "bar" if current == "cross" else "cross"
-    mutated.instances[name].settings[param] = new_value
+    netlist.instances[name].settings[param] = new_value
+
+
+def apply_functional_mutation(
+    netlist: Netlist,
+    rng: np.random.Generator,
+    registry: Optional[ModelRegistry] = None,
+) -> Netlist:
+    """Perturb a magnitude-affecting parameter so the response deviates.
+
+    The mutated netlist still validates and simulates; only its frequency
+    response differs from the golden design, which is exactly the "functional
+    error" case of the benchmark.  ``netlist`` itself is not changed.
+    """
+    mutated = netlist.copy()
+    functional_mutation_in_place(mutated, rng, registry)
     return mutated

@@ -31,7 +31,7 @@ from ..netlist.schema import Netlist
 from ..prompts.feedback import FUNCTIONAL_FEEDBACK
 from ..sim.registry import ModelRegistry, default_registry
 from .base import ChatMessage, Conversation
-from .mutations import apply_functional_mutation, apply_syntax_mutation
+from .mutations import functional_mutation_in_place, mutate_in_place
 from .profiles import DesignerProfile, get_profile
 from .response import format_response
 
@@ -89,6 +89,9 @@ class SimulatedDesigner:
         self._aptitudes: Dict[str, float] = {}
         self._difficulties: Dict[Tuple[str, int], float] = {}
         self._restriction_sets: Dict[str, frozenset] = {}
+        self._probabilities: Dict[
+            Tuple[str, int, frozenset], Tuple[Tuple[float, ...], float]
+        ] = {}
 
     # ------------------------------------------------------------------
     # Conversation introspection
@@ -184,6 +187,42 @@ class SimulatedDesigner:
             self._aptitudes[problem.name] = aptitude
         return aptitude
 
+    def _draft_probabilities(
+        self, problem: Problem, active_restrictions: frozenset
+    ) -> Tuple[Tuple[float, ...], float]:
+        """Error probabilities of a fresh draft: one per ``_CATEGORY_ORDER`` entry, and functional.
+
+        Memoised per (problem name, complexity, active restriction set).
+        """
+        key = (problem.name, problem.complexity, active_restrictions)
+        probabilities = self._probabilities.get(key)
+        if probabilities is None:
+            from ..prompts.restrictions import RESTRICTIONS
+
+            difficulty = self._difficulty(problem)
+            aptitude = self._aptitude(problem)
+            categories = tuple(
+                self.profile.category_error_prob(
+                    category,
+                    difficulty=difficulty,
+                    restrictions_active=category in active_restrictions,
+                    aptitude=aptitude,
+                )
+                for category in _CATEGORY_ORDER
+            )
+            # The functional-error reduction scales with how much of Table II
+            # is present in the prompt (the restrictions also clarify
+            # conventions).
+            restriction_fraction = len(active_restrictions) / max(len(RESTRICTIONS), 1)
+            functional = self.profile.functional_probability(
+                restrictions_active=False, aptitude=aptitude
+            )
+            functional *= 1.0 - restriction_fraction * (
+                1.0 - self.profile.restriction_functional_factor
+            )
+            probabilities = self._probabilities[key] = (categories, functional)
+        return probabilities
+
     def _replay(
         self,
         problem: Problem,
@@ -192,33 +231,16 @@ class SimulatedDesigner:
         active_restrictions: frozenset,
         seed: Optional[int],
     ) -> _Trajectory:
-        from ..prompts.restrictions import RESTRICTIONS
-
         rng = np.random.default_rng(
             _stable_seed(self.profile.name, problem.name, self.base_seed, seed)
         )
-        difficulty = self._difficulty(problem)
-        aptitude = self._aptitude(problem)
-
+        category_probabilities, functional_probability = self._draft_probabilities(
+            problem, active_restrictions
+        )
         active: Set[ErrorCategory] = set()
-        for category in _CATEGORY_ORDER:
-            probability = self.profile.category_error_prob(
-                category,
-                difficulty=difficulty,
-                restrictions_active=category in active_restrictions,
-                aptitude=aptitude,
-            )
+        for category, probability in zip(_CATEGORY_ORDER, category_probabilities):
             if rng.random() < probability:
                 active.add(category)
-        # The functional-error reduction scales with how much of Table II is
-        # present in the prompt (the restrictions also clarify conventions).
-        restriction_fraction = len(active_restrictions) / max(len(RESTRICTIONS), 1)
-        functional_probability = self.profile.functional_probability(
-            restrictions_active=False, aptitude=aptitude
-        )
-        functional_probability *= 1.0 - restriction_fraction * (
-            1.0 - self.profile.restriction_functional_factor
-        )
         functional = rng.random() < functional_probability
 
         for feedback in feedback_turns:
@@ -256,6 +278,9 @@ class SimulatedDesigner:
         *,
         seed: Optional[int],
     ) -> str:
+        categories = [c for c in _CATEGORY_ORDER if c in trajectory.active_errors]
+        if not categories and not trajectory.functional_error:
+            return problem.golden_json
         rng = np.random.default_rng(
             _stable_seed(
                 self.profile.name,
@@ -266,19 +291,16 @@ class SimulatedDesigner:
                 "draft",
             )
         )
-        # The mutators copy before they change anything, so the shared golden
-        # is only ever read here.
-        netlist: Netlist = problem.shared_golden
+        # One private copy of the shared golden per draft; the operators
+        # change it in place.
+        netlist: Netlist = problem.shared_golden.copy()
         if trajectory.functional_error:
-            netlist = apply_functional_mutation(netlist, rng, self.registry)
+            functional_mutation_in_place(netlist, rng, self.registry)
         wrappers = []
-        for category in _CATEGORY_ORDER:
-            if category not in trajectory.active_errors:
-                continue
-            result = apply_syntax_mutation(netlist, category, rng)
-            netlist = result.netlist
-            if result.text_wrapper is not None:
-                wrappers.append(result.text_wrapper)
+        for category in categories:
+            wrapper = mutate_in_place(netlist, category, rng)
+            if wrapper is not None:
+                wrappers.append(wrapper)
         text = netlist.to_json()
         for wrapper in wrappers:
             text = wrapper(text)
@@ -330,7 +352,7 @@ class PerfectDesigner:
         problem = SimulatedDesigner._find_problem(messages)
         return format_response(
             f"Reproducing the expert design for {problem.title}.",
-            problem.golden_netlist().to_json(),
+            problem.golden_json,
         )
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import re
 from itertools import accumulate, repeat
-from typing import Any, Optional
+from typing import Any, Dict, List, Optional
 
 from .errors import ExtraContentError, OtherSyntaxError
 from .schema import Netlist
@@ -38,6 +38,63 @@ _MATCH_GROUP = re.Match.group
 _DEPTH_STEP = {"{": 1, "}": -1}
 
 
+class _Phase:
+    """One tokenisation of a text from a ``{`` outside any string, with running depths.
+
+    ``depths[i]`` is the brace depth after token ``i``, so the ``{`` at token
+    ``i`` closes at the first later token of depth ``depths[i] - 1``.
+    """
+
+    __slots__ = ("matches", "tokens", "depths", "cursor", "closers")
+
+    def __init__(self, text: str, start: int) -> None:
+        self.matches = list(_JSON_TOKEN_RE.finditer(text, start))
+        self.tokens = list(map(_MATCH_GROUP, self.matches))
+        self.depths = list(accumulate(map(_DEPTH_STEP.get, self.tokens, repeat(0))))
+        # The first "{" token at or after the latest start sought (None: none left).
+        self.cursor: Optional[int] = 0
+        self.closers: Optional[List[Optional[int]]] = None
+
+    def seek(self, start: int) -> Optional[int]:
+        """The index of this phase's ``{`` token at ``start``, or ``None``.
+
+        ``None`` means the phase saw ``start`` inside a string.  Starts must
+        be sought in increasing order.
+        """
+        cursor = self.cursor
+        while cursor is not None and self.matches[cursor].start() < start:
+            try:
+                cursor = self.tokens.index("{", cursor + 1)
+            except ValueError:
+                cursor = None
+        self.cursor = cursor
+        if cursor is not None and self.matches[cursor].start() == start:
+            return cursor
+        return None
+
+    def close(self, index: int) -> Optional[int]:
+        """The index of the token closing the ``{`` at ``index``, or ``None``.
+
+        The phase's own start searches the depths once; a later start builds
+        every answer in one right-to-left pass.
+        """
+        depths = self.depths
+        if index == 0:
+            try:
+                return depths.index(depths[0] - 1, 1)
+            except ValueError:
+                return None
+        if self.closers is None:
+            closers: List[Optional[int]] = [None] * len(depths)
+            nearest: Dict[int, int] = {}  # depth -> first later token at that depth
+            for later in range(len(depths) - 1, -1, -1):
+                depth = depths[later]
+                closers[later] = nearest.get(depth - 1)
+                nearest[depth] = later
+            self.closers = closers
+        return self.closers[index]
+
+
 def extract_json_object(text: str) -> Optional[str]:
     """Locate the first balanced top-level JSON object inside ``text``.
 
@@ -45,33 +102,29 @@ def extract_json_object(text: str) -> Optional[str]:
     found.  Brace counting ignores braces inside JSON strings.
 
     Candidate starts are tried at every ``{`` in turn, each scanning as if
-    it began outside a string.  One tokenisation (strings, braces, and an
-    unterminated string running to the end) with running depths answers
-    every start that falls on a brace token of it; only a start that it saw
-    inside a string is tokenised afresh.
+    it began outside a string.  A tokenisation (strings, braces, and an
+    unterminated string running to the end) answers every start that falls
+    on one of its ``{`` tokens.  The latest two are kept: without escapes
+    they cover both quote parities, so any start lies on a ``{`` token of
+    one of them, and only a start both saw inside a string is tokenised
+    afresh.
     """
+    phases: List[_Phase] = []
     start = text.find("{")
     while start != -1:
-        matches = list(_JSON_TOKEN_RE.finditer(text, start))
-        tokens = list(map(_MATCH_GROUP, matches))
-        depths = list(accumulate(map(_DEPTH_STEP.get, tokens, repeat(0))))
-        index = 0  # token of the current start, a "{" at depth depths[index]
-        while True:
-            try:
-                close = depths.index(depths[index] - 1, index + 1)
-            except ValueError:
-                pass
-            else:
-                return text[start : matches[close].end()]
-            start = text.find("{", start + 1)
-            if start == -1:
-                return None
-            try:
-                index = tokens.index("{", index + 1)
-            except ValueError:
+        for phase in phases:
+            index = phase.seek(start)
+            if index is not None:
                 break
-            if matches[index].start() != start:
-                break  # this start lies inside a string token: tokenise from it
+        else:
+            # Keep the newest phase with a "{" token left, and the new one.
+            phases = [older for older in phases if older.cursor is not None][-1:]
+            phase, index = _Phase(text, start), 0
+            phases.append(phase)
+        close = phase.close(index)
+        if close is not None:
+            return text[start : phase.matches[close].end()]
+        start = text.find("{", start + 1)
     return None
 
 

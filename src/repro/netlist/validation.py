@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Generator, Iterator, List, Optional, Tuple
 
 from .errors import (
     BadComponentNameError,
@@ -47,27 +47,23 @@ class PortSpec:
         return f"{self.num_inputs} input port(s) and {self.num_outputs} output port(s)"
 
 
-def _check_instance_names(netlist: Netlist, errors: List[NetlistSyntaxError]) -> None:
+def _check_instance_names(netlist: Netlist) -> Iterator[NetlistSyntaxError]:
     if not netlist.instances:
-        errors.append(OtherSyntaxError("the netlist declares no instances"))
+        yield OtherSyntaxError("the netlist declares no instances")
         return
     for name in netlist.instances:
         if "," in name:
-            errors.append(
-                BadComponentNameError(f"instance name {name!r} must not contain commas")
-            )
+            yield BadComponentNameError(f"instance name {name!r} must not contain commas")
         elif not _VALID_INSTANCE_NAME_RE.match(name):
-            errors.append(
-                BadComponentNameError(
-                    f"instance name {name!r} is invalid; names must be alphanumeric "
-                    "and must not contain underscores"
-                )
+            yield BadComponentNameError(
+                f"instance name {name!r} is invalid; names must be alphanumeric "
+                "and must not contain underscores"
             )
 
 
 def _check_models_section(
-    netlist: Netlist, registry: ModelRegistry, errors: List[NetlistSyntaxError]
-) -> None:
+    netlist: Netlist, registry: ModelRegistry
+) -> Iterator[NetlistSyntaxError]:
     components_in_use = {inst.component for inst in netlist.instances.values()}
 
     # Detect an inverted models section: keys are registry references while the
@@ -79,29 +75,23 @@ def _check_models_section(
         and key not in components_in_use
     )
     if netlist.models and inverted_hits == len(netlist.models) and inverted_hits > 0:
-        errors.append(
-            InstancesModelsConfusedError(
-                "the models section appears inverted: entries must map "
-                "'<component>': '<ref>' where <component> is the type used in "
-                "instances and <ref> is a built-in model name"
-            )
+        yield InstancesModelsConfusedError(
+            "the models section appears inverted: entries must map "
+            "'<component>': '<ref>' where <component> is the type used in "
+            "instances and <ref> is a built-in model name"
         )
         return
 
     for component, ref in netlist.models.items():
         if not isinstance(ref, str):
-            errors.append(
-                InstancesModelsConfusedError(
-                    f"models entry {component!r} must map to a built-in model name "
-                    f"string, got {ref!r}"
-                )
+            yield InstancesModelsConfusedError(
+                f"models entry {component!r} must map to a built-in model name "
+                f"string, got {ref!r}"
             )
         elif ref not in registry:
-            errors.append(
-                UndefinedModelError(
-                    f"models entry {component!r} references unknown model {ref!r}; "
-                    f"available models: {list(registry.names())}"
-                )
+            yield UndefinedModelError(
+                f"models entry {component!r} references unknown model {ref!r}; "
+                f"available models: {list(registry.names())}"
             )
 
     for name, inst in netlist.instances.items():
@@ -111,11 +101,9 @@ def _check_models_section(
             # Implicit model reference (component name equals a built-in model):
             # accepted, as SAX also resolves these directly.
             continue
-        errors.append(
-            UndefinedModelError(
-                f"instance {name!r} uses component {inst.component!r} which is neither "
-                "declared in the models section nor a built-in device"
-            )
+        yield UndefinedModelError(
+            f"instance {name!r} uses component {inst.component!r} which is neither "
+            "declared in the models section nor a built-in device"
         )
 
 
@@ -139,13 +127,9 @@ def _port_table(netlist: Netlist, registry: ModelRegistry) -> PortTable:
 
 
 def _check_endpoint(
-    ports_of: PortTable,
-    endpoint: str,
-    label: str,
-    raw: str,
-    errors: List[NetlistSyntaxError],
-) -> Optional[Tuple[str, str]]:
-    """Validate one ``instance,port`` endpoint; return the parsed pair if usable.
+    ports_of: PortTable, endpoint: str, label: str, raw: str
+) -> Tuple[Optional[Tuple[str, str]], Optional[NetlistSyntaxError]]:
+    """Validate one ``instance,port`` endpoint: ``(pair, None)`` or ``(None, error)``.
 
     Errors are prefixed with the context ``f"{label} {raw!r}"``, built only
     when one is reported.
@@ -153,114 +137,104 @@ def _check_endpoint(
     try:
         instance_name, port = parse_endpoint(endpoint)
     except OtherSyntaxError as exc:
-        errors.append(OtherSyntaxError(f"{label} {raw!r}: {exc.detail}"))
-        return None
+        return None, OtherSyntaxError(f"{label} {raw!r}: {exc.detail}")
     if instance_name not in ports_of:
-        errors.append(
-            DanglingPortError(
-                f"{label} {raw!r}: instance {instance_name!r} does not exist in the netlist; "
-                "do not introduce arbitrary or unused instance names"
-            )
+        return None, DanglingPortError(
+            f"{label} {raw!r}: instance {instance_name!r} does not exist in the netlist; "
+            "do not introduce arbitrary or unused instance names"
         )
-        return None
     ports = ports_of[instance_name]
     if ports is not None and port not in ports:
-        errors.append(
-            WrongPortError(
-                f"{label} {raw!r}: instance {instance_name!r} does not contain port {port!r}. "
-                f"Available ports: {list(ports)}"
-            )
+        return None, WrongPortError(
+            f"{label} {raw!r}: instance {instance_name!r} does not contain port {port!r}. "
+            f"Available ports: {list(ports)}"
         )
-        return None
-    return instance_name, port
+    return (instance_name, port), None
 
 
 def _check_connections(
-    netlist: Netlist,
-    ports_of: PortTable,
-    exposed: Dict[Tuple[str, str], str],
-    errors: List[NetlistSyntaxError],
-) -> None:
+    netlist: Netlist, ports_of: PortTable, exposed: Dict[Tuple[str, str], str]
+) -> Iterator[NetlistSyntaxError]:
     seen: Dict[Tuple[str, str], str] = {}
     for key, value in netlist.connections.items():
-        key_pair = _check_endpoint(ports_of, key, "connection key", key, errors)
-        value_pair = _check_endpoint(ports_of, value, "connection value", value, errors)
+        key_pair, error = _check_endpoint(ports_of, key, "connection key", key)
+        if error is not None:
+            yield error
+        value_pair, error = _check_endpoint(ports_of, value, "connection value", value)
+        if error is not None:
+            yield error
         for pair, raw in ((key_pair, key), (value_pair, value)):
             if pair is None:
                 continue
             if pair in seen:
-                errors.append(
-                    DuplicateConnectionError(
-                        f"port {raw!r} is connected more than once; each port can only "
-                        "be connected once"
-                    )
+                yield DuplicateConnectionError(
+                    f"port {raw!r} is connected more than once; each port can only "
+                    "be connected once"
                 )
             else:
                 seen[pair] = raw
             if pair in exposed:
-                errors.append(
-                    BoundIOPortError(
-                        f"endpoint {raw!r} is exposed as a top-level port and must not "
-                        "appear in any internal connection"
-                    )
+                yield BoundIOPortError(
+                    f"endpoint {raw!r} is exposed as a top-level port and must not "
+                    "appear in any internal connection"
                 )
         if key_pair is not None and value_pair is not None and key_pair == value_pair:
-            errors.append(
-                DuplicateConnectionError(
-                    f"connection {key!r} connects a port to itself"
-                )
-            )
+            yield DuplicateConnectionError(f"connection {key!r} connects a port to itself")
 
 
 def _check_ports(
-    netlist: Netlist,
-    ports_of: PortTable,
-    port_spec: Optional[PortSpec],
-    errors: List[NetlistSyntaxError],
-) -> Dict[Tuple[str, str], str]:
-    """Check the external ports; returns each usable exposed endpoint's port name.
+    netlist: Netlist, ports_of: PortTable, port_spec: Optional[PortSpec]
+) -> Generator[NetlistSyntaxError, None, Dict[Tuple[str, str], str]]:
+    """Check the external ports; return each usable endpoint's external port name.
 
     An unusable endpoint can never equal a usable connection endpoint (the
     verdict depends only on the pair), so leaving it out changes no bound-I/O
     verdict.
     """
+    exposed: Dict[Tuple[str, str], str] = {}
     if not netlist.ports:
-        errors.append(
-            WrongPortCountError("the netlist exposes no external ports")
-        )
-    seen_endpoints: Dict[Tuple[str, str], str] = {}
+        yield WrongPortCountError("the netlist exposes no external ports")
     for ext_name, endpoint in netlist.ports.items():
-        pair = _check_endpoint(ports_of, endpoint, "external port", ext_name, errors)
-        if pair is not None:
-            if pair in seen_endpoints:
-                errors.append(
-                    DuplicateConnectionError(
-                        f"external ports {seen_endpoints[pair]!r} and {ext_name!r} map to "
-                        f"the same instance port {endpoint!r}"
-                    )
-                )
-            else:
-                seen_endpoints[pair] = ext_name
+        pair, error = _check_endpoint(ports_of, endpoint, "external port", ext_name)
+        if error is not None:
+            yield error
+        elif pair in exposed:
+            yield DuplicateConnectionError(
+                f"external ports {exposed[pair]!r} and {ext_name!r} map to "
+                f"the same instance port {endpoint!r}"
+            )
+        else:
+            exposed[pair] = ext_name
 
     if port_spec is not None:
         num_inputs = len(netlist.external_inputs())
         num_outputs = len(netlist.external_outputs())
         unnamed = len(netlist.ports) - num_inputs - num_outputs
         if unnamed:
-            errors.append(
-                WrongPortCountError(
-                    "external port names must start with 'I' for inputs and 'O' for "
-                    f"outputs; found {unnamed} port(s) that follow neither convention"
-                )
+            yield WrongPortCountError(
+                "external port names must start with 'I' for inputs and 'O' for "
+                f"outputs; found {unnamed} port(s) that follow neither convention"
             )
         elif (num_inputs, num_outputs) != (port_spec.num_inputs, port_spec.num_outputs):
-            errors.append(
-                WrongPortCountError(
-                    f"the design must expose {port_spec.describe()}, but the netlist "
-                    f"exposes {num_inputs} input(s) and {num_outputs} output(s)"
-                )
+            yield WrongPortCountError(
+                f"the design must expose {port_spec.describe()}, but the netlist "
+                f"exposes {num_inputs} input(s) and {num_outputs} output(s)"
             )
-    return seen_endpoints
+    return exposed
+
+
+def _violations(
+    netlist: Netlist, registry: Optional[ModelRegistry], port_spec: Optional[PortSpec]
+) -> Iterator[NetlistSyntaxError]:
+    """Every violation of the netlist rules, lazily, most fundamental first."""
+    from ..sim.registry import default_registry  # local import to avoid an import cycle
+
+    registry = registry if registry is not None else default_registry()
+    yield from _check_instance_names(netlist)
+    yield from _check_models_section(netlist, registry)
+    ports_of = _port_table(netlist, registry)
+    exposed = yield from _check_ports(netlist, ports_of, port_spec)
+    yield from _check_connections(netlist, ports_of, exposed)
 
 
 def collect_violations(
@@ -269,16 +243,7 @@ def collect_violations(
     port_spec: Optional[PortSpec] = None,
 ) -> List[NetlistSyntaxError]:
     """Return every detectable violation of the netlist rules (may be empty)."""
-    from ..sim.registry import default_registry  # local import to avoid an import cycle
-
-    registry = registry if registry is not None else default_registry()
-    errors: List[NetlistSyntaxError] = []
-    _check_instance_names(netlist, errors)
-    _check_models_section(netlist, registry, errors)
-    ports_of = _port_table(netlist, registry)
-    exposed = _check_ports(netlist, ports_of, port_spec, errors)
-    _check_connections(netlist, ports_of, exposed, errors)
-    return errors
+    return list(_violations(netlist, registry, port_spec))
 
 
 def validate_netlist(
@@ -289,8 +254,9 @@ def validate_netlist(
     """Validate a netlist, raising the first (most fundamental) violation found.
 
     The order of checks mirrors how SAX would fail: bad names and undefined
-    models are reported before connection-level problems.
+    models are reported before connection-level problems.  Checking stops at
+    the first violation, which is ``collect_violations(...)[0]``.
     """
-    violations = collect_violations(netlist, registry, port_spec)
-    if violations:
-        raise violations[0]
+    first = next(_violations(netlist, registry, port_spec), None)
+    if first is not None:
+        raise first

@@ -4,7 +4,8 @@
 cached golden ``|S|^2`` array, and ``collect_violations`` checks endpoints
 against one instance-to-ports table per netlist, parsing each endpoint once.
 The per-pair and per-endpoint implementations they replaced are kept below as
-references.  The rewrites must return exactly what the references return,
+references.  ``validate_netlist`` stops at the first violation; it must raise
+``collect_violations(...)[0]``.  The rewrites must return exactly what the references return,
 with one deliberate difference: a non-finite spectrum now fails the
 comparison, where the old loop let it pass.
 """
@@ -35,6 +36,7 @@ from repro.netlist import (
     WrongPortError,
     collect_violations,
     parse_endpoint,
+    validate_netlist,
 )
 from repro.netlist.validation import _check_instance_names, _check_models_section
 from repro.sim import SMatrix, compare_responses
@@ -247,8 +249,8 @@ def reference_collect_violations(netlist, registry, port_spec=None) -> List[Netl
     shared with the program.
     """
     errors: List[NetlistSyntaxError] = []
-    _check_instance_names(netlist, errors)
-    _check_models_section(netlist, registry, errors)
+    errors.extend(_check_instance_names(netlist))
+    errors.extend(_check_models_section(netlist, registry))
     _reference_check_ports(netlist, registry, port_spec, errors)
     _reference_check_connections(netlist, registry, errors)
     return errors
@@ -262,6 +264,19 @@ def assert_same_violations(netlist, port_spec=None):
     for spec in (None, port_spec):
         new = _violations(collect_violations, netlist, spec)
         assert new == _violations(reference_collect_violations, netlist, spec)
+        assert_raises_first_violation(netlist, spec)
+
+
+def assert_raises_first_violation(netlist, port_spec=None):
+    """``validate_netlist`` raises ``collect_violations(...)[0]``: same type and detail."""
+    violations = collect_violations(netlist, REGISTRY, port_spec)
+    try:
+        validate_netlist(netlist, REGISTRY, port_spec)
+    except NetlistSyntaxError as error:
+        assert violations, "validate_netlist raised on a netlist without violations"
+        assert (type(error), error.detail) == (type(violations[0]), violations[0].detail)
+    else:
+        assert not violations
 
 
 # ----------------------------------------------------------------------

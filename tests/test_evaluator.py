@@ -6,11 +6,13 @@ from collections import Counter
 import pytest
 
 from repro.bench import GoldenStore, get_problem
+from repro.engine import ExecutionEngine
 from repro.evalkit import EvaluationConfig, Evaluator
 from repro.harness.runner import SweepConfig, run_sweep
 from repro.llm import EchoDesigner, PerfectDesigner, SimulatedDesigner, format_response
 from repro.netlist import ErrorCategory
-from repro.prompts import PromptConfig
+from repro.prompts import PromptConfig, build_system_prompt
+from repro.sim.registry import ModelInfo, default_registry
 from tests.conftest import TEST_NUM_WAVELENGTHS
 
 
@@ -205,6 +207,63 @@ class TestFeedbackLoop:
         evaluator = Evaluator(config, golden_store=golden_store)
         sample = evaluator.run_sample(PerfectDesigner(), mzi_ps_problem, 0)
         assert sample.attempts[0].response_text is not None
+
+
+class TestRegistryDefault:
+    """Without ``registry=``, drafts validate against the engine's registry."""
+
+    @staticmethod
+    def _engine_with_mywg():
+        engine = ExecutionEngine()
+        base = engine.registry.get("waveguide")
+        engine.registry.register(
+            ModelInfo(
+                name="mywg",
+                func=base.func,
+                description="A copy of the waveguide registered on the engine",
+                input_ports=base.input_ports,
+                output_ports=base.output_ports,
+                parameters=dict(base.parameters),
+            )
+        )
+        return engine
+
+    @staticmethod
+    def _mywg_draft(problem):
+        netlist = problem.golden_netlist()
+        netlist.models["waveguide"] = "mywg"
+        return netlist
+
+    def test_a_model_registered_on_the_engine_validates(self, mzi_ps_problem):
+        engine = self._engine_with_mywg()
+        evaluator = Evaluator(EvaluationConfig(num_wavelengths=TEST_NUM_WAVELENGTHS), engine=engine)
+        netlist = self._mywg_draft(mzi_ps_problem)
+        # The engine simulates the draft ...
+        engine.evaluate(netlist, evaluator.golden_store.wavelengths, port_spec=mzi_ps_problem.port_spec)
+        # ... so the evaluator must accept it, and its prompt must document the model.
+        outcome = evaluator.evaluate_response(mzi_ps_problem, format_response("a", netlist.to_json()))
+        assert outcome.error is None and outcome.syntax_ok and outcome.functional_ok
+        assert evaluator.registry is engine.registry
+        assert "mywg:" in build_system_prompt(evaluator.registry)
+
+    def test_the_golden_stores_engine_registry_is_the_default(self, mzi_ps_problem):
+        engine = self._engine_with_mywg()
+        store = GoldenStore(num_wavelengths=TEST_NUM_WAVELENGTHS, engine=engine)
+        evaluator = Evaluator(EvaluationConfig(num_wavelengths=TEST_NUM_WAVELENGTHS), golden_store=store)
+        assert evaluator.registry is engine.registry and evaluator.engine is engine
+        draft = format_response("a", self._mywg_draft(mzi_ps_problem).to_json())
+        assert evaluator.evaluate_response(mzi_ps_problem, draft).functional_ok
+
+    def test_an_explicit_registry_still_wins(self, mzi_ps_problem):
+        engine = self._engine_with_mywg()
+        evaluator = Evaluator(
+            EvaluationConfig(num_wavelengths=TEST_NUM_WAVELENGTHS),
+            engine=engine,
+            registry=default_registry(),
+        )
+        draft = format_response("a", self._mywg_draft(mzi_ps_problem).to_json())
+        outcome = evaluator.evaluate_response(mzi_ps_problem, draft)
+        assert outcome.error.category is ErrorCategory.UNDEFINED_MODEL
 
 
 class TestSimulatedDesignerThroughEvaluator:

@@ -2,7 +2,8 @@
 
 ``Netlist.to_json`` writes the indent-2 document straight from the netlist's
 fields, and ``extract_json_object`` tokenises each scan phase once instead of
-walking the text character by character from every ``{``.  The replaced
+walking the text character by character from every ``{`` (keeping the latest
+two tokenisations, so starts of either quote parity reuse one).  The replaced
 implementations are kept below as references: the writer must return exactly
 what ``json.dumps(netlist.to_dict(), indent=2)`` returns, or raise the same
 exception type, and the extractor must return exactly what the character scan
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -261,3 +263,43 @@ def test_unbalanced_braces_are_answered_from_one_tokenisation():
     assert extract_json_object(text) == reference_extract_json_object(text) == "{}"
     assert extract_json_object("{" * 2000) is None
     assert extract_json_object('{"' + "{" * 2000) is None
+
+
+#: Texts whose starts alternate between the two quote parities, or need a
+#: tokenisation per start (escaped quotes), with the closing text that makes
+#: some start balance.
+PARITY_UNITS = ('{"', '{"{', '{"\\"', '{\\"', '"{', '{"}', '{"{"}', 'a{"b\\\\"')
+PARITY_TAILS = ("", "}", '"}', "}}", '"}}', '}"}', '"' + "}" * 5)
+
+
+@pytest.mark.parametrize("unit", PARITY_UNITS)
+def test_repeated_quote_parity_texts_match_the_reference_extractor(unit):
+    for count in (1, 2, 3, 7, 40):
+        for tail in PARITY_TAILS:
+            assert_same_extraction(unit * count + tail)
+            assert_same_extraction("x" + unit * count + tail + unit)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    parts=st.lists(
+        st.sampled_from(['{"', '"{', '{', '}', '"', '\\"', '\\', '"}', "a", '{"{', " "]),
+        max_size=120,
+    )
+)
+def test_long_generated_texts_match_the_reference_extractor(parts):
+    assert_same_extraction("".join(parts))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"' * 4000, '{"' * 10000, '{"{' * 10000, "{" * 20000],
+    ids=["quote-brace-4000", "quote-brace-10000", "quote-brace-brace-10000", "brace-20000"],
+)
+def test_hostile_brace_and_quote_texts_are_linear(text):
+    # Seconds each when every start re-tokenised or searched its depths to
+    # the end of the text; every start of either quote parity lands on a
+    # "{" token of one of the latest two tokenisations.
+    start = time.perf_counter()
+    assert extract_json_object(text) is None
+    assert time.perf_counter() - start < 0.5
