@@ -390,7 +390,9 @@ class ExecutionEngine:
         dispatched through the fused batch path in chunks of ``batch_size``
         (default: ``config.batch_size``; values <= 1 fall back to per-item
         :meth:`evaluate` calls).  Per-item cache keys are unchanged, so
-        results interoperate with individually evaluated netlists.
+        results interoperate with individually evaluated netlists.  As in
+        :meth:`evaluate`, each cache miss visits the ``solver.evaluate``
+        fault point once, with its key, before anything is solved.
 
         With ``return_exceptions=True`` a failing item contributes its
         exception (the same classified error :meth:`evaluate` would raise)
@@ -436,7 +438,18 @@ class ExecutionEngine:
                     results[index] = cached
                     hits += 1
 
-        misses = [index for index in range(len(netlists)) if results[index] is None]
+        misses = []
+        for index in range(len(netlists)):
+            if results[index] is not None:
+                continue
+            try:
+                fault_point("solver.evaluate", key=keys[index])
+            except Exception as error:  # noqa: BLE001 - the item's own result
+                if not return_exceptions:
+                    raise
+                results[index] = error
+                continue
+            misses.append(index)
         if chunk_size <= 1:
             for index in misses:
                 solve_item(index, keys[index])

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from ..constants import (
 )
 from ..engine.engine import ExecutionEngine
 from ..engine.fingerprint import sample_seed
-from ..llm.base import LLMClient, assistant, system, user
+from ..llm.base import ChatMessage, LLMClient, assistant, system, user
 from ..llm.response import split_response
 from ..netlist.errors import FunctionalError, PICBenchError
 from ..netlist.parser import parse_netlist_text
@@ -136,6 +136,21 @@ def _failure(error: Exception) -> Tuple[AttemptOutcome, bool]:
     """The verdict of a draft whose evaluation raised ``error``, and whether to memoise it."""
     outcome = AttemptOutcome(syntax_ok=False, functional_ok=False, error=_classified(error))
     return outcome, isinstance(error, _DETERMINISTIC_ERRORS)
+
+
+@dataclass
+class _Trajectory:
+    """One Fig. 1 trajectory in flight: its designer, problem, conversation, seed and record."""
+
+    client: LLMClient
+    problem: Problem
+    messages: List[ChatMessage]
+    seed: int
+    sample: SampleResult
+
+    def draft(self) -> str:
+        """The designer's next response to the conversation so far."""
+        return self.client.complete(self.messages, seed=self.seed)
 
 
 class Evaluator:
@@ -265,10 +280,14 @@ class Evaluator:
         structure-sharing candidates (samples that differ only in instance
         settings -- the common case across pass@k drafts) into shared
         executor passes of at most ``engine.config.batch_size`` samples.
-        Drafts judged by an earlier call are served from the verdict memo.
+        Drafts judged by an earlier call are served from the verdict memo;
+        a draft repeated within this call is judged once, and each repeat
+        takes the outcome of its first occurrence.
         """
         outcomes: List[Optional[AttemptOutcome]] = [None] * len(items)
         keys = [self._verdict_key(problem, text) for problem, text in items]
+        first_of: Dict[Tuple[object, ...], int] = {}
+        repeats: List[Tuple[int, int]] = []
         pending: List[int] = []
         netlists = []
         for index, (problem, response_text) in enumerate(items):
@@ -278,6 +297,10 @@ class Evaluator:
                 if memoised is not None:
                     outcomes[index] = memoised
                     continue
+                if key in first_of:
+                    repeats.append((index, first_of[key]))
+                    continue
+                first_of[key] = index
             try:
                 netlist = self._parse_and_validate(problem, response_text)
             except Exception as error:  # noqa: BLE001 - classified below
@@ -303,12 +326,71 @@ class Evaluator:
                 outcomes[index] = outcome
                 if memoise and keys[index] is not None:
                     self._verdicts.put(keys[index], outcome)
+        for index, first in repeats:
+            outcomes[index] = outcomes[first]
         assert all(outcome is not None for outcome in outcomes)
         return outcomes  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
     # Feedback loop
     # ------------------------------------------------------------------
+    def _start(
+        self,
+        client: LLMClient,
+        problem: Problem,
+        sample_index: int,
+        prompt_config: Optional[PromptConfig] = None,
+    ) -> _Trajectory:
+        """A fresh trajectory: the system and user prompts of one sample of one problem."""
+        prompt_config = prompt_config or PromptConfig(
+            include_restrictions=self.config.include_restrictions
+        )
+        return _Trajectory(
+            client=client,
+            problem=problem,
+            messages=[
+                system(build_system_prompt(self.registry, prompt_config)),
+                user(build_user_prompt(problem.description)),
+            ],
+            # Mixing the problem name into the seed keeps every (problem,
+            # sample) trajectory statistically independent; the old
+            # derivation (base_seed * 100_003 + sample_index) replayed one
+            # seed sequence across all problems.
+            seed=sample_seed(self.config.base_seed, problem.name, sample_index),
+            sample=SampleResult(problem=problem.name, sample_index=sample_index),
+        )
+
+    def _advance(
+        self, trajectory: _Trajectory, response_text: str, outcome: AttemptOutcome
+    ) -> bool:
+        """Record one judged draft; whether the trajectory needs another.
+
+        A draft that passes both checks, or the last allowed feedback round,
+        ends the trajectory; otherwise the classified error is fed back to
+        the model as the next user turn.
+        """
+        attempts = trajectory.sample.attempts
+        attempts.append(
+            AttemptRecord(
+                iteration=len(attempts),
+                syntax_ok=outcome.syntax_ok,
+                functional_ok=outcome.functional_ok,
+                error_category=outcome.error.category if outcome.error else None,
+                error_detail=outcome.error.detail if outcome.error else None,
+                response_text=response_text if self.config.keep_responses else None,
+                degraded=outcome.degraded,
+                nonfinite=outcome.nonfinite,
+            )
+        )
+        if outcome.functional_ok and outcome.syntax_ok:
+            return False
+        if len(attempts) > self.config.max_feedback_iterations:
+            return False
+        assert outcome.error is not None
+        feedback = build_feedback(trajectory.problem.name, outcome.error)
+        trajectory.messages = trajectory.messages + [assistant(response_text), user(feedback)]
+        return True
+
     def run_sample(
         self,
         client: LLMClient,
@@ -318,132 +400,61 @@ class Evaluator:
         prompt_config: Optional[PromptConfig] = None,
     ) -> SampleResult:
         """Run the full feedback trajectory for one sample of one problem."""
-        prompt_config = prompt_config or PromptConfig(
-            include_restrictions=self.config.include_restrictions
-        )
-        messages = [
-            system(build_system_prompt(self.registry, prompt_config)),
-            user(build_user_prompt(problem.description)),
-        ]
-        sample = SampleResult(problem=problem.name, sample_index=sample_index)
-        # Mixing the problem name into the seed keeps every (problem, sample)
-        # trajectory statistically independent; the old derivation
-        # (base_seed * 100_003 + sample_index) replayed one seed sequence
-        # across all problems.
-        seed = sample_seed(self.config.base_seed, problem.name, sample_index)
-
-        for iteration in range(self.config.max_feedback_iterations + 1):
-            response_text = client.complete(messages, seed=seed)
+        trajectory = self._start(client, problem, sample_index, prompt_config)
+        more = True
+        while more:
+            response_text = trajectory.draft()
             outcome = self.evaluate_response(problem, response_text)
-            sample.attempts.append(
-                AttemptRecord(
-                    iteration=iteration,
-                    syntax_ok=outcome.syntax_ok,
-                    functional_ok=outcome.functional_ok,
-                    error_category=outcome.error.category if outcome.error else None,
-                    error_detail=outcome.error.detail if outcome.error else None,
-                    response_text=response_text if self.config.keep_responses else None,
-                    degraded=outcome.degraded,
-                    nonfinite=outcome.nonfinite,
-                )
-            )
-            if outcome.functional_ok and outcome.syntax_ok:
-                break
-            if iteration == self.config.max_feedback_iterations:
-                break
-            assert outcome.error is not None
-            feedback = build_feedback(problem.name, outcome.error)
-            messages = list(messages) + [assistant(response_text), user(feedback)]
-        return sample
+            more = self._advance(trajectory, response_text, outcome)
+        return trajectory.sample
 
-    def run_samples_batched(
+    def run_samples(
         self,
-        units: Sequence[Tuple[LLMClient, Problem, int]],
+        units: Sequence[Tuple[LLMClient, Problem, int, Optional[PromptConfig]]],
         *,
-        prompt_config: Optional[PromptConfig] = None,
+        on_done: Optional[Callable[[int, SampleResult], None]] = None,
     ) -> List[SampleResult]:
-        """Run many ``(client, problem, sample)`` trajectories in lockstep.
+        """Run many ``(client, problem, sample_index, prompt_config)`` trajectories.
 
-        All trajectories advance one feedback iteration at a time: the
-        iteration's generations run on the engine's worker pool, then every
-        resulting candidate is evaluated in one :meth:`evaluate_responses`
-        call -- so structurally identical drafts across samples, problems
-        and clients fuse into shared batched executor passes.  Because each
-        trajectory's messages and seed are a pure function of its own
-        history, the returned :class:`SampleResult` list is identical to
-        running :meth:`run_sample` per unit.
+        With ``engine.config.batch_size > 1`` the trajectories advance in
+        lockstep, one feedback iteration at a time: the iteration's
+        generations run on the engine's worker pool, then every draft is
+        judged in one :meth:`evaluate_responses` call, so structurally
+        identical drafts across samples, problems, clients and prompt
+        configs fuse into shared batched executor passes.  Otherwise each
+        unit runs through :meth:`run_sample` on the engine's pool.
+
+        Each trajectory's messages and seed are a pure function of its own
+        history, so both drivers return the same results, in unit order.
+        ``on_done(index, sample)`` fires as each trajectory finishes -- on
+        the pool's threads for the per-unit driver.
         """
-        prompt_config = prompt_config or PromptConfig(
-            include_restrictions=self.config.include_restrictions
-        )
-        states = []
-        for client, problem, sample_index in units:
-            states.append(
-                {
-                    "client": client,
-                    "problem": problem,
-                    "messages": [
-                        system(build_system_prompt(self.registry, prompt_config)),
-                        user(build_user_prompt(problem.description)),
-                    ],
-                    "seed": sample_seed(self.config.base_seed, problem.name, sample_index),
-                    "sample": SampleResult(problem=problem.name, sample_index=sample_index),
-                    "done": False,
-                }
-            )
+        if self.engine.config.batch_size <= 1:
 
-        for iteration in range(self.config.max_feedback_iterations + 1):
-            active = [state for state in states if not state["done"]]
-            if not active:
-                break
-            responses = self.engine.map(
-                lambda state: state["client"].complete(state["messages"], seed=state["seed"]),
-                active,
-            )
+            def run_unit(index: int) -> SampleResult:
+                client, problem, sample_index, prompt_config = units[index]
+                sample = self.run_sample(client, problem, sample_index, prompt_config=prompt_config)
+                if on_done is not None:
+                    on_done(index, sample)
+                return sample
+
+            return self.engine.map(run_unit, range(len(units)))
+
+        trajectories = [self._start(*unit) for unit in units]
+        active = list(range(len(trajectories)))
+        while active:
+            responses = self.engine.map(lambda index: trajectories[index].draft(), active)
             outcomes = self.evaluate_responses(
-                [(state["problem"], text) for state, text in zip(active, responses)]
+                [(trajectories[index].problem, text) for index, text in zip(active, responses)]
             )
-            for state, response_text, outcome in zip(active, responses, outcomes):
-                state["sample"].attempts.append(
-                    AttemptRecord(
-                        iteration=iteration,
-                        syntax_ok=outcome.syntax_ok,
-                        functional_ok=outcome.functional_ok,
-                        error_category=outcome.error.category if outcome.error else None,
-                        error_detail=outcome.error.detail if outcome.error else None,
-                        response_text=response_text if self.config.keep_responses else None,
-                        degraded=outcome.degraded,
-                        nonfinite=outcome.nonfinite,
-                    )
-                )
-                if outcome.functional_ok and outcome.syntax_ok:
-                    state["done"] = True
-                    continue
-                if iteration == self.config.max_feedback_iterations:
-                    state["done"] = True
-                    continue
-                assert outcome.error is not None
-                feedback = build_feedback(state["problem"].name, outcome.error)
-                state["messages"] = list(state["messages"]) + [
-                    assistant(response_text),
-                    user(feedback),
-                ]
-        return [state["sample"] for state in states]
-
-    def run_problem(
-        self,
-        client: LLMClient,
-        problem: Problem,
-        *,
-        prompt_config: Optional[PromptConfig] = None,
-    ) -> List[SampleResult]:
-        """Run all samples of one problem (on the engine's worker pool)."""
-        return self.engine.map(
-            lambda sample_index: self.run_sample(
-                client, problem, sample_index, prompt_config=prompt_config
-            ),
-            range(self.config.samples_per_problem),
-        )
+            still_active = []
+            for index, response_text, outcome in zip(active, responses, outcomes):
+                if self._advance(trajectories[index], response_text, outcome):
+                    still_active.append(index)
+                elif on_done is not None:
+                    on_done(index, trajectories[index].sample)
+            active = still_active
+        return [trajectory.sample for trajectory in trajectories]
 
     def run_suite(
         self,
@@ -455,9 +466,9 @@ class Evaluator:
         """Evaluate a client over the full suite (or a subset of problems).
 
         The nested problem/sample loops are flattened into independent work
-        units and executed on the engine's scheduler; results are folded back
-        in ``(problem, sample)`` order, so any worker count produces the same
-        report as the sequential loop.
+        units and run by :meth:`run_samples`; results are folded back in
+        ``(problem, sample)`` order, so any worker count or batch size
+        produces the same report as the sequential loop.
         """
         problems = list(problems) if problems is not None else list(all_problems())
         packs = {problem.pack for problem in problems}
@@ -472,28 +483,11 @@ class Evaluator:
             max_feedback_iterations=self.config.max_feedback_iterations,
             pack=packs.pop() if len(packs) == 1 else "mixed",
         )
-        if getattr(self.engine.config, "batch_size", 1) > 1:
-            # Batched dispatch: trajectories advance in lockstep so each
-            # iteration's structure-sharing candidates fuse into shared
-            # executor passes.  Identical results by construction.
-            samples = self.run_samples_batched(
-                [
-                    (client, problem, sample_index)
-                    for problem in problems
-                    for sample_index in range(self.config.samples_per_problem)
-                ],
-                prompt_config=prompt_config,
-            )
-        else:
-            units = [
-                (problem, sample_index)
-                for problem in problems
-                for sample_index in range(self.config.samples_per_problem)
-            ]
-            samples = self.engine.map(
-                lambda unit: self.run_sample(client, unit[0], unit[1], prompt_config=prompt_config),
-                units,
-            )
-        for sample in samples:
+        units = [
+            (client, problem, sample_index, prompt_config)
+            for problem in problems
+            for sample_index in range(self.config.samples_per_problem)
+        ]
+        for sample in self.run_samples(units):
             report.add(sample)
         return report

@@ -132,6 +132,8 @@ class SweepJournal:
     Thread-safe: trajectory completions from scheduler threads (thread
     mode) or the shard-merge callback (process mode) append under one lock,
     each line flushed -- and fsynced best-effort -- before the lock drops.
+    Lockstep trajectories (``batch_size > 1``) are journaled as each one
+    finishes, not when the whole lockstep call returns.
     """
 
     def __init__(self, directory: Path | str, fingerprint: str) -> None:

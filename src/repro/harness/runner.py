@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..bench.golden import GoldenStore
 from ..bench.packs import CORE_PACK_NAME, PackParams, get_pack
@@ -263,19 +263,46 @@ def _client_specs(clients: Sequence[LLMClient]) -> List[Tuple[DesignerProfile, i
 
 
 def _sweep_evaluator(
-    config: SweepConfig, golden_store: GoldenStore, engine: ExecutionEngine
+    config: SweepConfig,
+    engine: Optional[ExecutionEngine] = None,
+    golden_store: Optional[GoldenStore] = None,
 ) -> Evaluator:
     """The one evaluator of a sweep (or of one process-tier worker).
 
-    Every unit passes its restriction setting's prompt config explicitly,
-    so both settings share one evaluator and its verdict memo: a draft
-    judged under one setting or model is not judged again under another.
+    ``engine`` defaults to the golden store's, else to a fresh one, and the
+    golden store to one of the configured pack on that engine.  Every unit
+    passes its restriction setting's prompt config explicitly, so both
+    settings share one evaluator and its verdict memo: a draft judged under
+    one setting or model is not judged again under another.
     """
+    if engine is None:
+        engine = (
+            golden_store.engine
+            if golden_store is not None
+            else ExecutionEngine(config.engine_config())
+        )
+    if golden_store is None:
+        golden_store = GoldenStore(
+            num_wavelengths=config.num_wavelengths,
+            engine=engine,
+            pack=config.pack,
+            pack_params=config.pack_params,
+        )
     return Evaluator(
         config.evaluation_config(include_restrictions=False),
         golden_store=golden_store,
         engine=engine,
     )
+
+
+def _prompt_configs(
+    config: SweepConfig, restriction_settings: Sequence[bool]
+) -> Dict[bool, PromptConfig]:
+    """The prompt config of each restriction setting of a sweep."""
+    return {
+        include_restrictions: config.prompt_config(include_restrictions=include_restrictions)
+        for include_restrictions in restriction_settings
+    }
 
 
 def _build_sweep_worker(payload: Dict[str, object]) -> Dict[str, object]:
@@ -291,72 +318,48 @@ def _build_sweep_worker(payload: Dict[str, object]) -> Dict[str, object]:
     engine = ExecutionEngine(
         replace(config.engine_config(), execution_mode="thread", workers=1, processes=0)
     )
-    golden_store = GoldenStore(
-        num_wavelengths=config.num_wavelengths,
-        engine=engine,
-        pack=config.pack,
-        pack_params=config.pack_params,
-    )
-    restriction_settings: Tuple[bool, ...] = tuple(payload["restrictions"])  # type: ignore[arg-type]
     return {
-        "config": config,
         "engine": engine,
         "problems": config.select_problems(),
         "clients": [
             SimulatedDesigner(profile, base_seed=seed)
             for profile, seed in payload["clients"]  # type: ignore[union-attr]
         ],
-        "evaluator": _sweep_evaluator(config, golden_store, engine),
-        "prompt_configs": {
-            include_restrictions: config.prompt_config(
-                include_restrictions=include_restrictions
-            )
-            for include_restrictions in restriction_settings
-        },
+        "evaluator": _sweep_evaluator(config, engine),
+        "prompt_configs": _prompt_configs(config, payload["restrictions"]),  # type: ignore[arg-type]
     }
+
+
+def _evaluator_unit(context: Dict[str, object], unit: Tuple[bool, int, int, int]):
+    """The :meth:`Evaluator.run_samples` unit of one index unit, resolved in ``context``."""
+    include_restrictions, client_index, problem_index, sample_index = unit
+    return (
+        context["clients"][client_index],  # type: ignore[index]
+        context["problems"][problem_index],  # type: ignore[index]
+        sample_index,
+        context["prompt_configs"][include_restrictions],  # type: ignore[index]
+    )
 
 
 def _run_sweep_unit(context: Dict[str, object], unit: Tuple[bool, int, int, int]):
     """Worker runner: one (restrictions, client, problem, sample) trajectory."""
-    include_restrictions, client_index, problem_index, sample_index = unit
+    client, problem, sample_index, prompt_config = _evaluator_unit(context, unit)
     return context["evaluator"].run_sample(  # type: ignore[union-attr]
-        context["clients"][client_index],  # type: ignore[index]
-        context["problems"][problem_index],  # type: ignore[index]
-        sample_index,
-        prompt_config=context["prompt_configs"][include_restrictions],  # type: ignore[index]
+        client, problem, sample_index, prompt_config=prompt_config
     )
 
 
 def _run_sweep_shard(context: Dict[str, object], units: List[Tuple[bool, int, int, int]]):
-    """Worker shard runner for ``batch_size > 1``: fuse the shard's units.
+    """Worker shard runner for ``batch_size > 1``: the shard's units in lockstep.
 
-    Contiguous runs of the shard sharing one restriction setting advance in
-    lockstep through ``run_samples_batched``, preserving the batch-fusion
-    wins of PR 5 inside each shard.  Each trajectory is a pure function of
-    its own history, so any sharding yields the same per-unit results.
+    One lockstep call spans every restriction setting of the shard, since
+    each unit carries its own prompt config.  Each trajectory is a pure
+    function of its own history, so any sharding yields the same per-unit
+    results.
     """
-    results = []
-    lo = 0
-    while lo < len(units):
-        include_restrictions = units[lo][0]
-        hi = lo
-        while hi < len(units) and units[hi][0] == include_restrictions:
-            hi += 1
-        results.extend(
-            context["evaluator"].run_samples_batched(  # type: ignore[union-attr]
-                [
-                    (
-                        context["clients"][client_index],  # type: ignore[index]
-                        context["problems"][problem_index],  # type: ignore[index]
-                        sample_index,
-                    )
-                    for _, client_index, problem_index, sample_index in units[lo:hi]
-                ],
-                prompt_config=context["prompt_configs"][include_restrictions],  # type: ignore[index]
-            )
-        )
-        lo = hi
-    return results
+    return context["evaluator"].run_samples(  # type: ignore[union-attr]
+        [_evaluator_unit(context, unit) for unit in units]
+    )
 
 
 def _sweep_worker_stats(context: Dict[str, object]) -> Dict[str, object]:
@@ -411,15 +414,14 @@ def _map_units_process(
     restriction_settings: Tuple[bool, ...],
     units: List[Tuple[bool, int, int, int]],
     problems: List[Problem],
-    model_names: Optional[Sequence[str]] = None,
-    journal: Optional[SweepJournal] = None,
-    completed: Optional[Dict[Tuple[bool, str, str, int], SampleResult]] = None,
+    on_result: Optional[Callable[[int, object], None]] = None,
 ) -> Tuple[List[SampleResult], Dict[str, object]]:
     """Run unit specs on a process pool; returns ordered samples and stats.
 
-    With a journal, units already completed by a prior run are served from
-    ``completed`` without touching the pool, and each freshly finished unit
-    is checkpointed the moment its shard result lands in the parent.
+    ``on_result(index, outcome)`` fires in the parent as each unit's
+    outcome lands (see :meth:`ProcessScheduler.map`); a unit whose worker
+    died or raised is passed as its :class:`UnitFailure` and returned as a
+    synthesised failure record.
     """
     spec = WorkerSpec(
         builder_ref="repro.harness.runner:_build_sweep_worker",
@@ -435,47 +437,28 @@ def _map_units_process(
         retry_policy=config.unit_retry_policy(),
         unit_timeout=config.unit_timeout,
     )
-    completed = completed or {}
-    keys = [
-        unit_key(
-            unit[0],
-            model_names[unit[1]] if model_names is not None else str(unit[1]),
-            problems[unit[2]].name,
-            unit[3],
-        )
-        for unit in units
-    ]
-    pending = [index for index, key in enumerate(keys) if key not in completed]
-
-    def on_result(position: int, outcome: object) -> None:
-        key = keys[pending[position]]
-        fault_point("sweep.unit", key="|".join(map(str, key)))
-        if journal is not None and isinstance(outcome, SampleResult):
-            journal.record(key, outcome)
-
     per_task = config.batch_size <= 1
     raw, stats_list = scheduler.map(
         "repro.harness.runner:_run_sweep_unit"
         if per_task
         else "repro.harness.runner:_run_sweep_shard",
-        [units[index] for index in pending],
+        units,
         per_task=per_task,
         stats_ref="repro.harness.runner:_sweep_worker_stats",
-        on_result=on_result if journal is not None else None,
+        on_result=on_result,
     )
-    samples: List[Optional[SampleResult]] = [completed.get(key) for key in keys]
-    for index, outcome in zip(pending, raw):
-        if isinstance(outcome, UnitFailure):
-            samples[index] = _crashed_sample(problems[units[index][2]].name, units[index][3], outcome)
-        else:
-            samples[index] = outcome
+    samples = [
+        _crashed_sample(problems[unit[2]].name, unit[3], outcome)
+        if isinstance(outcome, UnitFailure)
+        else outcome
+        for unit, outcome in zip(units, raw)
+    ]
     engine_stats = aggregate_engine_stats(stats_list)
     engine_stats["procpool"] = dict(scheduler.counters)
     parent_faults = fault_stats()
     if parent_faults:
         engine_stats["parent_faults"] = parent_faults
-    assert all(sample is not None for sample in samples)
-    return samples, engine_stats  # type: ignore[return-value]
+    return samples, engine_stats
 
 
 def run_model(
@@ -518,11 +501,15 @@ def run_sweep(
     when ``config.workers > 1``; the bundled simulated designers are).
 
     The four nested loops of the paper's evaluation -- model, restriction
-    setting, problem, sample -- are flattened into independent work units and
-    executed on the engine's worker pool.  Each unit's generation seed is
+    setting, problem, sample -- are flattened into independent work units,
+    run by :meth:`Evaluator.run_samples` on the thread tier or sharded across
+    worker processes on the process tier.  Each unit's generation seed is
     derived from ``(base_seed, problem, sample)`` alone, and results are
     folded back in loop order, so the returned reports are byte-identical for
-    any worker count.
+    any worker count, batch size or tier.  Each freshly computed trajectory
+    visits the ``sweep.unit`` fault point as it finishes and is then
+    journaled (with ``journal_dir``); a resumed run reruns only the units its
+    journal lacks.
 
     ``engine`` and ``golden_store`` let a caller keep simulations and golden
     responses warm across sweeps (the evaluation service does); the golden
@@ -535,143 +522,66 @@ def run_sweep(
         clients = [SimulatedDesigner(profile, base_seed=config.base_seed) for profile in profiles]
     clients = list(clients)
     model_names = [getattr(client, "name", type(client).__name__) for client in clients]
-    if config.execution_mode == "process":
-        # Process tier: ship picklable specs, rebuild everything worker-side.
-        # A caller-provided engine or golden store cannot cross the process
-        # boundary and is ignored here; workers share the on-disk tiers via
-        # cache_dir.
-        client_specs = _client_specs(clients)
-        problems = config.select_problems()
-        restriction_settings = tuple(restriction_settings)
-        journal, completed = _open_journal(config, model_names, restriction_settings)
-        unit_specs = [
-            (include_restrictions, client_index, problem_index, sample_index)
-            for include_restrictions in restriction_settings
-            for client_index in range(len(clients))
-            for problem_index in range(len(problems))
-            for sample_index in range(config.samples_per_problem)
-        ]
-        samples, engine_stats = _map_units_process(
-            config,
-            client_specs,
-            restriction_settings,
-            unit_specs,
-            problems,
-            model_names=model_names,
-            journal=journal,
-            completed=completed,
-        )
-        if journal is not None:
-            journal.close()
-        result = SweepResult(config=config, engine_stats=engine_stats)
-        for (include_restrictions, client_index, _, _), sample in zip(unit_specs, samples):
-            client = clients[client_index]
-            model = getattr(client, "name", type(client).__name__)
-            report = result.reports.get((model, include_restrictions))
-            if report is None:
-                report = EvalReport(
-                    model=model,
-                    with_restrictions=include_restrictions,
-                    samples_per_problem=config.samples_per_problem,
-                    max_feedback_iterations=config.max_feedback_iterations,
-                    pack=config.pack,
-                )
-                result.reports[(model, include_restrictions)] = report
-            report.add(sample)
-        return result
-    if engine is None:
-        engine = (
-            golden_store.engine
-            if golden_store is not None
-            else ExecutionEngine(config.engine_config())
-        )
-    if golden_store is None:
-        golden_store = GoldenStore(
-            num_wavelengths=config.num_wavelengths,
-            engine=engine,
-            pack=config.pack,
-            pack_params=config.pack_params,
-        )
-    problems = config.select_problems()
     restriction_settings = tuple(restriction_settings)
+    problems = config.select_problems()
 
-    evaluator = _sweep_evaluator(config, golden_store, engine)
-    prompt_configs = {
-        include_restrictions: config.prompt_config(include_restrictions=include_restrictions)
-        for include_restrictions in restriction_settings
-    }
-
-    # One work unit per (restrictions, client, problem, sample) trajectory,
+    # One index unit per (restrictions, client, problem, sample) trajectory,
     # in the exact order the sequential loops would visit them.
     units = [
-        (include_restrictions, client, problem, sample_index)
+        (include_restrictions, client_index, problem_index, sample_index)
         for include_restrictions in restriction_settings
-        for client in clients
-        for problem in problems
+        for client_index in range(len(clients))
+        for problem_index in range(len(problems))
         for sample_index in range(config.samples_per_problem)
     ]
+    keys = [
+        unit_key(restrictions, model_names[client_index], problems[problem_index].name, sample)
+        for restrictions, client_index, problem_index, sample in units
+    ]
     journal, completed = _open_journal(config, model_names, restriction_settings)
+    pending = [index for index, key in enumerate(keys) if key not in completed]
 
-    def key_of(unit) -> Tuple[bool, str, str, int]:
-        include_restrictions, client, problem, sample_index = unit
-        model = getattr(client, "name", type(client).__name__)
-        return unit_key(include_restrictions, model, problem.name, sample_index)
+    def checkpoint(position: int, sample: object) -> None:
+        """Visit ``sweep.unit`` as a pending trajectory finishes, then journal it."""
+        key = keys[pending[position]]
+        fault_point("sweep.unit", key="|".join(map(str, key)))
+        if journal is not None and isinstance(sample, SampleResult):
+            journal.record(key, sample)
 
+    result = SweepResult(config=config)
     try:
-        if config.batch_size > 1:
-            # Batched dispatch: per restriction setting, all trajectories
-            # advance in lockstep and every iteration's structure-sharing
-            # candidates (samples that mutate settings, not topology) fuse
-            # into shared executor passes.  Unit order -- and therefore the
-            # folded reports -- are identical to the per-sample path.
-            samples = []
-            for include_restrictions in restriction_settings:
-                group = [unit for unit in units if unit[0] == include_restrictions]
-                pending = [unit for unit in group if key_of(unit) not in completed]
-                for unit in pending:
-                    fault_point("sweep.unit", key="|".join(map(str, key_of(unit))))
-                fresh = iter(
-                    evaluator.run_samples_batched(
-                        [(client, problem, s) for _, client, problem, s in pending],
-                        prompt_config=prompt_configs[include_restrictions],
-                    )
-                )
-                for unit in group:
-                    key = key_of(unit)
-                    done = completed.get(key)
-                    if done is None:
-                        done = next(fresh)
-                        if journal is not None:
-                            journal.record(key, done)
-                    samples.append(done)
+        if config.execution_mode == "process":
+            # Process tier: ship picklable specs, rebuild everything
+            # worker-side.  A caller-provided engine or golden store cannot
+            # cross the process boundary and is ignored here; workers share
+            # the on-disk tiers via cache_dir.
+            fresh, result.engine_stats = _map_units_process(
+                config,
+                _client_specs(clients),
+                restriction_settings,
+                [units[index] for index in pending],
+                problems,
+                on_result=checkpoint,
+            )
         else:
-
-            def run_unit(unit):
-                """Run one (restrictions, client, problem, sample) trajectory."""
-                include_restrictions, client, problem, sample_index = unit
-                key = key_of(unit)
-                done = completed.get(key)
-                if done is not None:
-                    return done
-                fault_point("sweep.unit", key="|".join(map(str, key)))
-                sample = evaluator.run_sample(
-                    client,
-                    problem,
-                    sample_index,
-                    prompt_config=prompt_configs[include_restrictions],
-                )
-                if journal is not None:
-                    journal.record(key, sample)
-                return sample
-
-            samples = engine.map(run_unit, units)
+            context = {
+                "clients": clients,
+                "problems": problems,
+                "prompt_configs": _prompt_configs(config, restriction_settings),
+            }
+            fresh = _sweep_evaluator(config, engine, golden_store).run_samples(
+                [_evaluator_unit(context, units[index]) for index in pending],
+                on_done=checkpoint,
+            )
     finally:
         if journal is not None:
             journal.close()
 
-    result = SweepResult(config=config)
-    for (include_restrictions, client, _, _), sample in zip(units, samples):
-        model = getattr(client, "name", type(client).__name__)
+    samples = [completed.get(key) for key in keys]
+    for index, sample in zip(pending, fresh):
+        samples[index] = sample
+    for (include_restrictions, client_index, _, _), sample in zip(units, samples):
+        model = model_names[client_index]
         report = result.reports.get((model, include_restrictions))
         if report is None:
             report = EvalReport(

@@ -654,8 +654,9 @@ class TestBatchPlumbing:
         batched_config = SweepConfig(
             samples_per_problem=2, num_wavelengths=11, problems=("mzi_ps",), batch_size=4
         )
-        base = run_sweep(base_config, restriction_settings=(False,))
-        batched = run_sweep(batched_config, restriction_settings=(False,))
+        # One lockstep call spans both restriction settings' prompt configs.
+        base = run_sweep(base_config, restriction_settings=(False, True))
+        batched = run_sweep(batched_config, restriction_settings=(False, True))
         assert json.dumps(base.to_dict(), sort_keys=True) == json.dumps(
             batched.to_dict(), sort_keys=True
         )

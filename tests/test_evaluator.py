@@ -165,11 +165,6 @@ class TestFeedbackLoop:
         sample = evaluator.run_sample(FeedbackAwareDesigner(), mzi_ps_problem, 0)
         assert sample.first_pass_iteration("functional") == 1
 
-    def test_run_problem_generates_all_samples(self, evaluator, mzi_ps_problem):
-        samples = evaluator.run_problem(PerfectDesigner(), mzi_ps_problem)
-        assert len(samples) == evaluator.config.samples_per_problem
-        assert {s.sample_index for s in samples} == set(range(len(samples)))
-
     def test_run_suite_subset(self, evaluator, suite):
         report = evaluator.run_suite(PerfectDesigner(), suite[:3])
         assert len(report.results) == 3

@@ -300,10 +300,11 @@ def test_process_sweep_is_byte_identical_per_pack(pack):
 
 
 def test_process_sweep_batched_dispatch_is_byte_identical():
-    sequential = run_sweep(_sweep_config("core"), restriction_settings=(False,))
+    # Each shard's lockstep call spans both restriction settings.
+    sequential = run_sweep(_sweep_config("core"), restriction_settings=(False, True))
     batched = run_sweep(
         _sweep_config("core", execution_mode="process", processes=2, batch_size=4),
-        restriction_settings=(False,),
+        restriction_settings=(False, True),
     )
     assert _canonical(batched) == _canonical(sequential)
 

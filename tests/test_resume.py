@@ -225,14 +225,16 @@ from repro.llm.simulated import SimulatedDesigner
 
 config = SweepConfig(
     samples_per_problem=3, max_feedback_iterations=1, num_wavelengths={nwl},
-    problems=("mzi_ps",), journal_dir={journal_dir!r}, resume=True,
+    problems=("mzi_ps",), batch_size={batch_size}, journal_dir={journal_dir!r},
+    resume=True,
 )
 run_model(SimulatedDesigner("GPT-4o"), include_restrictions=False, config=config)
 raise SystemExit("the injected kill never fired")
 """
 
 
-def test_killed_run_resumes_byte_identically(tmp_path):
+@pytest.mark.parametrize("batch_size", [1, 4])
+def test_killed_run_resumes_byte_identically(tmp_path, batch_size):
     golden = _report(SweepConfig(**BASE))
     env = dict(os.environ)
     env["REPRO_FAULTS"] = "sweep.unit=kill+1"
@@ -242,7 +244,10 @@ def test_killed_run_resumes_byte_identically(tmp_path):
             sys.executable,
             "-c",
             _KILL_CHILD.format(
-                src=SRC, nwl=TEST_NUM_WAVELENGTHS, journal_dir=str(tmp_path)
+                src=SRC,
+                nwl=TEST_NUM_WAVELENGTHS,
+                batch_size=batch_size,
+                journal_dir=str(tmp_path),
             ),
         ],
         env=env,
@@ -251,10 +256,14 @@ def test_killed_run_resumes_byte_identically(tmp_path):
         timeout=120,
     )
     assert child.returncode == 73, child.stdout + child.stderr
-    assert len(_journal_lines(tmp_path)) == 1  # exactly one unit checkpointed
-    resumed = _report(SweepConfig(**BASE, journal_dir=str(tmp_path), resume=True))
-    assert resumed == golden
+    # Exactly one unit checkpointed: lockstep trajectories are journaled as
+    # each one finishes, not when the whole lockstep call returns.
+    assert len(_journal_lines(tmp_path)) == 1
+    resumed_config = SweepConfig(
+        **BASE, batch_size=batch_size, journal_dir=str(tmp_path), resume=True
+    )
+    assert _report(resumed_config) == golden
     assert len(_journal_lines(tmp_path)) == BASE["samples_per_problem"]
     # A second resume finds a complete journal and recomputes nothing.
     with inject(FaultRule("sweep.unit", kind="kill")):
-        assert _report(SweepConfig(**BASE, journal_dir=str(tmp_path), resume=True)) == golden
+        assert _report(resumed_config) == golden

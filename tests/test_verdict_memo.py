@@ -247,6 +247,26 @@ def test_memo_hits_equal_fresh_verdicts(problem):
     assert batched._verdicts.stats.hits - hits == len(again)
 
 
+def test_a_draft_repeated_within_one_batched_call_is_judged_once(monkeypatch):
+    evaluator = make_evaluator(batch_size=4)
+    problem = get_problem("mzi_ps")
+    texts = [format_response("a", problem.golden_json), "not a netlist"]
+    judged: List[str] = []
+    parse_and_validate = evaluator._parse_and_validate
+
+    def counting(problem, text):
+        judged.append(text)
+        return parse_and_validate(problem, text)
+
+    monkeypatch.setattr(evaluator, "_parse_and_validate", counting)
+    outcomes = evaluator.evaluate_responses([(problem, text) for text in texts * 3])
+    assert sorted(judged) == sorted(texts)
+    assert outcomes[0] is outcomes[2] is outcomes[4]
+    assert outcomes[1] is outcomes[3] is outcomes[5]
+    expected = [verdict(reference_evaluate_response(evaluator, problem, text)) for text in texts]
+    assert [verdict(outcome) for outcome in outcomes] == expected * 3
+
+
 def test_memo_is_keyed_by_problem_and_text():
     evaluator = make_evaluator()
     mzi, mzm = get_problem("mzi_ps"), get_problem("mzm")
@@ -267,18 +287,30 @@ def test_memo_is_keyed_by_problem_and_text():
 # ----------------------------------------------------------------------
 # (b) Faults and crashes are never memoised
 # ----------------------------------------------------------------------
-def test_an_injected_solver_fault_is_never_memoised():
-    evaluator = make_evaluator()
+@pytest.mark.parametrize(
+    "batched, batch_size",
+    [(False, 1), (True, 1), (True, 4)],
+    ids=["evaluate_response", "evaluate_responses-batch1", "evaluate_responses-batch4"],
+)
+def test_an_injected_solver_fault_is_never_memoised(batched, batch_size):
+    evaluator = make_evaluator(batch_size=batch_size)
     problem = get_problem("mzi_ps")
     text = format_response("a", problem.golden_json)
+
+    def judge() -> AttemptOutcome:
+        if batched:
+            (outcome,) = evaluator.evaluate_responses([(problem, text)])
+            return outcome
+        return evaluator.evaluate_response(problem, text)
+
     with inject(FaultRule(point="solver.evaluate", kind="raise")):
-        faulted = evaluator.evaluate_response(problem, text)
+        faulted = judge()
         assert not faulted.syntax_ok and "FaultInjected" in faulted.error.detail
-        assert evaluator.evaluate_response(problem, text) is not faulted
+        assert judge() is not faulted
     assert evaluator._verdicts.stats.stores == 0
-    healed = evaluator.evaluate_response(problem, text)
+    healed = judge()
     assert healed.syntax_ok and healed.functional_ok
-    assert evaluator.evaluate_response(problem, text) is healed
+    assert judge() is healed
 
 
 @pytest.mark.parametrize(

@@ -74,37 +74,19 @@ _PROCPOOL_CHILD = """
 import json
 import sys
 sys.path.insert(0, {src!r})
-from repro.evalkit.outcome import EvalReport
-from repro.harness import runner
+from repro.harness.runner import SweepConfig, run_sweep
 from repro.llm.simulated import SimulatedDesigner
 
-config = runner.SweepConfig(
+config = SweepConfig(
     samples_per_problem=3, max_feedback_iterations=2, num_wavelengths=5,
     problems=("mzi_ps", "nls"), execution_mode="process", processes=1,
 )
-client = SimulatedDesigner("GPT-4o")
-model = getattr(client, "name", type(client).__name__)
-problems = config.select_problems()
-units = [
-    (False, 0, problem_index, sample_index)
-    for problem_index in range(len(problems))
-    for sample_index in range(config.samples_per_problem)
-]
-samples, stats = runner._map_units_process(
-    config, runner._client_specs([client]), (False,), units, problems,
-    model_names=(model,),
+result = run_sweep(
+    config, clients=[SimulatedDesigner("GPT-4o")], restriction_settings=(False,)
 )
-packs = {{problem.pack for problem in problems}}
-report = EvalReport(
-    model=model, with_restrictions=False,
-    samples_per_problem=config.samples_per_problem,
-    max_feedback_iterations=config.max_feedback_iterations,
-    pack=packs.pop() if len(packs) == 1 else "mixed",
-)
-for sample in samples:
-    report.add(sample)
+(report,) = result.reports.values()
 print(json.dumps(
-    {{"report": report.to_dict(), "procpool": stats.get("procpool", {{}})}},
+    {{"report": report.to_dict(), "procpool": result.engine_stats["procpool"]}},
     sort_keys=True,
 ))
 """
