@@ -1,15 +1,13 @@
-"""Cross-process file locking for shared on-disk caches.
+"""Cross-process file locking for the results store.
 
-Process-sharded sweeps (:mod:`repro.engine.procpool`) point every worker at
-one shared cache directory: the simulation cache's ``.npz`` artefacts and the
-solver's spilled compiled plans are written by whichever worker computes them
-first.  The writes themselves are atomic (temp file + ``os.replace``), so
-readers can never observe a partial file -- but without coordination two
-workers computing the same key race each other through the temp-write path,
-doubling I/O and churning the directory with redundant temp files.
+:class:`~repro.service.store.ResultsStore` serialises its SQLite write
+transactions across service processes with a ``<db>.lock`` lockfile, on top
+of SQLite's own busy handler, so concurrent writers never interleave
+partially written runs.  The on-disk simulation cache and the compiled-plan
+spill need no lock: each entry is written atomically (temp file +
+``os.replace``), and skipped when it already exists.
 
-:class:`FileLock` serialises those writers with the portable ``O_EXCL``
-lockfile protocol:
+:class:`FileLock` uses the portable ``O_EXCL`` lockfile protocol:
 
 * ``acquire`` atomically creates ``<name>.lock`` with
   ``O_CREAT | O_EXCL`` -- exactly one process can succeed -- and writes its
@@ -24,13 +22,12 @@ lockfile protocol:
   token -- a holder that was broken as stale can no longer delete the next
   owner's lock out from under it.
 * ``acquire`` is best-effort by design: on timeout it returns ``False``
-  rather than raising, because every caller in this codebase uses the lock
-  to *suppress duplicate work* around an already-atomic write -- proceeding
-  without the lock is always safe, just potentially redundant.
+  rather than raising.  Each store write is a complete SQLite transaction,
+  so proceeding without the lock is still safe -- SQLite's own locking
+  then does the serialising.
 
 The lock is advisory and cooperative: it only coordinates processes that use
-:class:`FileLock` on the same path.  That is exactly the sweep-worker
-scenario it exists for.
+:class:`FileLock` on the same path.
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@
 hash, wavelength-grid hash, registry fingerprint, port spec)``.  The memory
 tier is a thread-safe :class:`~repro._cache.LRUCache`; optionally every entry
 is also persisted as an ``.npz`` file under ``cache_dir`` so later processes
-(and parallel workers of the same sweep) start warm.
+(later sweeps, a sweep's isolated retries, process-mode service jobs) start
+warm.
 
 Only *successful* simulations are cached: a classified
 :class:`~repro.netlist.errors.PICBenchError` always propagates to the caller
@@ -33,17 +34,12 @@ from typing import Optional
 import numpy as np
 
 from .._cache import CacheStats, LRUCache
-from .._locks import FileLock
 from ..faults import RetryPolicy, fault_point, retry_call
 from ..sim.sparams import SMatrix
 
 __all__ = ["CacheStats", "LRUCache", "SimulationCache"]
 
 logger = logging.getLogger(__name__)
-
-#: Seconds a disk-cache writer waits for another process's in-flight write of
-#: the same key before falling back to its own (atomic, redundant) write.
-_WRITE_LOCK_TIMEOUT = 5.0
 
 #: Default disk-I/O retry: one quick retry, tiny backoff.  Real disk faults
 #: are either transient (NFS hiccup, AV scanner) or permanent; more attempts
@@ -64,8 +60,8 @@ class SimulationCache:
         Capacity of the in-memory LRU tier; ``<= 0`` disables caching.
     cache_dir:
         Optional directory for ``.npz`` persistence.  Entries are written
-        atomically (temp file + rename) so concurrent sweep workers sharing a
-        directory never observe partial files.
+        atomically (temp file + rename) so processes sharing a directory
+        never observe partial files.
     retry_policy:
         Retry behaviour for transient disk I/O errors on both the read and
         the write path.  Defaults to one quick retry with a short backoff.
@@ -195,13 +191,12 @@ class SimulationCache:
     def put(self, key: str, smatrix: SMatrix) -> None:
         """Store one simulated result in every configured tier.
 
-        Disk writes are coordinated across processes by an advisory
-        ``<entry>.lock`` file: concurrent sweep workers computing the same
-        content-addressed key serialise on it, and whoever arrives second
-        finds the entry already on disk and skips the redundant write.  The
-        lock is best-effort -- an unacquirable lock degrades to the plain
-        atomic temp-file + rename write, which is safe (just redundant)
-        because equal keys always carry equal content.
+        The disk write is skipped when the entry already exists, and is
+        otherwise atomic (temp file + rename), so no lock is needed: two
+        processes that write the same content-addressed key at once both
+        rename a complete file carrying equal content, and readers see one
+        or the other.  Process-tier sweeps give each worker whole problems,
+        so within a sweep that race does not arise at all.
         """
         if not np.all(np.isfinite(smatrix.data)):
             # A NaN/inf result must never be served from cache as if it were
@@ -212,33 +207,20 @@ class SimulationCache:
             return
         self._memory.put(key, smatrix)
         path = self._disk_path(key)
-        if path is None:
-            return
+        if path is None or path.exists():
+            return  # an existing content-addressed entry is already valid
         # Mid-run disk trouble (directory removed, disk full) must not fail
         # the simulation itself: degrade to memory-only caching.
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
+            retry_call(
+                lambda: self._write_entry(path, smatrix),
+                policy=self._retry_policy,
+                seed=f"cache.disk_write:{key}",
+                on_retry=self._count_disk_retry,
+            )
         except OSError:
-            return
-        lock = FileLock(path.with_suffix(".lock"), timeout=_WRITE_LOCK_TIMEOUT)
-        locked = lock.acquire()
-        try:
-            if locked and path.exists():
-                # Another worker finished this key while we waited: the
-                # content-addressed entry is already valid.
-                return
-            try:
-                retry_call(
-                    lambda: self._write_entry(path, smatrix),
-                    policy=self._retry_policy,
-                    seed=f"cache.disk_write:{key}",
-                    on_retry=self._count_disk_retry,
-                )
-            except OSError:
-                pass  # persistent disk trouble: degrade to memory-only caching
-        finally:
-            if locked:
-                lock.release()
+            pass  # persistent disk trouble: degrade to memory-only caching
 
     @staticmethod
     def _write_entry(path: Path, smatrix: SMatrix) -> None:

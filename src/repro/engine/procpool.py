@@ -16,16 +16,15 @@ stays picklable under both ``fork`` and ``spawn`` start methods:
 
 ``builder_ref(payload) -> context``
     Runs once per worker process and builds whatever live state the units
-    need (engine, caches, clients).  Workers of one sweep share the on-disk
-    simulation cache and compiled-plan spill through the engine's
-    ``cache_dir`` / ``plan_dir``.
+    need (engine, caches, clients).
 ``runner_ref(context, task) -> result``
     Runs one task (``per_task=True``), or ``runner_ref(context, tasks) ->
     results`` for a whole shard at once (``per_task=False`` -- used when the
     shard should be fused, e.g. the batched evaluation path).
 ``stats_ref(context) -> dict``
-    Optional per-worker counters snapshot, collected after each shard and
-    merged with :func:`aggregate_engine_stats`.
+    Optional cumulative counters snapshot of one worker, taken after each
+    shard; the parent keeps each worker process's latest snapshot, so
+    :func:`aggregate_engine_stats` counts every worker once.
 
 Failure isolation: an exception inside a unit is captured and returned as a
 :class:`UnitFailure` for that unit only.  A worker *crash* (segfault,
@@ -49,6 +48,7 @@ import os
 import pickle
 import time
 import traceback
+import uuid
 from concurrent.futures import FIRST_COMPLETED, as_completed, wait
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
@@ -129,10 +129,17 @@ _DEFAULT_UNIT_RETRY = RetryPolicy(attempts=2, base_delay=0.1, max_delay=1.0)
 # ----------------------------------------------------------------------
 _WORKER_CONTEXT: Any = None
 
+#: This worker process's identity (its pid plus a token, so a recycled pid is
+#: a new worker) and how many shards it has run: the parent keeps only the
+#: latest of a worker's cumulative stats snapshots.
+_WORKER_ID: str = ""
+_WORKER_SHARDS = 0
+
 
 def _worker_init(builder_ref: str, payload: Any) -> None:
     """Pool initializer: build this process's context from the spec."""
-    global _WORKER_CONTEXT
+    global _WORKER_CONTEXT, _WORKER_ID
+    _WORKER_ID = f"{os.getpid()}:{uuid.uuid4().hex}"
     _WORKER_CONTEXT = resolve_ref(builder_ref)(payload)
 
 
@@ -155,8 +162,13 @@ def _worker_run_shard(
     tasks: List[Any],
     per_task: bool,
     stats_ref: Optional[str],
-) -> Tuple[List[Any], Optional[Dict[str, object]]]:
-    """Run one shard of tasks; each slot is a result or a UnitFailure."""
+) -> Tuple[List[Any], Optional[Tuple[str, int, Dict[str, object]]]]:
+    """Run one shard of tasks; each slot is a result or a UnitFailure.
+
+    The stats entry is ``(worker id, shards run, snapshot)`` or ``None``.
+    """
+    global _WORKER_SHARDS
+    _WORKER_SHARDS += 1
     runner = resolve_ref(runner_ref)
     results: List[Any] = []
     if per_task:
@@ -178,10 +190,10 @@ def _worker_run_shard(
         except Exception as exc:  # noqa: BLE001 - isolated per shard
             failure = _capture_failure(exc)
             results = [failure] * len(tasks)
-    stats: Optional[Dict[str, object]] = None
+    stats = None
     if stats_ref is not None:
         try:
-            stats = resolve_ref(stats_ref)(_WORKER_CONTEXT)
+            stats = (_WORKER_ID, _WORKER_SHARDS, resolve_ref(stats_ref)(_WORKER_CONTEXT))
         except Exception:  # noqa: BLE001 - stats are best-effort
             stats = None
     return results, stats
@@ -190,6 +202,18 @@ def _worker_run_shard(
 # ----------------------------------------------------------------------
 # Parent-side scheduler
 # ----------------------------------------------------------------------
+def _keep_latest(
+    latest: Dict[str, Tuple[int, Dict[str, object]]],
+    stats: Optional[Tuple[str, int, Dict[str, object]]],
+) -> None:
+    """Record a shard's stats entry unless its worker already sent a later one."""
+    if stats is None:
+        return
+    worker, shards, snapshot = stats
+    if worker not in latest or latest[worker][0] < shards:
+        latest[worker] = (shards, snapshot)
+
+
 class ProcessScheduler:
     """Shards tasks over a process pool with order-preserving merge.
 
@@ -262,9 +286,10 @@ class ProcessScheduler:
     def shard_bounds(count: int, shards: int) -> List[Tuple[int, int]]:
         """Split ``range(count)`` into at most ``shards`` contiguous spans.
 
-        Contiguity matters: the harness orders units so that one shard holds
-        whole (problem x sample-group) runs, which keeps the batched
-        evaluation path's fusion opportunities intact.
+        The equal-count split is :meth:`map`'s default.  A caller that knows
+        its units' costs and shared work passes its own ``bounds`` instead:
+        the sweep harness gives each shard one problem's units, costliest
+        problem first.
         """
         shards = max(1, min(shards, count))
         base, extra = divmod(count, shards)
@@ -285,13 +310,20 @@ class ProcessScheduler:
         per_task: bool = True,
         stats_ref: Optional[str] = None,
         on_result: Optional[Callable[[int, Any], None]] = None,
+        bounds: Optional[Sequence[Tuple[int, int]]] = None,
     ) -> Tuple[List[Any], List[Dict[str, object]]]:
         """Run every task; slot ``i`` of the result is task ``i``'s outcome.
 
         Returns ``(results, stats)``: ``results[i]`` is the runner's return
-        value or a :class:`UnitFailure`; ``stats`` collects one snapshot per
-        completed shard when ``stats_ref`` is given.  The merge is by task
-        index, so the output order never depends on worker scheduling.
+        value or a :class:`UnitFailure`; ``stats`` holds the latest snapshot
+        of each worker process when ``stats_ref`` is given (snapshots are
+        cumulative, so summing them counts every worker once).  The merge is
+        by task index, so the output order never depends on worker
+        scheduling.
+
+        ``bounds`` lists the shards as contiguous ``(lo, hi)`` spans covering
+        every task once, in submission order; the default is
+        :meth:`shard_bounds` over ``shards_per_worker`` shards per process.
 
         ``on_result(index, result)`` fires in the parent as each unit's
         outcome lands (shard completion order, not index order) -- the
@@ -300,14 +332,15 @@ class ProcessScheduler:
         """
         tasks = list(tasks)
         results: List[Any] = [None] * len(tasks)
-        stats_list: List[Dict[str, object]] = []
+        latest: Dict[str, Tuple[int, Dict[str, object]]] = {}
         if not tasks:
-            return results, stats_list
+            return results, []
         processes = min(self.processes, len(tasks))
-        bounds = self.shard_bounds(len(tasks), processes * self.shards_per_worker)
+        if bounds is None:
+            bounds = self.shard_bounds(len(tasks), processes * self.shards_per_worker)
         mp_context = self._context()
         retry_spans: List[Tuple[int, int]] = []
-        pool = self._pool(mp_context, processes)
+        pool = self._pool(mp_context, min(processes, len(bounds)))
         try:
             future_spans = {}
             for lo, hi in bounds:
@@ -331,8 +364,7 @@ class ProcessScheduler:
                     retry_spans.append((lo, hi))
                 else:
                     results[lo:hi] = shard_results
-                    if stats is not None:
-                        stats_list.append(stats)
+                    _keep_latest(latest, stats)
                     if on_result is not None:
                         for offset, value in enumerate(shard_results):
                             on_result(lo + offset, value)
@@ -352,11 +384,11 @@ class ProcessScheduler:
                 per_task,
                 stats_ref,
                 results,
-                stats_list,
+                latest,
                 mp_context,
                 on_result,
             )
-        return results, stats_list
+        return results, [snapshot for _, snapshot in latest.values()]
 
     def _watch(self, pool, future_spans, retry_spans, merge) -> None:
         """Progress watchdog over the in-flight shards.
@@ -402,7 +434,7 @@ class ProcessScheduler:
         per_task: bool,
         stats_ref: Optional[str],
         results: List[Any],
-        stats_list: List[Dict[str, object]],
+        latest: Dict[str, Tuple[int, Dict[str, object]]],
         mp_context,
         on_result: Optional[Callable[[int, Any], None]] = None,
     ) -> None:
@@ -459,8 +491,7 @@ class ProcessScheduler:
                         )
                         continue
                     results[index] = shard_results[0]
-                    if stats is not None:
-                        stats_list.append(stats)
+                    _keep_latest(latest, stats)
                     if on_result is not None:
                         on_result(index, shard_results[0])
                     failure = None

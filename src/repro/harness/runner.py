@@ -69,11 +69,12 @@ class SweepConfig:
 
     ``execution_mode`` selects the parallel tier: ``"thread"`` (default)
     runs work units on the engine's thread pool; ``"process"`` shards them
-    across ``processes`` worker processes (``0`` = one per core), each of
-    which rebuilds its engine and clients from a picklable spec and shares
-    the on-disk simulation cache and compiled-plan spill through
-    ``cache_dir``.  Results merge in unit order, so process-sharded sweeps
-    are byte-identical to sequential ones.  Process mode requires
+    across ``processes`` worker processes (``0`` = one per core), one
+    problem per shard and costliest problem first, each of which rebuilds
+    its engine and clients from a picklable spec and keeps the on-disk
+    simulation cache and compiled-plan spill under ``cache_dir``.  Results
+    merge in unit order, so process-sharded sweeps are byte-identical to
+    sequential ones.  Process mode requires
     spec-constructible clients (the bundled :class:`SimulatedDesigner`);
     live API clients hold sockets that cannot cross a process boundary.
 
@@ -311,8 +312,11 @@ def _build_sweep_worker(payload: Dict[str, object]) -> Dict[str, object]:
     Runs once per worker process (resolved by dotted reference from
     :class:`~repro.engine.procpool.WorkerSpec`).  The worker's engine is
     single-threaded thread-mode -- parallelism lives at the process tier --
-    but shares the parent's ``cache_dir`` (simulation ``.npz`` entries and
-    the compiled-plan spill), so workers warm each other across the sweep.
+    but keeps the parent's ``cache_dir`` (simulation ``.npz`` entries and
+    the compiled-plan spill).  Within one sweep the workers hold disjoint
+    problems (see :func:`_problem_shards`), so the disk tiers warm later
+    sweeps, isolated retries and process-mode service jobs rather than a
+    worker's peers.
     """
     config: SweepConfig = payload["config"]  # type: ignore[assignment]
     engine = ExecutionEngine(
@@ -387,6 +391,40 @@ def _crashed_sample(problem_name: str, sample_index: int, failure: UnitFailure) 
     return sample
 
 
+def _problem_shards(
+    units: Sequence[Tuple[bool, int, int, int]],
+    problems: Sequence[Problem],
+    span: int,
+) -> Tuple[List[int], List[Tuple[int, int]]]:
+    """Problem-major order of ``units`` and the shard spans over that order.
+
+    Returns ``(order, bounds)``: ``order[i]`` is the position in ``units`` of
+    the ``i``-th reordered unit, and ``bounds`` are contiguous ``(lo, hi)``
+    spans over the reordered list.  Problems come costliest first (by
+    :attr:`Problem.complexity`, ties by problem index), which is
+    longest-processing-time-first list scheduling (Graham, 1969): the pool's
+    queue hands the big fabrics out first and balances the small problems
+    behind them.  Each problem's units form one shard, or ``ceil(n / span)``
+    equal shards when it has more than ``span`` units, so no shard mixes
+    problems and a one-problem sweep still reaches every worker.  A problem's
+    golden design, compiled plans, simulations and repeated drafts then live
+    in one worker only: the workers judge, solve and compile exactly what a
+    sequential sweep does.
+    """
+    by_problem: Dict[int, List[int]] = {}
+    for position, unit in enumerate(units):
+        by_problem.setdefault(unit[2], []).append(position)
+    order: List[int] = []
+    bounds: List[Tuple[int, int]] = []
+    for problem_index in sorted(by_problem, key=lambda p: (-problems[p].complexity, p)):
+        positions = by_problem[problem_index]
+        pieces = -(-len(positions) // span)
+        for lo, hi in ProcessScheduler.shard_bounds(len(positions), pieces):
+            bounds.append((len(order) + lo, len(order) + hi))
+        order.extend(positions)
+    return order, bounds
+
+
 def _open_journal(
     config: SweepConfig,
     model_names: Sequence[str],
@@ -418,10 +456,12 @@ def _map_units_process(
 ) -> Tuple[List[SampleResult], Dict[str, object]]:
     """Run unit specs on a process pool; returns ordered samples and stats.
 
+    The pool runs the units in :func:`_problem_shards` order, one problem
+    per shard; the samples come back in the order of ``units``.
     ``on_result(index, outcome)`` fires in the parent as each unit's
-    outcome lands (see :meth:`ProcessScheduler.map`); a unit whose worker
-    died or raised is passed as its :class:`UnitFailure` and returned as a
-    synthesised failure record.
+    outcome lands (see :meth:`ProcessScheduler.map`), with ``index`` a
+    position in ``units``; a unit whose worker died or raised is passed as
+    its :class:`UnitFailure` and returned as a synthesised failure record.
     """
     spec = WorkerSpec(
         builder_ref="repro.harness.runner:_build_sweep_worker",
@@ -437,22 +477,29 @@ def _map_units_process(
         retry_policy=config.unit_retry_policy(),
         unit_timeout=config.unit_timeout,
     )
+    # The equal-count split's shard size: a problem with more pending units
+    # than this is cut into several shards.
+    shards = min(scheduler.processes, len(units)) * scheduler.shards_per_worker
+    order, bounds = _problem_shards(units, problems, span=-(-len(units) // max(1, shards)))
+    reordered = [units[position] for position in order]
     per_task = config.batch_size <= 1
     raw, stats_list = scheduler.map(
         "repro.harness.runner:_run_sweep_unit"
         if per_task
         else "repro.harness.runner:_run_sweep_shard",
-        units,
+        reordered,
         per_task=per_task,
         stats_ref="repro.harness.runner:_sweep_worker_stats",
-        on_result=on_result,
+        on_result=None if on_result is None else lambda i, outcome: on_result(order[i], outcome),
+        bounds=bounds,
     )
-    samples = [
-        _crashed_sample(problems[unit[2]].name, unit[3], outcome)
-        if isinstance(outcome, UnitFailure)
-        else outcome
-        for unit, outcome in zip(units, raw)
-    ]
+    samples: List[SampleResult] = [None] * len(units)  # type: ignore[list-item]
+    for position, unit, outcome in zip(order, reordered, raw):
+        samples[position] = (
+            _crashed_sample(problems[unit[2]].name, unit[3], outcome)
+            if isinstance(outcome, UnitFailure)
+            else outcome
+        )
     engine_stats = aggregate_engine_stats(stats_list)
     engine_stats["procpool"] = dict(scheduler.counters)
     parent_faults = fault_stats()
@@ -553,8 +600,8 @@ def run_sweep(
         if config.execution_mode == "process":
             # Process tier: ship picklable specs, rebuild everything
             # worker-side.  A caller-provided engine or golden store cannot
-            # cross the process boundary and is ignored here; workers share
-            # the on-disk tiers via cache_dir.
+            # cross the process boundary and is ignored here; workers keep
+            # the on-disk tiers under cache_dir.
             fresh, result.engine_stats = _map_units_process(
                 config,
                 _client_specs(clients),

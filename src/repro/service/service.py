@@ -47,7 +47,7 @@ class EvalService:
     cache_dir:
         Optional on-disk cache directory shared by every job -- thread-mode
         jobs persist ``.npz``/plan artefacts there, and process-mode jobs'
-        workers warm each other through it.
+        workers start warm from what earlier jobs left there.
     job_workers:
         Worker threads of the job queue = maximum concurrently RUNNING jobs.
     engine_workers:

@@ -19,8 +19,7 @@ sticks to the portable subset (TEXT/INTEGER/REAL columns, standard DML) so
 the same statements -- and the same migration ladder -- can target Postgres
 later.  Cross-process writers are serialised with the
 :class:`~repro._locks.FileLock` lockfile next to the database file (on top
-of SQLite's own busy handler), mirroring how the ``.npz`` cache coordinates
-sweep workers.
+of SQLite's own busy handler).
 """
 
 from __future__ import annotations
@@ -251,7 +250,7 @@ class ResultsStore:
         return conn
 
     def _write_lock(self) -> FileLock:
-        """The cross-process writer lock (advisory, like the cache locks)."""
+        """The cross-process writer lock (advisory; see :mod:`repro._locks`)."""
         return FileLock(self._lock_path, timeout=self._lock_timeout)
 
     def _ensure_schema(self, conn: sqlite3.Connection) -> None:

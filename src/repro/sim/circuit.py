@@ -59,7 +59,6 @@ import numpy as np
 
 from .._cache import CacheStats, LRUCache
 from .._fingerprint import func_identity, settings_fingerprint
-from .._locks import FileLock
 from ..constants import normalize_wavelengths
 from ..netlist.errors import OtherSyntaxError
 from ..netlist.schema import Instance, Netlist
@@ -103,10 +102,6 @@ _MEMO_MAX_ENTRIES = 8192
 
 #: Filename prefix of spilled compiled plans under ``plan_dir``.
 _PLAN_PREFIX = "plan-"
-
-#: Seconds a plan-spill writer waits for a concurrent writer of the same
-#: topology before falling back to its own (atomic, redundant) write.
-_PLAN_LOCK_TIMEOUT = 5.0
 
 #: Target bytes of one fused executor pass's working set (coefficient
 #: array, workspace, contribution buffer, output block).  Batched execution
@@ -192,10 +187,11 @@ class CircuitSolver:
         identical.
     plan_dir:
         Optional directory for the disk-backed plan-cache spill: every
-        compiled plan is additionally pickled (atomically, under an advisory
-        cross-process file lock) to ``plan_dir/plan-<fingerprint>.pkl``, and
-        a memory-tier miss tries the spill before recompiling.  This is what
-        lets process-sharded sweep workers share structure work: topology
+        compiled plan is additionally pickled (atomically, unless the file
+        already exists) to ``plan_dir/plan-<fingerprint>.pkl``, and a
+        memory-tier miss tries the spill before recompiling.  This is what
+        lets later processes (a later sweep, an isolated retry, a
+        process-mode service job) reuse structure work: topology
         fingerprints are content-derived and model identities are
         ``module.qualname`` strings, so a plan spilled by one process is
         valid in any other process running the same code.  The directory is
@@ -332,42 +328,33 @@ class CircuitSolver:
         return compiled
 
     def _plan_store(self, fingerprint: str, compiled: CompiledCircuit) -> None:
-        """Cache a freshly compiled plan in memory and spill it to disk."""
+        """Cache a freshly compiled plan in memory and spill it to disk.
+
+        Same protocol as the simulation cache's ``.npz`` writes: skip the
+        write when the spill already exists, else write a temp file and
+        rename it into place, so concurrent writers of one topology need no
+        lock.  Disk trouble must never fail the evaluation -- the memory
+        tier already has the plan.
+        """
         self._plan_cache.put(fingerprint, compiled)
         path = self._plan_path(fingerprint)
-        if path is None:
+        if path is None or path.exists():
             return
-        # Same protocol as the simulation cache's .npz writes: serialise
-        # concurrent same-key writers on an advisory lock, skip the write
-        # when another process finished it first, and degrade to the plain
-        # atomic write when the lock cannot be taken.  Disk trouble must
-        # never fail the evaluation -- the memory tier already has the plan.
+        tmp_name = None
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-        except OSError:
-            return
-        lock = FileLock(path.with_suffix(".lock"), timeout=_PLAN_LOCK_TIMEOUT)
-        locked = lock.acquire()
-        try:
-            if locked and path.exists():
-                return
-            tmp_name = None
-            try:
-                handle, tmp_name = tempfile.mkstemp(
-                    prefix=_PLAN_PREFIX, suffix=".tmp", dir=str(path.parent)
-                )
-                with os.fdopen(handle, "wb") as tmp:
-                    pickle.dump(compiled, tmp, protocol=pickle.HIGHEST_PROTOCOL)
-                os.replace(tmp_name, path)
-            except (OSError, pickle.PicklingError):
-                if tmp_name is not None:
-                    try:
-                        os.unlink(tmp_name)
-                    except OSError:
-                        pass
-        finally:
-            if locked:
-                lock.release()
+            handle, tmp_name = tempfile.mkstemp(
+                prefix=_PLAN_PREFIX, suffix=".tmp", dir=str(path.parent)
+            )
+            with os.fdopen(handle, "wb") as tmp:
+                pickle.dump(compiled, tmp, protocol=pickle.HIGHEST_PROTOCOL)
+            os.replace(tmp_name, path)
+        except (OSError, pickle.PicklingError):
+            if tmp_name is not None:
+                try:
+                    os.unlink(tmp_name)
+                except OSError:
+                    pass
 
     # ------------------------------------------------------------------
     # Public API

@@ -1,4 +1,5 @@
-"""Tests of the cross-process advisory file lock and its cache integration."""
+"""Tests of the cross-process advisory file lock, and of the lock-free
+concurrent writes of the simulation cache and the compiled-plan spill."""
 
 from __future__ import annotations
 
@@ -11,8 +12,10 @@ import numpy as np
 import pytest
 
 from repro._locks import FileLock
+from repro.bench import get_problem
 from repro.engine.cache import SimulationCache
 from repro.faults import FaultRule, clear_plan, inject
+from repro.sim import CircuitSolver
 from repro.sim.sparams import SMatrix
 
 
@@ -222,4 +225,32 @@ def test_concurrent_cache_puts_stay_consistent(tmp_path):
         assert entry is not None
         assert np.all(entry.data == complex(key_index + 1))
     # No lock files are left behind once every writer has finished.
+    assert not list(tmp_path.glob("*.lock"))
+
+
+def _plan_store_worker(plan_dir: str, compiled) -> None:
+    """Spill one compiled plan into the shared directory, repeatedly."""
+    solver = CircuitSolver(plan_dir=plan_dir)
+    for _ in range(3):
+        solver._plan_store(compiled.fingerprint, compiled)
+
+
+def test_concurrent_plan_spills_stay_consistent(tmp_path):
+    """Concurrent same-topology plan writers leave one loadable spill."""
+    compiled = CircuitSolver().compile(get_problem("clements_4x4").golden_netlist())
+    ctx = multiprocessing.get_context()
+    procs = [
+        ctx.Process(target=_plan_store_worker, args=(str(tmp_path), compiled))
+        for _ in range(4)
+    ]
+    for proc in procs:
+        proc.start()
+    for proc in procs:
+        proc.join(timeout=60)
+        assert proc.exitcode == 0
+    loaded = CircuitSolver(plan_dir=tmp_path)._plan_lookup(compiled.fingerprint)
+    assert loaded is not None
+    assert loaded.fingerprint == compiled.fingerprint
+    assert len(list(tmp_path.glob("plan-*.pkl"))) == 1
+    assert not list(tmp_path.glob("*.tmp"))
     assert not list(tmp_path.glob("*.lock"))

@@ -1,10 +1,11 @@
 """Tests of process-sharded sweep execution.
 
 Covers the generic :class:`~repro.engine.procpool.ProcessScheduler` (order
-preservation, failure isolation, worker-crash containment, stats merging)
-and the harness integration: process-sharded sweeps must be byte-identical
+preservation, caller-given shard bounds, failure isolation, worker-crash
+containment, stats merging) and the harness integration: shards hold whole
+problems, costliest first, and process-sharded sweeps must be byte-identical
 to sequential ones across every registered problem pack, in both per-unit
-and batched (``batch_size > 1``) dispatch.
+and batched (``batch_size > 1``) dispatch, with the sequential cache counts.
 """
 
 from __future__ import annotations
@@ -13,11 +14,13 @@ import json
 import multiprocessing
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.bench.packs import pack_names
+from repro.engine.engine import ExecutionEngine
 from repro.engine.procpool import (
     ProcessScheduler,
     UnitFailure,
@@ -26,7 +29,7 @@ from repro.engine.procpool import (
     resolve_processes,
 )
 from repro.faults import FaultRule, RetryPolicy, clear_plan, inject
-from repro.harness.runner import SweepConfig, run_model, run_sweep
+from repro.harness.runner import SweepConfig, _problem_shards, run_model, run_sweep
 from repro.llm.profiles import DEFAULT_PROFILES
 from repro.llm.simulated import SimulatedDesigner
 
@@ -90,6 +93,15 @@ def _context_stats(context):
     return {"built": 1, "offset": context["offset"]}
 
 
+def _counting_task(context, task):
+    context["runs"] = context.get("runs", 0) + 1
+    return task
+
+
+def _run_count_stats(context):
+    return {"runs": context.get("runs", 0), "offset": context["offset"]}
+
+
 OFFSET_SPEC = WorkerSpec(
     builder_ref="test_procpool:_build_offset_context", payload={"offset": 100}
 )
@@ -122,6 +134,36 @@ def test_scheduler_collects_worker_stats():
     assert results[3] == 109
     assert stats and all(snapshot["offset"] == 100 for snapshot in stats)
     assert aggregate_engine_stats(stats)["built"] == len(stats)
+
+
+def test_worker_stats_count_each_worker_once():
+    """Snapshots are cumulative: only each worker's latest one is kept."""
+    scheduler = ProcessScheduler(OFFSET_SPEC, processes=2)
+    _, stats = scheduler.map(
+        "test_procpool:_counting_task",
+        list(range(40)),
+        stats_ref="test_procpool:_run_count_stats",
+    )
+    assert aggregate_engine_stats(stats)["runs"] == 40
+    assert 1 <= len(stats) <= 2
+    assert all(snapshot["offset"] == 100 for snapshot in stats)
+
+
+def test_scheduler_runs_caller_bounds():
+    scheduler = ProcessScheduler(OFFSET_SPEC, processes=2)
+    tasks = list(range(9))
+    seen = []
+    results, stats = scheduler.map(
+        "test_procpool:_square_shard",
+        tasks,
+        per_task=False,
+        stats_ref="test_procpool:_context_stats",
+        bounds=[(0, 5), (5, 6), (6, 9)],
+        on_result=lambda index, value: seen.append(index),
+    )
+    assert results == [100 + task * task for task in tasks]
+    assert sorted(seen) == tasks
+    assert 1 <= len(stats) <= 2
 
 
 def test_unit_exception_is_isolated():
@@ -254,6 +296,49 @@ def test_shard_bounds_partition():
     assert ProcessScheduler.shard_bounds(5, 1) == [(0, 5)]
 
 
+def _units(problems, settings=(False, True), clients=2, samples=3):
+    return [
+        (restrictions, client, problem, sample)
+        for restrictions in settings
+        for client in range(clients)
+        for problem in range(problems)
+        for sample in range(samples)
+    ]
+
+
+class _Sized:
+    def __init__(self, complexity):
+        self.complexity = complexity
+
+
+def test_problem_shards_keep_problems_whole_and_costliest_first():
+    problems = [_Sized(3), _Sized(28), _Sized(6), _Sized(28), _Sized(6)]
+    units = _units(len(problems))
+    order, bounds = _problem_shards(units, problems, span=12)
+    assert sorted(order) == list(range(len(units)))
+    # Descending complexity, ties by problem index.
+    assert [units[order[lo]][2] for lo, _ in bounds] == [1, 3, 2, 4, 0]
+    # Twelve units per problem, one shard each, covering the order once.
+    assert bounds == [(0, 12), (12, 24), (24, 36), (36, 48), (48, 60)]
+    for lo, hi in bounds:
+        assert len({units[position][2] for position in order[lo:hi]}) == 1
+    # Within a problem the units keep their sweep order.
+    assert order[:12] == sorted(order[:12])
+
+
+def test_problem_shards_split_only_above_the_span():
+    problems = [_Sized(5), _Sized(9)]
+    units = _units(len(problems))  # twelve units per problem
+    _, bounds = _problem_shards(units, problems, span=12)
+    assert bounds == [(0, 12), (12, 24)]
+    _, bounds = _problem_shards(units, problems, span=11)
+    assert bounds == [(0, 6), (6, 12), (12, 18), (18, 24)]
+    # A one-problem sweep still reaches every worker.
+    _, bounds = _problem_shards(_units(1, samples=1), [_Sized(4)], span=1)
+    assert bounds == [(0, 1), (1, 2), (2, 3), (3, 4)]
+    assert _problem_shards([], [], span=0) == ([], [])
+
+
 def test_resolve_processes():
     assert resolve_processes(3) == 3
     assert resolve_processes(0) >= 1
@@ -307,6 +392,20 @@ def test_process_sweep_batched_dispatch_is_byte_identical():
         restriction_settings=(False, True),
     )
     assert _canonical(batched) == _canonical(sequential)
+
+
+def test_process_sweep_counts_the_sequential_cache_traffic():
+    """Workers hold whole problems, so no key is computed twice: the merged
+    worker counters equal the sequential sweep's, hit for hit."""
+    config = SweepConfig(samples_per_problem=1, num_wavelengths=TEST_NUM_WAVELENGTHS)
+    engine = ExecutionEngine(config.engine_config())
+    sequential = run_sweep(config, engine=engine)
+    process = run_sweep(replace(config, execution_mode="process", processes=2))
+    assert _canonical(process) == _canonical(sequential)
+    expected = engine.stats()
+    for tier in ("simulation_cache", "plan_cache"):
+        for counter in ("hits", "misses"):
+            assert process.engine_stats[tier][counter] == expected[tier][counter], (tier, counter)
 
 
 def test_process_sweep_shares_disk_caches(tmp_path):

@@ -214,6 +214,17 @@ def test_process_mode_resumes_a_thread_mode_journal(tmp_path):
         assert _report(process_config) == golden
 
 
+def test_thread_mode_resumes_a_process_mode_journal(tmp_path):
+    """The process tier runs units costliest problem first, yet journals each
+    one under its own key, so a thread-mode resume serves every unit."""
+    config = SweepConfig(**{**BASE, "problems": ("mzi_ps", "clements_4x4", "nls")})
+    golden = _report(config)
+    journaled = replace(config, journal_dir=str(tmp_path))
+    assert _report(replace(journaled, execution_mode="process", processes=2)) == golden
+    with inject(FaultRule("sweep.unit", kind="kill")):
+        assert _report(replace(journaled, resume=True)) == golden
+
+
 # ----------------------------------------------------------------------
 # Kill and resume (subprocess: the injected kill is a real process death)
 # ----------------------------------------------------------------------
