@@ -18,7 +18,6 @@ higher layers depend on it, never the other way around.
 
 from .cache import CacheStats, LRUCache, SimulationCache
 from .engine import (
-    EXECUTION_MODES,
     EngineBatchStats,
     EngineConfig,
     ExecutionEngine,
@@ -45,7 +44,6 @@ __all__ = [
     "CacheStats",
     "LRUCache",
     "SimulationCache",
-    "EXECUTION_MODES",
     "EngineBatchStats",
     "EngineConfig",
     "ExecutionEngine",

@@ -38,16 +38,11 @@ from .fingerprint import grid_fingerprint, netlist_fingerprint, registry_fingerp
 from .scheduler import TaskScheduler
 
 __all__ = [
-    "EXECUTION_MODES",
     "EngineBatchStats",
     "EngineConfig",
     "ExecutionEngine",
     "stats_delta",
 ]
-
-#: Recognised parallel execution tiers (see :attr:`EngineConfig.execution_mode`).
-EXECUTION_MODES: Tuple[str, ...] = ("thread", "process")
-
 
 @dataclass
 class EngineBatchStats:
@@ -121,19 +116,6 @@ class EngineConfig:
         only caps their chunk size when > 1.  Purely a performance knob:
         results -- and simulation cache keys -- are identical for any batch
         size.
-    execution_mode:
-        Parallel execution tier of sweep-shaped work: ``"thread"`` (the
-        default) runs work units on this engine's thread pool; ``"process"``
-        shards them across worker *processes* (see
-        :mod:`repro.engine.procpool`), each rebuilding its engine from a
-        picklable spec and sharing the on-disk caches through ``cache_dir``.
-        The engine itself always evaluates in-process -- the tier is
-        consumed by the sweep layer (``run_sweep``/``run_model``), which is
-        where work units are spec-shaped.  Results are byte-identical
-        across tiers.
-    processes:
-        Worker-process count of the ``"process"`` tier; ``0`` or negative
-        means one per CPU core.  Ignored under ``"thread"``.
     plan_dir:
         Optional directory for the solver's disk-backed compiled-plan spill
         (see :class:`repro.sim.circuit.CircuitSolver`).  Defaults to
@@ -158,18 +140,11 @@ class EngineConfig:
     plan_cache_entries: int = 128
     wavelength_chunk: Optional[int] = None
     batch_size: int = 1
-    execution_mode: str = "thread"
-    processes: int = 0
     plan_dir: Optional[Path | str] = None
     io_retry_attempts: int = 2
     io_retry_backoff: float = 0.02
 
     def __post_init__(self) -> None:
-        if self.execution_mode not in EXECUTION_MODES:
-            raise ValueError(
-                f"unknown execution mode {self.execution_mode!r}; "
-                f"choose one of {list(EXECUTION_MODES)}"
-            )
         if self.io_retry_attempts < 1:
             raise ValueError("io_retry_attempts must be >= 1")
 
@@ -521,7 +496,6 @@ class ExecutionEngine:
         solver_batch = self.solver.batch_stats()
         return {
             "workers": self.workers,
-            "execution_mode": self.config.execution_mode,
             "batch_size": self.config.batch_size,
             "simulation_cache": self.cache.stats.as_dict(),
             "simulation_hit_rate": self.cache.stats.hit_rate,
@@ -562,7 +536,7 @@ def stats_delta(
         elif (
             isinstance(after_value, bool)
             or not isinstance(after_value, (int, float))
-            or key in ("workers", "batch_size", "processes")
+            or key in ("workers", "batch_size")
         ):
             # Configuration leaves are not counters: keep the current value.
             delta[key] = after_value

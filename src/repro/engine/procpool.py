@@ -510,7 +510,7 @@ class ProcessScheduler:
 # ----------------------------------------------------------------------
 #: Descriptive (non-counter) keys of ``ExecutionEngine.stats()`` snapshots:
 #: identical across workers, kept as-is instead of summed.
-_DESCRIPTIVE_KEYS = ("workers", "execution_mode", "batch_size")
+_DESCRIPTIVE_KEYS = ("workers", "batch_size")
 
 #: Hit-rate keys and the counter sub-dict each is recomputed from.
 _HIT_RATE_SOURCES = {

@@ -31,12 +31,9 @@ Run the evaluation service (forwarded to :mod:`repro.service.cli`)::
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
-from ..engine.engine import EXECUTION_MODES
-from ..sim.circuit import SOLVER_BACKENDS
 from .ablation import restriction_ablation_text, run_restriction_ablation
 from .figures import figure2_text, figure3_text, figure4_text
 from .runner import SweepConfig, run_sweep
@@ -81,198 +78,19 @@ def build_parser() -> argparse.ArgumentParser:
         default="GPT-4o",
         help="designer profile used by the 'ablate' target",
     )
-    parser.add_argument("--samples", type=int, default=5, help="samples per problem (n of Pass@k)")
-    parser.add_argument(
-        "--feedback", type=int, default=3, help="maximum number of error-feedback iterations"
-    )
-    parser.add_argument(
-        "--wavelengths", type=int, default=41, help="number of evaluation wavelength points"
-    )
-    parser.add_argument("--seed", type=int, default=0, help="base random seed of the sweep")
-    parser.add_argument(
-        "--problems",
-        nargs="*",
-        default=None,
-        help="restrict the sweep to these problem names (default: the whole pack)",
-    )
     parser.add_argument("--output", type=str, default=None, help="write sweep results to this JSON file")
-    parser.add_argument(
-        "--pack",
-        type=str,
-        default="core",
-        help="problem pack to enumerate (see --list-packs; default: the paper's 24-problem core suite)",
-    )
-    parser.add_argument(
-        "--pack-param",
-        action="append",
-        default=None,
-        metavar="KEY=VALUE",
-        help="override one generation parameter of a parametric pack "
-        "(repeatable; VALUE is parsed as JSON, e.g. channels='[2, 4]')",
-    )
     parser.add_argument(
         "--list-packs",
         action="store_true",
         help="list the registered problem packs and exit",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker threads of the execution engine (1 = sequential, 0 = one per core); "
-        "reports are identical for any worker count",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        type=str,
-        default=None,
-        help="directory for persistent simulation-cache artefacts (.npz); "
-        "reused across runs to skip repeated simulations",
-    )
-    parser.add_argument(
-        "--solver-backend",
-        type=str,
-        default="auto",
-        choices=list(SOLVER_BACKENDS),
-        help="circuit-solver backend: 'cascade' evaluates the connectivity "
-        "graph's condensation in topological order (feed-forward circuits "
-        "never pay for a global dense solve), 'dense' is the classic "
-        "all-ports solve, 'auto' picks per circuit; all backends produce "
-        "identical results",
-    )
-    parser.add_argument(
-        "--plan-cache-entries",
-        type=int,
-        default=128,
-        help="capacity of the solver's topology-keyed compiled-plan cache; "
-        "structurally identical netlists (samples that only mutate settings) "
-        "pay for assembly and condensation once; 0 recompiles every call",
-    )
-    parser.add_argument(
-        "--wavelength-chunk",
-        type=int,
-        default=None,
-        metavar="POINTS",
-        help="solve at most this many wavelength points per batch, bounding "
-        "the solver's peak workspace on large grids (default: whole grid at "
-        "once); results are identical for any chunk size",
-    )
-    parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=1,
-        metavar="SAMPLES",
-        help="fuse up to this many structure-sharing candidate netlists into "
-        "one solver executor pass (trajectories then advance in lockstep "
-        "per feedback iteration); 1 (default) evaluates sweep work per "
-        "sample; reports are identical for any batch size",
-    )
-    parser.add_argument(
-        "--execution-mode",
-        type=str,
-        default="thread",
-        choices=list(EXECUTION_MODES),
-        help="parallel tier of the sweep: 'thread' runs work units on the "
-        "engine's thread pool, 'process' shards them across worker "
-        "processes (sidestepping the GIL for the pure-Python evaluation "
-        "loop) that share the on-disk caches under --cache-dir; reports "
-        "are byte-identical in both modes",
-    )
-    parser.add_argument(
-        "--processes",
-        type=int,
-        default=0,
-        metavar="N",
-        help="worker-process count for --execution-mode process "
-        "(default 0 = one per core)",
-    )
-    parser.add_argument(
-        "--retry-attempts",
-        type=int,
-        default=2,
-        metavar="N",
-        help="total tries per transiently failing work unit before it is "
-        "recorded as crashed (1 = no retries)",
-    )
-    parser.add_argument(
-        "--retry-backoff",
-        type=float,
-        default=0.1,
-        metavar="SECONDS",
-        help="base seconds of the exponential (deterministically jittered) "
-        "backoff between unit retries",
-    )
-    parser.add_argument(
-        "--unit-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-unit watchdog budget in --execution-mode process: hung "
-        "worker processes are killed and their units retried singly "
-        "(default: no timeout)",
-    )
-    parser.add_argument(
-        "--journal-dir",
-        type=str,
-        default=None,
-        metavar="DIR",
-        help="checkpoint every completed trajectory to a line-JSON journal "
-        "in this directory, keyed by the sweep's semantic fingerprint",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="with --journal-dir: skip trajectories already journaled by an "
-        "earlier (possibly killed) run of the same sweep; the finished "
-        "report is byte-identical to an uninterrupted run",
-    )
+    SweepConfig.add_flags(parser)
     return parser
-
-
-def _parse_pack_params(raw: Optional[Sequence[str]]) -> Optional[Dict[str, object]]:
-    """Parse repeated ``--pack-param KEY=VALUE`` flags into a mapping.
-
-    Values are parsed as JSON when possible (``channels=[2, 4]``,
-    ``spacing=0.1``) and fall back to the raw string otherwise.
-    """
-    if not raw:
-        return None
-    params: Dict[str, object] = {}
-    for item in raw:
-        key, separator, value = item.partition("=")
-        if not separator or not key:
-            raise SystemExit(f"--pack-param must look like KEY=VALUE, got {item!r}")
-        try:
-            params[key] = json.loads(value)
-        except json.JSONDecodeError:
-            params[key] = value
-    return params
 
 
 def _sweep_config(args: argparse.Namespace) -> SweepConfig:
     """Translate parsed CLI arguments into a :class:`SweepConfig`."""
-    return SweepConfig(
-        samples_per_problem=args.samples,
-        max_feedback_iterations=args.feedback,
-        num_wavelengths=args.wavelengths,
-        base_seed=args.seed,
-        problems=tuple(args.problems) if args.problems else None,
-        workers=args.workers,
-        cache_dir=args.cache_dir,
-        pack=args.pack,
-        pack_params=_parse_pack_params(args.pack_param),
-        solver_backend=args.solver_backend,
-        plan_cache_entries=args.plan_cache_entries,
-        wavelength_chunk=args.wavelength_chunk,
-        batch_size=args.batch_size,
-        execution_mode=args.execution_mode,
-        processes=args.processes,
-        retry_attempts=args.retry_attempts,
-        retry_backoff=args.retry_backoff,
-        unit_timeout=args.unit_timeout,
-        journal_dir=args.journal_dir,
-        resume=args.resume,
-    )
+    return SweepConfig.from_args(args)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -293,9 +111,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
     if args.target is None:
         parser.error("a target is required (or pass --list-packs)")
+    try:
+        config = _sweep_config(args)
+    except ValueError as error:
+        parser.error(str(error))
 
     if args.target == "table1":
-        print(table1_text(args.pack, _parse_pack_params(args.pack_param)))
+        print(table1_text(config.pack, config.pack_params))
         return 0
     if args.target == "table2":
         print(table2_text())
@@ -307,10 +129,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(figure3_text())
         return 0
     if args.target == "fig4":
-        print(figure4_text(num_wavelengths=args.wavelengths))
+        print(figure4_text(num_wavelengths=config.num_wavelengths))
         return 0
 
-    config = _sweep_config(args)
     if args.target == "ablate":
         from ..llm.simulated import SimulatedDesigner
 

@@ -11,11 +11,12 @@ missing samples, and folds journaled and fresh results back in unit order
 serialisation excludes response texts, which the journal therefore drops).
 
 The journal file is keyed by a *semantic* fingerprint of the sweep: only
-the fields that determine results (problems, seeds, sample counts,
-feedback budget, models, restriction settings) participate, so a run
-killed in process mode can resume in thread mode -- or with a different
-worker count -- and still verify as the same sweep.  Performance and
-robustness knobs never invalidate a journal.
+the fields declared semantic (problems, seeds, sample counts, feedback
+budget, grid, pack) plus the models and restriction settings participate,
+so a run killed in process mode can resume in thread mode -- or with a
+different worker count -- and still verify as the same sweep.  Performance
+and robustness knobs never invalidate a journal.  The results store keys
+its runs on the same fingerprint (:meth:`repro.service.spec.JobSpec.fingerprint`).
 
 Crash tolerance: appends are ``flush`` + best-effort ``fsync`` per line,
 and :meth:`SweepJournal.load` ignores a truncated trailing line, so a
@@ -27,6 +28,8 @@ from __future__ import annotations
 import json
 import os
 import threading
+from collections.abc import Mapping
+from dataclasses import fields
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -47,23 +50,29 @@ def sweep_fingerprint(
 ) -> str:
     """Content address of a sweep's *semantic* identity.
 
-    Derived only from the fields that determine the reported numbers;
-    performance knobs (workers, batch size, execution mode, process count,
-    backends, caches) and robustness knobs (retries, timeouts) are
-    deliberately excluded so a resumed run may use different ones.
+    Hashes the fields of ``config`` (a :class:`~repro.harness.runner.SweepConfig`
+    or :class:`~repro.service.spec.JobSpec`) whose declaration marks them
+    semantic, plus the models and restriction settings.  Every other field
+    -- performance knobs (workers, batch size, execution mode, process
+    count, backends, caches) and robustness knobs (retries, timeouts) -- is
+    left out, so a resumed run may use different ones and the results
+    store dedupes jobs that differ only in them.
     """
-    payload = {
-        "samples_per_problem": config.samples_per_problem,
-        "max_feedback_iterations": config.max_feedback_iterations,
-        "num_wavelengths": config.num_wavelengths,
-        "base_seed": config.base_seed,
-        "problems": list(config.problems) if config.problems is not None else None,
-        "pack": config.pack,
-        "pack_params": dict(config.pack_params) if config.pack_params else None,
-        "models": list(models),
-        "restrictions": [bool(r) for r in restriction_settings],
+    payload: Dict[str, object] = {
+        spec_field.name: _semantic_value(getattr(config, spec_field.name))
+        for spec_field in fields(config)
+        if spec_field.metadata.get("semantic")
     }
+    payload["models"] = list(models)
+    payload["restrictions"] = [bool(r) for r in restriction_settings]
     return stable_hash("sweep-journal", json.dumps(payload, sort_keys=True, default=str))
+
+
+def _semantic_value(value: object) -> object:
+    """A semantic field's hashed form: an empty mapping hashes as ``None``."""
+    if isinstance(value, Mapping):
+        return dict(value) or None
+    return value
 
 
 def unit_key(with_restrictions: bool, model: str, problem: str, sample_index: int) -> UnitKey:

@@ -10,7 +10,7 @@ each (model, restrictions) pair exactly once.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -18,7 +18,7 @@ from ..bench.golden import GoldenStore
 from ..bench.packs import CORE_PACK_NAME, PackParams, get_pack
 from ..bench.problem import Problem
 from ..bench.suite import all_problems
-from ..engine.engine import EXECUTION_MODES, EngineConfig, ExecutionEngine
+from ..engine.engine import EngineConfig, ExecutionEngine
 from ..engine.procpool import ProcessScheduler, UnitFailure, WorkerSpec, aggregate_engine_stats
 from ..evalkit.evaluator import EvaluationConfig, Evaluator
 from ..evalkit.outcome import AttemptRecord, EvalReport, SampleResult
@@ -29,8 +29,9 @@ from ..llm.profiles import DEFAULT_PROFILES, DesignerProfile
 from ..llm.simulated import SimulatedDesigner
 from ..netlist.errors import ErrorCategory
 from ..prompts.system_prompt import PromptConfig
+from ..sim.circuit import SOLVER_BACKENDS
 
-__all__ = ["SweepConfig", "SweepResult", "run_model", "run_sweep"]
+__all__ = ["EXECUTION_MODES", "SweepConfig", "SweepResult", "SweepSpec", "run_model", "run_sweep"]
 
 #: Feedback-iteration counts reported by the paper's tables.
 FEEDBACK_COLUMNS: Tuple[int, ...] = (0, 1, 3)
@@ -38,77 +39,178 @@ FEEDBACK_COLUMNS: Tuple[int, ...] = (0, 1, 3)
 #: Pass@k values reported by the paper's tables.
 PASS_AT: Tuple[int, ...] = (1, 5)
 
+#: Recognised parallel execution tiers (see :attr:`SweepSpec.execution_mode`).
+EXECUTION_MODES: Tuple[str, ...] = ("thread", "process")
+
+
+def _parse_pack_params(raw: Optional[Sequence[str]]) -> Optional[Dict[str, object]]:
+    """Parse repeated ``--pack-param KEY=VALUE`` flags into a mapping.
+
+    Values are parsed as JSON when possible (``channels=[2, 4]``,
+    ``spacing=0.1``) and fall back to the raw string otherwise.
+    """
+    if not raw:
+        return None
+    params: Dict[str, object] = {}
+    for item in raw:
+        key, separator, value = item.partition("=")
+        if not separator or not key:
+            raise SystemExit(f"--pack-param must look like KEY=VALUE, got {item!r}")
+        try:
+            params[key] = json.loads(value)
+        except json.JSONDecodeError:
+            params[key] = value
+    return params
+
+
+def _names_or_none(names: Optional[Sequence[str]]) -> Optional[Tuple[str, ...]]:
+    """``--problems`` without names selects the whole pack."""
+    return tuple(names) if names else None
+
+
+def _flagged(default: object, flag: str, help: str, *, semantic: bool = False, parse=None, **argparse):
+    """Declare one sweep field: its default, its CLI flag and whether it determines results.
+
+    ``semantic`` fields are the ones :func:`~repro.harness.journal.sweep_fingerprint`
+    hashes; every other field changes how a sweep runs, never what it
+    reports.  ``argparse`` holds the flag's extras (``type``, ``choices``,
+    ``nargs``, ``action``, ``metavar``) and ``parse`` turns the parsed flag
+    value into the field value.
+    """
+    metadata = {"flag": flag, "help": help, "semantic": semantic, "parse": parse, "argparse": argparse}
+    return field(default=default, metadata=metadata)
+
+
+def _flag_dest(spec_field) -> str:
+    """The argparse destination of a field's flag (``--pack-param`` -> ``pack_param``)."""
+    return spec_field.metadata["flag"][2:].replace("-", "_")
+
 
 @dataclass(frozen=True)
-class SweepConfig:
-    """Configuration of a full table sweep.
+class SweepSpec:
+    """The sweep fields a job may set, each declared once.
+
+    Both front doors derive their flags from these declarations
+    (:meth:`add_flags`, :meth:`from_args`): the harness through
+    :class:`SweepConfig`, ``jobs submit`` through
+    :class:`repro.service.spec.JobSpec`.  Each field's metadata holds its
+    flag, help text and whether it is *semantic* -- part of the sweep's
+    identity, hashed by :func:`~repro.harness.journal.sweep_fingerprint`
+    for the sweep journal and the results store alike.  The seven semantic
+    fields are the sample count, feedback budget, wavelength grid, base
+    seed, problem selection, pack and pack parameters; the others (solver
+    backend, batch size, execution tier, retry budget, watchdog) change
+    how fast or how robustly a sweep runs, never what it reports.
 
     ``pack`` selects the problem pack the sweep enumerates (default: the
     paper's ``core`` suite) and ``pack_params`` overrides the pack's
     generation parameters (parametric packs such as ``wdm-links``).
-
-    ``workers`` and ``cache_dir`` configure the execution engine: the sweep's
-    nested loops are flattened into independent ``(client, restrictions,
-    problem, sample)`` work units and run on a thread pool of ``workers``
-    threads (``1`` = sequential, ``0`` = one per core), with simulations
-    served from a content-addressed cache optionally persisted under
-    ``cache_dir``.  Reports are byte-identical for any worker count.
-
-    ``solver_backend`` selects the circuit-solver backend
-    (``auto``/``dense``/``cascade``); backends are numerically equivalent,
-    so it changes sweep runtime but never the reported numbers.  The same
-    holds for ``plan_cache_entries`` (capacity of the solver's
-    topology-keyed compiled-plan cache -- structurally identical candidate
-    netlists across samples and workers compile once),
-    ``wavelength_chunk`` (bounds the solver's peak per-evaluation workspace
-    on large grids) and ``batch_size`` (when > 1, trajectories advance in
-    lockstep and each feedback iteration's structure-sharing candidate
-    netlists -- samples that differ only in instance settings -- are fused
-    into shared batched executor passes of at most ``batch_size`` samples;
-    reports are identical to the per-sample path).
-
-    ``execution_mode`` selects the parallel tier: ``"thread"`` (default)
-    runs work units on the engine's thread pool; ``"process"`` shards them
-    across ``processes`` worker processes (``0`` = one per core), one
-    problem per shard and costliest problem first, each of which rebuilds
-    its engine and clients from a picklable spec and keeps the on-disk
-    simulation cache and compiled-plan spill under ``cache_dir``.  Results
-    merge in unit order, so process-sharded sweeps are byte-identical to
-    sequential ones.  Process mode requires
-    spec-constructible clients (the bundled :class:`SimulatedDesigner`);
-    live API clients hold sockets that cannot cross a process boundary.
-
-    Robustness knobs: ``retry_attempts`` / ``retry_backoff`` budget the
-    process tier's per-unit crash/hang recovery (isolated re-runs on fresh
-    pools with exponential backoff), ``unit_timeout`` arms the hung-worker
-    watchdog, and ``journal_dir`` enables incremental checkpointing -- every
-    completed trajectory is appended to a line-JSON journal keyed by the
-    sweep's semantic fingerprint, so a killed run restarted with ``resume``
-    recomputes only the missing samples and reports byte-identically (see
-    :mod:`repro.harness.journal`).  None of these knobs changes reported
-    numbers.
+    ``execution_mode="process"`` shards the work units across
+    ``processes`` worker processes, one problem per shard and costliest
+    problem first, each rebuilding its engine and clients from a picklable
+    spec; it requires spec-constructible clients (the bundled
+    :class:`SimulatedDesigner`), since live API clients hold sockets that
+    cannot cross a process boundary.  ``retry_attempts`` /
+    ``retry_backoff`` budget the process tier's per-unit crash recovery
+    and ``unit_timeout`` arms its hung-worker watchdog.
     """
 
-    samples_per_problem: int = 5
-    max_feedback_iterations: int = 3
-    num_wavelengths: int = 41
-    base_seed: int = 0
-    problems: Optional[Tuple[str, ...]] = None
-    workers: int = 1
-    cache_dir: Optional[str] = None
-    pack: str = CORE_PACK_NAME
-    pack_params: Optional[PackParams] = None
-    solver_backend: str = "auto"
-    plan_cache_entries: int = 128
-    wavelength_chunk: Optional[int] = None
-    batch_size: int = 1
-    execution_mode: str = "thread"
-    processes: int = 0
-    retry_attempts: int = 2
-    retry_backoff: float = 0.1
-    unit_timeout: Optional[float] = None
-    journal_dir: Optional[str] = None
-    resume: bool = False
+    samples_per_problem: int = _flagged(
+        5, "--samples", "samples per problem (n of Pass@k)", semantic=True, type=int
+    )
+    max_feedback_iterations: int = _flagged(
+        3, "--feedback", "maximum number of error-feedback iterations", semantic=True, type=int
+    )
+    num_wavelengths: int = _flagged(
+        41, "--wavelengths", "number of evaluation wavelength points", semantic=True, type=int
+    )
+    base_seed: int = _flagged(0, "--seed", "base random seed of the sweep", semantic=True, type=int)
+    problems: Optional[Tuple[str, ...]] = _flagged(
+        None,
+        "--problems",
+        "restrict the sweep to these problem names (default: the whole pack)",
+        semantic=True,
+        parse=_names_or_none,
+        nargs="*",
+    )
+    pack: str = _flagged(
+        CORE_PACK_NAME,
+        "--pack",
+        "problem pack to enumerate (see --list-packs; default: the paper's 24-problem core suite)",
+        semantic=True,
+    )
+    pack_params: Optional[PackParams] = _flagged(
+        None,
+        "--pack-param",
+        "override one generation parameter of a parametric pack "
+        "(repeatable; VALUE is parsed as JSON, e.g. channels='[2, 4]')",
+        semantic=True,
+        parse=_parse_pack_params,
+        action="append",
+        metavar="KEY=VALUE",
+    )
+    solver_backend: str = _flagged(
+        "auto",
+        "--solver-backend",
+        "circuit-solver backend: 'cascade' evaluates the connectivity "
+        "graph's condensation in topological order (feed-forward circuits "
+        "never pay for a global dense solve), 'dense' is the classic "
+        "all-ports solve, 'auto' picks per circuit; all backends produce "
+        "identical results",
+        choices=list(SOLVER_BACKENDS),
+    )
+    batch_size: int = _flagged(
+        1,
+        "--batch-size",
+        "fuse up to this many structure-sharing candidate netlists into "
+        "one solver executor pass (trajectories then advance in lockstep "
+        "per feedback iteration); 1 (default) evaluates sweep work per "
+        "sample; reports are identical for any batch size",
+        type=int,
+        metavar="SAMPLES",
+    )
+    execution_mode: str = _flagged(
+        "thread",
+        "--execution-mode",
+        "parallel tier of the sweep: 'thread' runs work units on the "
+        "engine's thread pool, 'process' shards them across worker "
+        "processes (sidestepping the GIL for the pure-Python evaluation "
+        "loop) that share the on-disk caches under --cache-dir; reports "
+        "are byte-identical in both modes",
+        choices=list(EXECUTION_MODES),
+    )
+    processes: int = _flagged(
+        0,
+        "--processes",
+        "worker-process count for --execution-mode process (default 0 = one per core)",
+        type=int,
+        metavar="N",
+    )
+    retry_attempts: int = _flagged(
+        2,
+        "--retry-attempts",
+        "total tries per transiently failing work unit before it is "
+        "recorded as crashed (1 = no retries)",
+        type=int,
+        metavar="N",
+    )
+    retry_backoff: float = _flagged(
+        0.1,
+        "--retry-backoff",
+        "base seconds of the exponential (deterministically jittered) "
+        "backoff between unit retries",
+        type=float,
+        metavar="SECONDS",
+    )
+    unit_timeout: Optional[float] = _flagged(
+        None,
+        "--unit-timeout",
+        "per-unit watchdog budget in --execution-mode process: hung "
+        "worker processes are killed and their units retried singly "
+        "(default: no timeout)",
+        type=float,
+        metavar="SECONDS",
+    )
 
     def __post_init__(self) -> None:
         if self.execution_mode not in EXECUTION_MODES:
@@ -116,24 +218,121 @@ class SweepConfig:
                 f"unknown execution_mode {self.execution_mode!r}; "
                 f"choose one of {list(EXECUTION_MODES)}"
             )
-        if self.retry_attempts < 1:
-            raise ValueError("retry_attempts must be >= 1")
+        for name, floor in (
+            ("samples_per_problem", 1),
+            ("max_feedback_iterations", 0),
+            ("num_wavelengths", 1),
+            ("retry_attempts", 1),
+        ):
+            if getattr(self, name) < floor:
+                raise ValueError(f"{name} must be >= {floor}")
+        if self.problems is not None:
+            object.__setattr__(self, "problems", tuple(self.problems))
+
+    @classmethod
+    def add_flags(cls, parser) -> None:
+        """Add one flag per flagged field of ``cls`` to an argparse parser."""
+        for spec_field in fields(cls):
+            if "flag" in spec_field.metadata:
+                meta = spec_field.metadata
+                parser.add_argument(
+                    meta["flag"],
+                    dest=_flag_dest(spec_field),
+                    default=spec_field.default,
+                    help=meta["help"],
+                    **meta["argparse"],
+                )
+
+    @classmethod
+    def from_args(cls, args, **values: object):
+        """Build ``cls`` from flags added by :meth:`add_flags`, plus ``values``.
+
+        Raises ``ValueError`` on a value the field checks reject.
+        """
+        for spec_field in fields(cls):
+            if "flag" in spec_field.metadata:
+                value = getattr(args, _flag_dest(spec_field))
+                parse = spec_field.metadata["parse"]
+                values[spec_field.name] = parse(value) if parse else value
+        return cls(**values)
+
+
+@dataclass(frozen=True)
+class SweepConfig(SweepSpec):
+    """Configuration of a local sweep: the job fields plus local-run fields.
+
+    ``workers`` and ``cache_dir`` configure the execution engine: the sweep's
+    nested loops are flattened into independent ``(client, restrictions,
+    problem, sample)`` work units and run on a thread pool of ``workers``
+    threads (``1`` = sequential, ``0`` = one per core), with simulations
+    served from a content-addressed cache optionally persisted under
+    ``cache_dir`` (process-tier workers share it, with the compiled-plan
+    spill).  ``plan_cache_entries`` sizes the solver's topology-keyed
+    compiled-plan cache and ``wavelength_chunk`` bounds its peak
+    per-evaluation workspace on large grids.  ``journal_dir`` enables
+    incremental checkpointing -- every completed trajectory is appended to
+    a line-JSON journal keyed by the sweep's semantic fingerprint, so a
+    killed run restarted with ``resume`` recomputes only the missing
+    samples (see :mod:`repro.harness.journal`).  None of these fields is
+    semantic: reports are byte-identical for any value of them, as for
+    every non-semantic field of :class:`SweepSpec`.
+    """
+
+    workers: int = _flagged(
+        1,
+        "--workers",
+        "worker threads of the execution engine (1 = sequential, 0 = one per core); "
+        "reports are identical for any worker count",
+        type=int,
+    )
+    cache_dir: Optional[str] = _flagged(
+        None,
+        "--cache-dir",
+        "directory for persistent simulation-cache artefacts (.npz); "
+        "reused across runs to skip repeated simulations",
+    )
+    plan_cache_entries: int = _flagged(
+        128,
+        "--plan-cache-entries",
+        "capacity of the solver's topology-keyed compiled-plan cache; "
+        "structurally identical netlists (samples that only mutate settings) "
+        "pay for assembly and condensation once; 0 recompiles every call",
+        type=int,
+    )
+    wavelength_chunk: Optional[int] = _flagged(
+        None,
+        "--wavelength-chunk",
+        "solve at most this many wavelength points per batch, bounding "
+        "the solver's peak workspace on large grids (default: whole grid at "
+        "once); results are identical for any chunk size",
+        type=int,
+        metavar="POINTS",
+    )
+    journal_dir: Optional[str] = _flagged(
+        None,
+        "--journal-dir",
+        "checkpoint every completed trajectory to a line-JSON journal "
+        "in this directory, keyed by the sweep's semantic fingerprint",
+        metavar="DIR",
+    )
+    resume: bool = _flagged(
+        False,
+        "--resume",
+        "with --journal-dir: skip trajectories already journaled by an "
+        "earlier (possibly killed) run of the same sweep; the finished "
+        "report is byte-identical to an uninterrupted run",
+        action="store_true",
+    )
 
     def unit_retry_policy(self) -> RetryPolicy:
         """The process tier's per-unit retry budget these knobs describe."""
         return RetryPolicy(attempts=self.retry_attempts, base_delay=self.retry_backoff)
 
     def engine_config(self) -> EngineConfig:
-        """Build the corresponding :class:`EngineConfig`."""
+        """The :class:`EngineConfig` of this sweep: every field both declare, by name."""
+        shared = {engine_field.name for engine_field in fields(EngineConfig)}
         return EngineConfig(
-            workers=self.workers,
-            cache_dir=self.cache_dir,
-            solver_backend=self.solver_backend,
-            plan_cache_entries=self.plan_cache_entries,
-            wavelength_chunk=self.wavelength_chunk,
-            batch_size=self.batch_size,
-            execution_mode=self.execution_mode,
-            processes=self.processes,
+            **{f.name: getattr(self, f.name) for f in fields(self) if f.name in shared}
         )
 
     def evaluation_config(self, *, include_restrictions: bool) -> EvaluationConfig:
@@ -311,17 +510,14 @@ def _build_sweep_worker(payload: Dict[str, object]) -> Dict[str, object]:
 
     Runs once per worker process (resolved by dotted reference from
     :class:`~repro.engine.procpool.WorkerSpec`).  The worker's engine is
-    single-threaded thread-mode -- parallelism lives at the process tier --
-    but keeps the parent's ``cache_dir`` (simulation ``.npz`` entries and
+    single-threaded -- parallelism lives at the process tier -- but keeps the parent's ``cache_dir`` (simulation ``.npz`` entries and
     the compiled-plan spill).  Within one sweep the workers hold disjoint
     problems (see :func:`_problem_shards`), so the disk tiers warm later
     sweeps, isolated retries and process-mode service jobs rather than a
     worker's peers.
     """
     config: SweepConfig = payload["config"]  # type: ignore[assignment]
-    engine = ExecutionEngine(
-        replace(config.engine_config(), execution_mode="thread", workers=1, processes=0)
-    )
+    engine = ExecutionEngine(replace(config.engine_config(), workers=1))
     return {
         "engine": engine,
         "problems": config.select_problems(),

@@ -25,18 +25,22 @@ import argparse
 import json
 import signal
 import sys
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
-from ..engine.engine import EXECUTION_MODES
 from ..faults import RetryPolicy
-from ..harness.cli import _parse_pack_params
-from ..sim.circuit import SOLVER_BACKENDS
 from .client import ServiceClient, ServiceError
 from .daemon import ServiceDaemon
 from .service import EvalService
-from .spec import JobSpec
+from .spec import JOB_KINDS, JobSpec
 
 __all__ = ["build_parser", "main"]
+
+#: ``jobs submit --restrictions`` choices and the settings each selects.
+_RESTRICTIONS: Dict[str, Tuple[bool, ...]] = {
+    "both": (False, True),
+    "with": (True,),
+    "without": (False,),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,52 +103,27 @@ def build_parser() -> argparse.ArgumentParser:
     verbs = jobs.add_subparsers(dest="verb", required=True)
 
     submit = verbs.add_parser("submit", help="submit a sweep/evaluate job")
-    submit.add_argument("--kind", default="sweep", choices=["sweep", "evaluate"])
+    submit.add_argument("--kind", default="sweep", choices=list(JOB_KINDS))
     submit.add_argument(
         "--models", nargs="*", default=None,
         help="designer profiles to run (default: all five paper profiles)",
     )
     submit.add_argument(
-        "--restrictions", default="both", choices=["both", "with", "without"],
+        "--restrictions", default="both", choices=list(_RESTRICTIONS),
         help="prompt restriction settings to run",
     )
-    submit.add_argument("--samples", type=int, default=5)
-    submit.add_argument("--feedback", type=int, default=3)
-    submit.add_argument("--wavelengths", type=int, default=41)
-    submit.add_argument("--seed", type=int, default=0)
-    submit.add_argument("--problems", nargs="*", default=None)
-    submit.add_argument("--pack", default="core")
-    submit.add_argument(
-        "--pack-param", action="append", default=None, metavar="KEY=VALUE",
-        help="pack generation parameter (VALUE parsed as JSON; repeatable)",
-    )
-    submit.add_argument("--solver-backend", default="auto", choices=list(SOLVER_BACKENDS))
-    submit.add_argument("--batch-size", type=int, default=1)
-    submit.add_argument(
-        "--execution-mode", default="thread", choices=list(EXECUTION_MODES)
-    )
-    submit.add_argument("--processes", type=int, default=0)
-    submit.add_argument(
-        "--retry-attempts", type=int, default=2,
-        help="total tries per transiently failing work unit",
-    )
-    submit.add_argument(
-        "--retry-backoff", type=float, default=0.1,
-        help="base seconds of the exponential retry backoff",
-    )
-    submit.add_argument(
-        "--unit-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-unit watchdog timeout in process mode (default: none)",
-    )
+    JobSpec.add_flags(submit)
     submit.add_argument("--priority", type=int, default=0, help="lower runs first")
     submit.add_argument(
         "--dedupe", action="store_true",
-        help="reuse an existing stored run for an identical spec",
+        help="reuse a stored run of the same evaluation (same semantic "
+        "fingerprint) instead of running the job",
     )
     submit.add_argument(
         "--idempotent", action="store_true",
-        help="key the submit purely on spec content: a later identical "
-        "submit returns this job's id instead of a new job",
+        help="key the submit on the job's semantic identity: a later submit "
+        "of the same evaluation, whatever its execution settings, returns "
+        "this job's id instead of a new job",
     )
     submit.add_argument(
         "--wait", action="store_true", help="poll until the job is terminal"
@@ -178,32 +157,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _spec_from_args(args: argparse.Namespace) -> JobSpec:
     """Build the submitted :class:`JobSpec` from ``jobs submit`` flags."""
-    restrictions = {
-        "both": (False, True),
-        "with": (True,),
-        "without": (False,),
-    }[args.restrictions]
     fields: Dict[str, object] = {
         "kind": args.kind,
-        "restrictions": restrictions,
-        "samples_per_problem": args.samples,
-        "max_feedback_iterations": args.feedback,
-        "num_wavelengths": args.wavelengths,
-        "base_seed": args.seed,
-        "problems": tuple(args.problems) if args.problems else None,
-        "pack": args.pack,
-        "pack_params": _parse_pack_params(args.pack_param),
-        "solver_backend": args.solver_backend,
-        "batch_size": args.batch_size,
-        "execution_mode": args.execution_mode,
-        "processes": args.processes,
-        "retry_attempts": args.retry_attempts,
-        "retry_backoff": args.retry_backoff,
-        "unit_timeout": args.unit_timeout,
+        "restrictions": _RESTRICTIONS[args.restrictions],
     }
     if args.models:
         fields["models"] = tuple(args.models)
-    return JobSpec(**fields)  # type: ignore[arg-type]
+    return JobSpec.from_args(args, **fields)
 
 
 def _serve(args: argparse.Namespace) -> int:
@@ -253,8 +213,12 @@ def _serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _jobs(args: argparse.Namespace) -> int:
-    """The ``jobs`` command family: client verbs against a running daemon."""
+def _jobs(args: argparse.Namespace, spec: Optional[JobSpec]) -> int:
+    """The ``jobs`` command family: client verbs against a running daemon.
+
+    ``spec`` is the job a ``submit`` sends, built and checked before any
+    connection is made.
+    """
     client = ServiceClient(
         args.host,
         args.port,
@@ -264,8 +228,7 @@ def _jobs(args: argparse.Namespace) -> int:
             transient=ServiceClient.TRANSIENT,
         ),
     )
-    if args.verb == "submit":
-        spec = _spec_from_args(args)
+    if spec is not None:
         job_id = client.submit(
             spec,
             priority=args.priority,
@@ -323,10 +286,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point of ``python -m repro.service``."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    spec = None
+    if args.command == "jobs" and args.verb == "submit":
+        try:
+            spec = _spec_from_args(args)
+        except ValueError as error:
+            parser.error(str(error))
     try:
         if args.command == "serve":
             return _serve(args)
-        return _jobs(args)
+        return _jobs(args, spec)
     except ServiceError as error:
         print(f"service error: {error}", file=sys.stderr)
         return 2

@@ -3,21 +3,20 @@
 A :class:`JobSpec` is the wire format of one unit of service work: a sweep
 (or single-model evaluation) over one problem pack under one parameter set.
 Specs are plain-data and JSON-round-trippable -- they cross the daemon's
-line-delimited-JSON protocol and are rebuilt worker-side -- and carry a
-stable content :meth:`~JobSpec.fingerprint` so the results store can
-deduplicate identical re-submissions.
+line-delimited-JSON protocol and are rebuilt worker-side -- and carry the
+sweep's semantic :meth:`~JobSpec.fingerprint` so the results store can
+deduplicate re-submissions of the same evaluation.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import asdict, dataclass, field, fields
+from typing import Dict, Tuple
 
-from ..bench.packs import CORE_PACK_NAME, get_pack
-from ..engine.engine import EXECUTION_MODES
-from ..engine.fingerprint import stable_hash
-from ..harness.runner import SweepConfig
+from ..bench.packs import get_pack
+from ..harness.journal import sweep_fingerprint
+from ..harness.runner import SweepConfig, SweepSpec
 from ..llm.profiles import get_profile, profile_names
 
 __all__ = ["JOB_KINDS", "JobSpec"]
@@ -27,56 +26,31 @@ __all__ = ["JOB_KINDS", "JobSpec"]
 #: single-restriction special case (exactly one of each is enforced).
 JOB_KINDS: Tuple[str, ...] = ("sweep", "evaluate")
 
-#: Spec fields that can never change reported numbers (retry budgets and
-#: watchdog timeouts).  They ride along on the wire but are excluded from
-#: the fingerprint, so re-submitting a job with different robustness knobs
-#: still deduplicates against its stored run -- and fingerprints computed
-#: before these fields existed remain valid.
-_NON_SEMANTIC_FIELDS: Tuple[str, ...] = ("retry_attempts", "retry_backoff", "unit_timeout")
-
 
 @dataclass(frozen=True)
-class JobSpec:
+class JobSpec(SweepSpec):
     """One sweep/evaluate request, as submitted to the service.
 
-    ``models`` names the simulated designer profiles to run (default: all
-    five paper profiles) and ``restrictions`` the prompt configurations
-    (default: both the with- and without-restrictions settings).  The
-    remaining fields mirror :class:`~repro.harness.runner.SweepConfig`;
-    ``cache_dir`` is deliberately absent -- cache placement belongs to the
-    service, not the job, so it can never perturb the fingerprint.
+    The sweep fields are :class:`~repro.harness.runner.SweepSpec`'s, declared
+    there once; a job adds its ``kind``, the simulated designer profiles
+    it runs (``models``, default: all five paper profiles) and the prompt
+    configurations (``restrictions``, default: both the with- and
+    without-restrictions settings).  The local-run fields of
+    :class:`~repro.harness.runner.SweepConfig` (``workers``, ``cache_dir``,
+    the solver's plan-cache and chunk sizes, ``journal_dir``, ``resume``)
+    are deliberately absent: they belong to the service, not the job.
     """
 
     kind: str = "sweep"
     models: Tuple[str, ...] = field(default_factory=profile_names)
     restrictions: Tuple[bool, ...] = (False, True)
-    samples_per_problem: int = 5
-    max_feedback_iterations: int = 3
-    num_wavelengths: int = 41
-    base_seed: int = 0
-    problems: Optional[Tuple[str, ...]] = None
-    pack: str = CORE_PACK_NAME
-    pack_params: Optional[Dict[str, object]] = None
-    solver_backend: str = "auto"
-    batch_size: int = 1
-    execution_mode: str = "thread"
-    processes: int = 0
-    retry_attempts: int = 2
-    retry_backoff: float = 0.1
-    unit_timeout: Optional[float] = None
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.kind not in JOB_KINDS:
             raise ValueError(f"unknown job kind {self.kind!r}; choose one of {list(JOB_KINDS)}")
-        if self.execution_mode not in EXECUTION_MODES:
-            raise ValueError(
-                f"unknown execution_mode {self.execution_mode!r}; "
-                f"choose one of {list(EXECUTION_MODES)}"
-            )
         object.__setattr__(self, "models", tuple(self.models))
         object.__setattr__(self, "restrictions", tuple(bool(r) for r in self.restrictions))
-        if self.problems is not None:
-            object.__setattr__(self, "problems", tuple(self.problems))
         if not self.models:
             raise ValueError("a job must request at least one model")
         if not self.restrictions:
@@ -86,12 +60,6 @@ class JobSpec:
                 "an 'evaluate' job runs exactly one model under one restriction "
                 f"setting; got {len(self.models)} models x {len(self.restrictions)} settings"
             )
-        if self.samples_per_problem < 1:
-            raise ValueError("samples_per_problem must be >= 1")
-        if self.num_wavelengths < 1:
-            raise ValueError("num_wavelengths must be >= 1")
-        if self.retry_attempts < 1:
-            raise ValueError("retry_attempts must be >= 1")
 
     def validate(self) -> None:
         """Resolve every referenced entity, raising on unknown names.
@@ -129,60 +97,31 @@ class JobSpec:
         return cls(**data)  # type: ignore[arg-type]
 
     def canonical_json(self) -> str:
-        """Sorted-key, compact JSON form -- the fingerprint payload."""
+        """Sorted-key, compact JSON form (the stored spec document)."""
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     def fingerprint(self) -> str:
-        """Stable content address of the spec.
+        """The job's semantic identity, shared with the sweep journal.
 
-        Two submissions describing the same evaluation -- regardless of who
-        submitted them or when -- share a fingerprint, which is what lets
-        the store deduplicate identical re-submissions.  Robustness knobs
-        (:data:`_NON_SEMANTIC_FIELDS`) are excluded: they never change the
-        numbers a job reports.
+        :func:`~repro.harness.journal.sweep_fingerprint` of the spec, its
+        models and its restriction settings: only the fields declared
+        semantic participate.  Two submissions of the same evaluation share
+        a fingerprint whatever their kind, batch size, execution tier,
+        solver backend or retry budget -- none of them changes a report --
+        which is what lets the store deduplicate them.
         """
-        payload = self.to_dict()
-        for name in _NON_SEMANTIC_FIELDS:
-            payload.pop(name, None)
-        return stable_hash(
-            "jobspec", json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        )
+        return sweep_fingerprint(self, self.models, self.restrictions)
 
     # ------------------------------------------------------------------
     # Execution plumbing
     # ------------------------------------------------------------------
-    def sweep_config(
-        self,
-        *,
-        cache_dir: Optional[str] = None,
-        workers: int = 1,
-        journal_dir: Optional[str] = None,
-        resume: bool = False,
-    ) -> SweepConfig:
+    def sweep_config(self, **local: object) -> SweepConfig:
         """The :class:`SweepConfig` this job runs under.
 
-        ``cache_dir``, ``workers``, ``journal_dir`` and ``resume`` are
-        service-owned placement/parallelism/checkpointing knobs layered on
-        top of the spec (they never affect results, so they are not part of
-        the spec or its fingerprint).
+        Copies every :class:`SweepSpec` field and takes the local-run fields
+        (``cache_dir``, ``workers``, ``journal_dir``, ``resume``, ...) from
+        ``local``: the service owns placement, parallelism and
+        checkpointing, none of which is part of the spec or its fingerprint.
         """
-        return SweepConfig(
-            samples_per_problem=self.samples_per_problem,
-            max_feedback_iterations=self.max_feedback_iterations,
-            num_wavelengths=self.num_wavelengths,
-            base_seed=self.base_seed,
-            problems=self.problems,
-            workers=workers,
-            cache_dir=cache_dir,
-            pack=self.pack,
-            pack_params=self.pack_params,
-            solver_backend=self.solver_backend,
-            batch_size=self.batch_size,
-            execution_mode=self.execution_mode,
-            processes=self.processes,
-            retry_attempts=self.retry_attempts,
-            retry_backoff=self.retry_backoff,
-            unit_timeout=self.unit_timeout,
-            journal_dir=journal_dir,
-            resume=resume,
-        )
+        shared = {spec_field.name: getattr(self, spec_field.name) for spec_field in fields(SweepSpec)}
+        return SweepConfig(**shared, **local)  # type: ignore[arg-type]

@@ -6,11 +6,12 @@ sorted-key JSON, so storage round trips are byte-identical), the pass@k
 trajectory rows derived from those reports (per pack *and* per problem, over
 the paper's k / feedback columns), and the engine stats snapshot of the job.
 
-Runs are keyed by **content fingerprint** -- a hash of the spec fingerprint
-plus every canonical report document -- so re-submitting an identical spec
-(which, by determinism, produces identical reports) maps to the *same* run
-row: identical re-submissions dedupe at the storage layer while every job
-still records its own metadata in the ``jobs`` table.
+Runs are keyed by **content fingerprint** -- a hash of the spec's semantic
+fingerprint (the one the sweep journal uses) plus every canonical report
+document -- so re-submitting the same evaluation (which, by determinism,
+produces identical reports, whatever its execution settings) maps to the
+*same* run row: such re-submissions dedupe at the storage layer while
+every job still records its own metadata in the ``jobs`` table.
 
 The schema is versioned (``meta.schema_version``) with a forward-migration
 hook: opening a database written by an older schema applies each migration
@@ -42,7 +43,7 @@ from .spec import JobSpec
 __all__ = ["SCHEMA_VERSION", "ResultsStore", "StoredRun", "trajectory_rows"]
 
 #: Current schema version (see the migration ladder in ``_MIGRATIONS``).
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: Metrics the pass@k trajectory rows cover.
 TRAJECTORY_METRICS: Tuple[str, ...] = ("syntax", "functional")
@@ -190,10 +191,33 @@ def _migrate_v1_to_v2(conn: sqlite3.Connection) -> None:
         )
 
 
+def _migrate_v2_to_v3(conn: sqlite3.Connection) -> None:
+    """v2 -> v3: re-key every run and job row on the semantic fingerprint.
+
+    v2 fingerprints hashed every spec field but the retry knobs, so specs
+    differing only in, say, ``batch_size`` never deduped.  Each row's
+    ``spec_fingerprint`` is recomputed from its stored spec with
+    :meth:`JobSpec.fingerprint`; run ids stay as stored.  A spec today's
+    field checks reject keeps its v2 fingerprint rather than blocking the
+    upgrade.
+    """
+    for table, key in (("runs", "run_id"), ("jobs", "job_id")):
+        for row_id, spec_json in conn.execute(f"SELECT {key}, spec_json FROM {table}").fetchall():
+            try:
+                fingerprint = JobSpec.from_dict(json.loads(spec_json)).fingerprint()
+            except ValueError:
+                continue
+            conn.execute(
+                f"UPDATE {table} SET spec_fingerprint = ? WHERE {key} = ?",
+                (fingerprint, row_id),
+            )
+
+
 #: Forward migrations: ``_MIGRATIONS[v]`` upgrades a version-``v`` database
 #: to version ``v + 1``.  Opening a store applies them in sequence.
 _MIGRATIONS: Dict[int, Callable[[sqlite3.Connection], None]] = {
     1: _migrate_v1_to_v2,
+    2: _migrate_v2_to_v3,
 }
 
 

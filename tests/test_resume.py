@@ -13,15 +13,17 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
+from repro.engine.engine import EngineConfig
 from repro.evalkit.outcome import AttemptRecord, SampleResult
 from repro.faults import FaultRule, clear_plan, inject
 from repro.harness.journal import SweepJournal, sweep_fingerprint, unit_key
-from repro.harness.runner import SweepConfig, run_model
+from repro.harness.runner import SweepConfig, SweepSpec, run_model
+from repro.service.spec import JobSpec
 from repro.llm.simulated import SimulatedDesigner
 from repro.netlist.errors import ErrorCategory
 
@@ -91,6 +93,67 @@ def test_fingerprint_tracks_semantic_fields():
     )
     assert sweep_fingerprint(base, ("Claude35",), (False,)) != fingerprint
     assert sweep_fingerprint(base, ("GPT-4o",), (True,)) != fingerprint
+
+
+def test_fingerprints_match_journals_written_before_the_field_declaration():
+    """Pinned values of journals written when the fingerprint named its
+    fields by hand: such journals must still resume."""
+    assert sweep_fingerprint(SweepConfig(), ("GPT-4o",), (False, True)) == (
+        "191c0023ee1d2dfdb020430368e9ddabcc532f73de01f406da0661d5cbda1136"
+    )
+    config = SweepConfig(
+        pack="wdm-links",
+        pack_params={"channels": [2]},
+        problems=("wdm_mux_2ch",),
+        samples_per_problem=2,
+        num_wavelengths=11,
+        base_seed=3,
+    )
+    assert sweep_fingerprint(config, ("GPT-4o", "Claude 3.5 Sonnet"), (True,)) == (
+        "ff58c35c075deef537b74b514f990e73517e6777d7c1368c4583caf9e86bb6e0"
+    )
+
+
+def test_every_sweep_field_is_declared_once_and_classified():
+    semantic = {f.name for f in fields(SweepConfig) if f.metadata["semantic"]}
+    assert semantic == {
+        "samples_per_problem",
+        "max_feedback_iterations",
+        "num_wavelengths",
+        "base_seed",
+        "problems",
+        "pack",
+        "pack_params",
+    }
+    spec_names = [f.name for f in fields(SweepSpec)]
+    assert [f.name for f in fields(JobSpec)] == [*spec_names, "kind", "models", "restrictions"]
+    flags = [f.metadata["flag"] for f in fields(SweepConfig)]
+    assert all(flag.startswith("--") for flag in flags)
+    assert len(set(flags)) == len(flags)
+
+
+def test_engine_config_receives_every_shared_field():
+    shared = {f.name for f in fields(EngineConfig)} & {f.name for f in fields(SweepConfig)}
+    assert shared == {
+        "workers",
+        "cache_dir",
+        "solver_backend",
+        "plan_cache_entries",
+        "wavelength_chunk",
+        "batch_size",
+    }
+    config = SweepConfig(
+        workers=3,
+        cache_dir="cache",
+        solver_backend="dense",
+        plan_cache_entries=7,
+        wavelength_chunk=5,
+        batch_size=4,
+    )
+    engine_config = config.engine_config()
+    for name in shared:
+        assert getattr(engine_config, name) == getattr(config, name), name
+        assert getattr(engine_config, name) != getattr(EngineConfig(), name), name
 
 
 # ----------------------------------------------------------------------

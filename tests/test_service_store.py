@@ -2,8 +2,8 @@
 
 Covers the storage contract end to end: byte-identical report round trips
 (including hypothesis-generated reports), content-fingerprint run dedup,
-trajectory derivation, job metadata persistence, the v1 -> v2 schema
-migration, refusal of newer-than-code databases, and concurrent writers
+trajectory derivation, job metadata persistence, the v1 -> v2 -> v3 schema
+migrations, refusal of newer-than-code databases, and concurrent writers
 (threads *and* forked processes) against one database file.
 """
 
@@ -20,14 +20,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.engine.fingerprint import stable_hash
 from repro.evalkit.outcome import AttemptRecord, EvalReport, SampleResult
+from repro.harness.journal import sweep_fingerprint
 from repro.harness.runner import FEEDBACK_COLUMNS, PASS_AT
 from repro.netlist.errors import ErrorCategory
-from repro.service import JobSpec, ResultsStore, SCHEMA_VERSION
+from repro.service import EvalService, JobSpec, ResultsStore, SCHEMA_VERSION
 from repro.service.store import (
     PACK_AGGREGATE,
     TRAJECTORY_METRICS,
     _SCHEMA_V1,
+    _SCHEMA_V2_TRAJECTORIES,
     canonical_report_json,
     run_fingerprint,
     trajectory_rows,
@@ -87,7 +90,7 @@ def make_report(
 # ======================================================================
 def test_fresh_store_is_current_schema(tmp_path):
     store = ResultsStore(tmp_path / "results.db")
-    assert store.schema_version == SCHEMA_VERSION == 2
+    assert store.schema_version == SCHEMA_VERSION == 3
 
 
 def test_reopen_existing_store(tmp_path):
@@ -374,17 +377,28 @@ def test_failed_job_keeps_error_text(tmp_path):
 # ======================================================================
 # Schema migration
 # ======================================================================
-def build_v1_database(path) -> str:
-    """Create a legacy v1 database with one stored run, return its run id."""
+def v2_fingerprint(spec: JobSpec) -> str:
+    """``JobSpec.fingerprint`` as schemas v1 and v2 keyed runs and jobs:
+    every spec field but the retry knobs (a copy of the retired code)."""
+    payload = spec.to_dict()
+    for name in ("retry_attempts", "retry_backoff", "unit_timeout"):
+        payload.pop(name)
+    return stable_hash("jobspec", json.dumps(payload, sort_keys=True, separators=(",", ":")))
+
+
+def build_legacy_database(path, version: int) -> str:
+    """A schema-``version`` (1 or 2) database with one stored run and its job,
+    keyed on :func:`v2_fingerprint` as that schema keyed them; returns the run id."""
     report = make_report(problems={"mzi_ps": [0, None], "y_branch": [1]})
-    run_id = run_fingerprint(SPEC, {("GPT-4o", False): report})
+    fingerprint = v2_fingerprint(SPEC)
+    run_id = stable_hash("run", fingerprint, f"GPT-4o|0|{canonical_report_json(report)}")
     with closing(sqlite3.connect(path)) as conn, conn:
         for statement in _SCHEMA_V1:
             conn.execute(statement)
-        conn.execute("INSERT INTO meta VALUES ('schema_version', '1')")
+        conn.execute("INSERT INTO meta VALUES ('schema_version', ?)", (str(version),))
         conn.execute(
             "INSERT INTO runs VALUES (?, ?, ?, ?, ?)",
-            (run_id, SPEC.fingerprint(), SPEC.canonical_json(), 42.0, None),
+            (run_id, fingerprint, SPEC.canonical_json(), 42.0, None),
         )
         conn.execute(
             "INSERT INTO reports VALUES (?, ?, ?, ?, ?)",
@@ -393,18 +407,31 @@ def build_v1_database(path) -> str:
         conn.execute(
             "INSERT INTO jobs VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
             (
-                "job-legacy", SPEC.fingerprint(), SPEC.canonical_json(),
+                "job-legacy", fingerprint, SPEC.canonical_json(),
                 0, "done", 1.0, 2.0, 3.0, None, run_id,
             ),
         )
+        if version >= 2:
+            conn.execute(_SCHEMA_V2_TRAJECTORIES)
+            conn.executemany(
+                "INSERT INTO trajectories VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                trajectory_rows(run_id, "GPT-4o", False, report),
+            )
     return run_id
+
+
+def test_legacy_fingerprint_copy_matches_the_retired_code():
+    # Computed by ``JobSpec.fingerprint`` before specs were keyed semantically.
+    assert v2_fingerprint(SPEC) == (
+        "f988f80ad89efeefc6e284b01f402d60e26fc524b776d0cdc80432cb465b9636"
+    )
 
 
 def test_open_migrates_v1_to_v2_and_backfills(tmp_path):
     path = tmp_path / "legacy.db"
-    run_id = build_v1_database(path)
-    store = ResultsStore(path)  # opening applies the migration
-    assert store.schema_version == 2
+    run_id = build_legacy_database(path, version=1)
+    store = ResultsStore(path)  # opening applies the migrations
+    assert store.schema_version == SCHEMA_VERSION
     rows = store.trajectories(run_id)
     assert len(rows) == 2 * 2 * 3 * (1 + 2), "trajectories backfilled from reports"
     # The migrated data is fully readable through the current API.
@@ -419,16 +446,48 @@ def test_open_migrates_v1_to_v2_and_backfills(tmp_path):
         report.pass_at_k(1, metric="syntax", max_feedback=0)
     )
     assert store.load_job("job-legacy")["state"] == "done"
+    assert store.latest_run(SPEC.fingerprint()) == run_id, "v1 rows re-keyed through v3"
 
 
 def test_migration_is_idempotent_across_reopens(tmp_path):
     path = tmp_path / "legacy.db"
-    run_id = build_v1_database(path)
+    run_id = build_legacy_database(path, version=1)
     first = ResultsStore(path)
     rows_after_migration = first.trajectories(run_id)
-    second = ResultsStore(path)  # already v2: opening must not re-migrate
-    assert second.schema_version == 2
+    second = ResultsStore(path)  # already current: opening must not re-migrate
+    assert second.schema_version == SCHEMA_VERSION
     assert second.trajectories(run_id) == rows_after_migration
+
+
+def test_v2_database_rekeys_on_the_semantic_fingerprint_and_still_dedupes(tmp_path):
+    path = tmp_path / "v2.db"
+    run_id = build_legacy_database(path, version=2)
+    store = ResultsStore(path)
+    assert store.schema_version == SCHEMA_VERSION
+    assert store.find_runs(SPEC.fingerprint()) == [
+        {"run_id": run_id, "spec_fingerprint": SPEC.fingerprint(), "created_at": 42.0}
+    ], "run ids stay as stored; the fingerprint column is recomputed"
+    assert store.load_job("job-legacy")["spec_fingerprint"] == SPEC.fingerprint()
+    with EvalService(path, job_workers=1) as service:
+        job_id = service.submit(replace(SPEC, batch_size=4), dedupe=True)
+        record = service.wait(job_id, timeout=60.0)
+    assert record.deduplicated is True
+    assert record.run_id == run_id
+    assert ResultsStore(path).counts()["runs"] == 1
+
+
+def test_v2_row_rejected_by_todays_checks_keeps_its_fingerprint(tmp_path):
+    path = tmp_path / "v2.db"
+    build_legacy_database(path, version=2)
+    bad_spec = dict(SPEC.to_dict(), max_feedback_iterations=-1)  # accepted by v2
+    with closing(sqlite3.connect(path)) as conn, conn:
+        conn.execute(
+            "UPDATE jobs SET spec_json = ? WHERE job_id = 'job-legacy'",
+            (json.dumps(bad_spec, sort_keys=True, separators=(",", ":")),),
+        )
+    store = ResultsStore(path)  # the upgrade is not blocked
+    assert store.schema_version == SCHEMA_VERSION
+    assert store.load_job("job-legacy")["spec_fingerprint"] == v2_fingerprint(SPEC)
 
 
 def test_newer_schema_version_refused(tmp_path):
@@ -546,6 +605,47 @@ def test_exhausted_write_faults_propagate(tmp_path):
             store.save_run(SPEC, {("GPT-4o", False): make_report()})
     clear_plan()
     assert store.counts()["runs"] == 0  # nothing half-written
+
+
+#: Specs describing the same evaluation as ``SPEC``: they differ only in
+#: fields that are not semantic, so their reports equal ``SPEC``'s.
+SAME_EVALUATION = (
+    replace(SPEC, batch_size=4),
+    replace(SPEC, execution_mode="process", processes=2),
+    replace(SPEC, solver_backend="dense"),
+    replace(SPEC, kind="evaluate"),
+)
+
+
+@pytest.mark.parametrize(
+    "variant", SAME_EVALUATION, ids=["batch_size", "process_tier", "solver_backend", "kind"]
+)
+def test_execution_settings_share_the_spec_fingerprint(variant):
+    assert variant.fingerprint() == SPEC.fingerprint()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SPEC,
+        *SAME_EVALUATION,
+        replace(SPEC, base_seed=1),
+        JobSpec(),
+        JobSpec(pack="wdm-links", pack_params={"channels": [2]}, restrictions=(True,)),
+    ],
+)
+def test_spec_fingerprint_is_the_sweep_journal_identity(spec):
+    assert spec.fingerprint() == sweep_fingerprint(spec, spec.models, spec.restrictions)
+
+
+def test_save_run_dedupes_across_execution_settings(tmp_path):
+    store = ResultsStore(tmp_path / "results.db")
+    reports = {("GPT-4o", False): make_report()}
+    run_id, created = store.save_run(SPEC, reports)
+    assert created
+    for variant in SAME_EVALUATION:
+        assert store.save_run(variant, reports) == (run_id, False)
+    assert store.counts()["runs"] == 1
 
 
 def test_spec_fingerprint_ignores_robustness_knobs():

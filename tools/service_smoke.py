@@ -8,7 +8,9 @@ acceptance path over the real socket protocol:
 2. A seed-varied job re-using the first job's compiled plans (plan-cache
    hits > 0 in its per-job engine-stats delta) -- the one-shot regression.
 3. An identical re-submission that is fully warm: simulation-cache hits
-   with zero misses and zero plan compiles.
+   with zero misses and zero plan compiles.  A re-submission that differs
+   only in batch size, with ``dedupe``, is the same evaluation: it comes
+   back deduplicated onto the stored run.
 4. A self-diff of a stored run through the ``diff`` op: must be empty and
    must not trip the regression gate.
 
@@ -120,6 +122,13 @@ def main() -> int:
                 if rerun["run_id"] != first["run_id"]:
                     fail("identical re-submission did not dedupe to the same run")
                 print(f"ok: identical re-submission fully warm ({sim['hits']} sim hits)")
+                batched_id = client.submit(
+                    JobSpec(**mzi, base_seed=0, batch_size=4), dedupe=True
+                )
+                batched = client.poll(batched_id, timeout=600.0)
+                if not (batched["deduplicated"] and batched["run_id"] == first["run_id"]):
+                    fail(f"batch-size re-submission was not deduplicated: {batched!r}")
+                print("ok: batch-size re-submission deduplicated onto the stored run")
 
                 # -- 4. self-diff is empty ----------------------------------
                 diff = client.diff(rerun["run_id"], rerun["run_id"])
