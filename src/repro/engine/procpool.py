@@ -328,7 +328,9 @@ class ProcessScheduler:
         ``on_result(index, result)`` fires in the parent as each unit's
         outcome lands (shard completion order, not index order) -- the
         journalling hook: a checkpoint written there survives a parent
-        kill even though ``map`` itself never returned.
+        kill even though ``map`` itself never returned.  An exception it
+        raises ends the map: the shards still queued are dropped, those
+        already running finish, and the exception propagates.
         """
         tasks = list(tasks)
         results: List[Any] = [None] * len(tasks)
@@ -375,7 +377,7 @@ class ProcessScheduler:
             else:
                 self._watch(pool, future_spans, retry_spans, merge)
         finally:
-            pool.shutdown(wait=True)
+            pool.shutdown(wait=True, cancel_futures=True)
         if retry_spans:
             self._retry_units(
                 retry_spans,

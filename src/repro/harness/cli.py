@@ -113,8 +113,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("a target is required (or pass --list-packs)")
     try:
         config = _sweep_config(args)
-    except ValueError as error:
-        parser.error(str(error))
+        config.select_problems()
+    except (KeyError, ValueError) as error:
+        # KeyError's str() quotes its message; print it bare, like ValueError's.
+        parser.error(error.args[0])
 
     if args.target == "table1":
         print(table1_text(config.pack, config.pack_params))

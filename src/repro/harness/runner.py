@@ -55,7 +55,7 @@ def _parse_pack_params(raw: Optional[Sequence[str]]) -> Optional[Dict[str, objec
     for item in raw:
         key, separator, value = item.partition("=")
         if not separator or not key:
-            raise SystemExit(f"--pack-param must look like KEY=VALUE, got {item!r}")
+            raise ValueError(f"--pack-param must look like KEY=VALUE, got {item!r}")
         try:
             params[key] = json.loads(value)
         except json.JSONDecodeError:
@@ -247,7 +247,8 @@ class SweepSpec:
     def from_args(cls, args, **values: object):
         """Build ``cls`` from flags added by :meth:`add_flags`, plus ``values``.
 
-        Raises ``ValueError`` on a value the field checks reject.
+        Raises ``ValueError`` on a value a flag's parser or the field checks
+        reject.
         """
         for spec_field in fields(cls):
             if "flag" in spec_field.metadata:
@@ -736,6 +737,7 @@ def run_sweep(
     clients: Optional[Sequence[LLMClient]] = None,
     engine: Optional[ExecutionEngine] = None,
     golden_store: Optional[GoldenStore] = None,
+    on_unit: Optional[Callable[[], None]] = None,
 ) -> SweepResult:
     """Run the full Tables III / IV sweep.
 
@@ -757,7 +759,10 @@ def run_sweep(
     ``engine`` and ``golden_store`` let a caller keep simulations and golden
     responses warm across sweeps (the evaluation service does); the golden
     store defaults to one on the engine.  Live objects cannot cross a
-    process boundary, so the process tier ignores both.
+    process boundary, so the process tier ignores both.  ``on_unit()`` runs
+    in the calling process after each fresh trajectory is journaled; an
+    exception it raises (the service's cancellation checkpoint) stops the
+    sweep at that trajectory, leaving the journal to resume from.
     """
     config = config if config is not None else SweepConfig()
     if clients is None:
@@ -785,11 +790,13 @@ def run_sweep(
     pending = [index for index, key in enumerate(keys) if key not in completed]
 
     def checkpoint(position: int, sample: object) -> None:
-        """Visit ``sweep.unit`` as a pending trajectory finishes, then journal it."""
+        """Visit ``sweep.unit`` as a pending trajectory finishes, journal it, then ``on_unit``."""
         key = keys[pending[position]]
         fault_point("sweep.unit", key="|".join(map(str, key)))
         if journal is not None and isinstance(sample, SampleResult):
             journal.record(key, sample)
+        if on_unit is not None:
+            on_unit()
 
     result = SweepResult(config=config)
     try:

@@ -290,8 +290,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "jobs" and args.verb == "submit":
         try:
             spec = _spec_from_args(args)
-        except ValueError as error:
-            parser.error(str(error))
+            spec.validate()
+        except (KeyError, ValueError) as error:
+            # KeyError's str() quotes its message; print it bare, like ValueError's.
+            parser.error(error.args[0])
     try:
         if args.command == "serve":
             return _serve(args)

@@ -9,10 +9,12 @@ simulation-cache hits instead of cold recompiles.  Per-job engine-stats
 deltas (:func:`~repro.engine.engine.stats_delta`) make that observable and
 are persisted with each run.
 
-Thread-mode jobs run through :func:`~repro.harness.runner.run_model` on the
-shared engine; process-mode specs dispatch through the PR 6
-:class:`~repro.engine.procpool.ProcessScheduler` path (workers share the
-service's ``cache_dir`` disk tiers instead of its in-memory engine).
+Each job runs as one :func:`~repro.harness.runner.run_sweep` over its
+models and restriction settings, journaled under the job's fingerprint.
+Thread-mode jobs run on the shared engine; process-mode jobs shard the
+sweep across a :class:`~repro.engine.procpool.ProcessScheduler` pool whose
+workers share the service's ``cache_dir`` disk tiers instead of its
+in-memory engine.
 """
 
 from __future__ import annotations
@@ -26,9 +28,8 @@ from ..bench.golden import GoldenStore
 from ..engine.engine import EngineConfig, ExecutionEngine, stats_delta
 from ..faults import fault_point, fault_stats
 from ..evalkit.outcome import EvalReport
-from ..harness.runner import run_model
+from ..harness import runner
 from ..llm.profiles import get_profile
-from ..llm.simulated import SimulatedDesigner
 from .diff import RunDiff, diff_runs
 from .queue import JobQueue, JobRecord, JobState, QueueFullError
 from .spec import JobSpec
@@ -330,49 +331,44 @@ class EvalService:
             return store
 
     def _execute(self, job: JobRecord) -> Dict[Tuple[str, bool], EvalReport]:
-        """Run one job: per-(model, restrictions) reports, persisted as a run.
+        """Run one job as one sweep and persist its reports as a run.
 
-        Cancellation checkpoints sit between (restriction, model) pairs --
-        a cancel request lands at the next pair boundary.  Everything runs
-        on the shared engine (thread mode) or the shared disk caches
-        (process mode), and the per-job engine-stats delta is recorded on
-        the job and with the stored run.
+        Every (model, restriction setting) pair of the job runs in one
+        :func:`~repro.harness.runner.run_sweep`: one journal named by
+        :meth:`JobSpec.fingerprint`, one evaluator on the shared engine and
+        golden store (thread tier) or one process pool sharding the whole
+        job by problem over the shared disk caches (process tier).
+        ``job.checkpoint`` runs after each fresh trajectory, so a cancel
+        request lands at the next finished trajectory.  The engine stats
+        recorded on the job and with the stored run are the shared engine's
+        per-job delta, or the workers' merged stats on the process tier.
         """
         spec = job.spec
-        config = spec.sweep_config(
-            cache_dir=self.cache_dir,
-            workers=self.engine.config.workers,
-            journal_dir=self.journal_dir,
-            # Journals are keyed by the sweep's semantic fingerprint, so
-            # resuming is always safe: a fresh spec simply finds no journal.
-            resume=self.journal_dir is not None,
-        )
         with self._stats_lock:
             stats_before = self.engine.stats()
-        clients = {
-            model: SimulatedDesigner(get_profile(model), base_seed=spec.base_seed)
-            for model in spec.models
-        }
-        reports: Dict[Tuple[str, bool], EvalReport] = {}
-        use_shared_engine = spec.execution_mode == "thread"
-        golden_store = self._golden_store(spec) if use_shared_engine else None
-        for include_restrictions in spec.restrictions:
-            for model in spec.models:
-                job.checkpoint()
-                reports[(model, include_restrictions)] = run_model(
-                    clients[model],
-                    include_restrictions=include_restrictions,
-                    config=config,
-                    engine=self.engine if use_shared_engine else None,
-                    golden_store=golden_store,
-                )
-        with self._stats_lock:
-            job.engine_stats = stats_delta(stats_before, self.engine.stats())
-        run_id, _created = self.store.save_run(
-            spec, reports, engine_stats=job.engine_stats
+        result = runner.run_sweep(
+            spec.sweep_config(
+                cache_dir=self.cache_dir,
+                workers=self.engine.config.workers,
+                journal_dir=self.journal_dir,
+                # Journals are keyed by the sweep's semantic fingerprint, so
+                # resuming is always safe: a fresh spec simply finds no journal.
+                resume=self.journal_dir is not None,
+            ),
+            profiles=[get_profile(model) for model in spec.models],
+            restriction_settings=spec.restrictions,
+            engine=self.engine,
+            golden_store=self._golden_store(spec),
+            on_unit=job.checkpoint,
         )
-        job.run_id = run_id
-        return reports
+        with self._stats_lock:
+            job.engine_stats = result.engine_stats or stats_delta(
+                stats_before, self.engine.stats()
+            )
+        job.run_id, _created = self.store.save_run(
+            spec, result.reports, engine_stats=job.engine_stats
+        )
+        return result.reports
 
     def _persist_job(self, job: JobRecord) -> None:
         """Queue hook: mirror every job state transition into the store."""

@@ -14,7 +14,6 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, Tuple
 
-from ..bench.packs import get_pack
 from ..harness.journal import sweep_fingerprint
 from ..harness.runner import SweepConfig, SweepSpec
 from ..llm.profiles import get_profile, profile_names
@@ -33,7 +32,9 @@ class JobSpec(SweepSpec):
 
     The sweep fields are :class:`~repro.harness.runner.SweepSpec`'s, declared
     there once; a job adds its ``kind``, the simulated designer profiles
-    it runs (``models``, default: all five paper profiles) and the prompt
+    it runs (``models``, default: all five paper profiles; each name is
+    stored as its profile spells it, so any spelling ``get_profile``
+    accepts is the same job) and the prompt
     configurations (``restrictions``, default: both the with- and
     without-restrictions settings).  The local-run fields of
     :class:`~repro.harness.runner.SweepConfig` (``workers``, ``cache_dir``,
@@ -49,7 +50,13 @@ class JobSpec(SweepSpec):
         super().__post_init__()
         if self.kind not in JOB_KINDS:
             raise ValueError(f"unknown job kind {self.kind!r}; choose one of {list(JOB_KINDS)}")
-        object.__setattr__(self, "models", tuple(self.models))
+        # One spelling per profile: the lookup is case-insensitive, the
+        # fingerprint, the journal and the report keys are not.
+        try:
+            models = tuple(get_profile(name).name for name in self.models)
+        except KeyError as error:
+            raise ValueError(error.args[0]) from None
+        object.__setattr__(self, "models", models)
         object.__setattr__(self, "restrictions", tuple(bool(r) for r in self.restrictions))
         if not self.models:
             raise ValueError("a job must request at least one model")
@@ -62,15 +69,13 @@ class JobSpec(SweepSpec):
             )
 
     def validate(self) -> None:
-        """Resolve every referenced entity, raising on unknown names.
+        """Resolve the problem selection, raising ``KeyError`` on unknown names.
 
-        Submission-time validation: unknown model profiles or packs fail the
+        Submission-time validation: an unknown pack or problem fails the
         submit call with a clear error instead of failing the job later in a
-        worker.
+        worker.  Model names are resolved on construction.
         """
-        for model in self.models:
-            get_profile(model)
-        get_pack(self.pack)
+        self.sweep_config().select_problems()
 
     # ------------------------------------------------------------------
     # Serialisation

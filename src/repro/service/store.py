@@ -341,15 +341,22 @@ class ResultsStore:
         ``run_id`` is the content fingerprint of (spec, reports).  When a
         run with the same fingerprint already exists the call is a no-op
         dedup hit (``created=False``): identical re-submissions converge on
-        one stored run.
+        one stored run.  So does a run stored before the v2 -> v3 re-key,
+        which kept its old id: one with the same spec fingerprint and the
+        same report documents is returned instead of a new run.
         """
         if not reports:
             raise ValueError("a run must contain at least one report")
         run_id = run_fingerprint(spec, reports)
+        fingerprint = spec.fingerprint()
+        documents = {
+            (model, int(with_restrictions)): canonical_report_json(report)
+            for (model, with_restrictions), report in reports.items()
+        }
         created = False
 
         def write() -> None:
-            nonlocal created
+            nonlocal created, run_id
             fault_point("store.write", key=run_id)
             with self._write_lock(), closing(self._connect()) as conn, conn:
                 exists = conn.execute(
@@ -358,11 +365,22 @@ class ResultsStore:
                 if exists:
                     created = False
                     return
+                for (legacy_id,) in conn.execute(
+                    "SELECT run_id FROM runs WHERE spec_fingerprint = ?", (fingerprint,)
+                ).fetchall():
+                    stored = conn.execute(
+                        "SELECT model, with_restrictions, report_json FROM reports "
+                        "WHERE run_id = ?",
+                        (legacy_id,),
+                    )
+                    if {(model, flag): doc for model, flag, doc in stored} == documents:
+                        run_id = legacy_id
+                        return
                 conn.execute(
                     "INSERT INTO runs VALUES (?, ?, ?, ?, ?)",
                     (
                         run_id,
-                        spec.fingerprint(),
+                        fingerprint,
                         spec.canonical_json(),
                         time.time() if created_at is None else float(created_at),
                         json.dumps(engine_stats, sort_keys=True, default=repr)
@@ -378,7 +396,7 @@ class ResultsStore:
                             model,
                             int(with_restrictions),
                             report.pack,
-                            canonical_report_json(report),
+                            documents[(model, int(with_restrictions))],
                         ),
                     )
                     conn.executemany(

@@ -428,9 +428,11 @@ class TestCliPackFlags:
         assert main(["table1", "--pack", "wdm-links"]) == 0
         assert "(pack: wdm-links)" in capsys.readouterr().out
 
-    def test_bad_pack_param_syntax_rejected(self):
-        with pytest.raises(SystemExit, match="KEY=VALUE"):
+    def test_bad_pack_param_syntax_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
             main(["table1", "--pack", "wdm-links", "--pack-param", "channels"])
+        assert exit_info.value.code == 2, "a usage error"
+        assert "KEY=VALUE" in capsys.readouterr().err
 
     def test_sweep_pack_end_to_end(self, capsys, tmp_path):
         output = tmp_path / "wdm_results.json"

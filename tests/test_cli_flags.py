@@ -4,8 +4,9 @@
 the fields of :class:`~repro.harness.runner.SweepConfig` and
 :class:`~repro.service.spec.JobSpec`.  The reference mappings below are the
 hand-written ones those generated parsers replaced; each invocation must
-still produce the config they produced.  Values the field checks reject end
-as a usage error (exit 2), never as a traceback or a silently odd sweep.
+still produce the config they produced.  Values the field checks reject, and
+names that resolve to no problem, pack or profile, end as a usage error
+(exit 2), never as a traceback or a silently odd sweep.
 """
 
 from __future__ import annotations
@@ -275,3 +276,41 @@ def test_cli_turns_bad_sweep_values_into_usage_errors(main, prefix, name, _value
     assert "usage:" in err
     assert f"{name} must be >=" in err
     assert "Traceback" not in err
+
+
+# ----------------------------------------------------------------------
+# Names that resolve to nothing
+# ----------------------------------------------------------------------
+UNKNOWN_NAMES = [
+    (["--problems", "nosuch"], "unknown problems requested"),
+    (["--pack", "nosuch"], "unknown problem pack 'nosuch'"),
+    (["--pack-param", "nosuch"], "--pack-param must look like KEY=VALUE"),
+]
+
+
+@pytest.mark.parametrize("argv, message", UNKNOWN_NAMES, ids=["problems", "pack", "pack-param"])
+@pytest.mark.parametrize(
+    "main, prefix",
+    [
+        (harness_main, ["table3"]),
+        (service_main, ["jobs", "--port", "1", "submit"]),
+    ],
+    ids=["harness", "jobs-submit"],
+)
+def test_cli_turns_unknown_names_into_usage_errors(main, prefix, argv, message, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*prefix, *argv])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_submit_turns_an_unknown_model_into_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        service_main(["jobs", "--port", "1", "submit", "--models", "GPT-99"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert "unknown profile 'GPT-99'" in err

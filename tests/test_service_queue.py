@@ -23,6 +23,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.faults import FaultRule, inject
 from repro.harness.runner import SweepConfig, run_model
 from repro.llm.profiles import get_profile
 from repro.llm.simulated import SimulatedDesigner
@@ -405,10 +406,13 @@ def test_spec_rejects_empty_models_and_restrictions():
 
 
 def test_spec_validate_rejects_unknown_model_and_pack():
-    with pytest.raises(KeyError):
-        JobSpec(models=("GPT-99",)).validate()
+    # Model names resolve on construction, the problem selection on validate().
+    with pytest.raises(ValueError, match="GPT-99"):
+        JobSpec(models=("GPT-99",))
     with pytest.raises(KeyError):
         JobSpec(pack="no-such-pack").validate()
+    with pytest.raises(KeyError, match="no_such_problem"):
+        JobSpec(problems=("no_such_problem",)).validate()
 
 
 def test_spec_from_dict_rejects_unknown_fields():
@@ -419,7 +423,7 @@ def test_spec_from_dict_rejects_unknown_fields():
 def test_queue_submit_validates_spec():
     queue = JobQueue(Recorder(), workers=1)
     with pytest.raises(KeyError):
-        queue.submit(JobSpec(**dict(TINY, models=("GPT-99",))))
+        queue.submit(JobSpec(**dict(TINY, problems=("no_such_problem",))))
     drain(queue)
 
 
@@ -508,13 +512,32 @@ def test_dedupe_submission_reuses_stored_run(service):
 
 
 def test_failed_job_is_contained_and_queue_survives(service):
-    bad = service.submit(JobSpec(**dict(TINY, problems=("no_such_problem",))))
-    record = service.wait(bad, timeout=120.0)
+    with inject(FaultRule("sweep.unit", max_triggers=1)):
+        bad = service.submit(JobSpec(**TINY))
+        record = service.wait(bad, timeout=120.0)
     assert record.state is JobState.FAILED
-    assert "no_such_problem" in record.error
+    assert "injected fault at sweep.unit" in record.error
     assert service.store.load_job(bad)["state"] == "failed"
     good = service.submit(JobSpec(**TINY))
     assert service.wait(good, timeout=120.0).state is JobState.DONE
+
+
+def test_model_spellings_are_one_evaluation(service):
+    lower, canonical = (JobSpec(**dict(TINY, models=(name,))) for name in ("gpt-4o", "GPT-4o"))
+    assert lower.models == ("GPT-4o",)
+    assert lower == canonical and lower.fingerprint() == canonical.fingerprint()
+    records = [service.wait(service.submit(spec), timeout=120.0) for spec in (lower, canonical)]
+    assert records[0].run_id == records[1].run_id
+    assert set(service.store.load_run(records[0].run_id).reports) == {("GPT-4o", False)}
+    assert service.store.counts()["runs"] == 1
+
+
+def test_submit_rejects_unknown_problems_and_packs(service):
+    for spec in (JobSpec(**dict(TINY, problems=("no_such_problem",))), JobSpec(pack="nosuch")):
+        with pytest.raises(KeyError):
+            service.submit(spec)
+    assert service.queue.jobs() == []
+    assert service.store.counts()["jobs"] == 0, "a rejected submit is never journaled"
 
 
 def test_concurrent_service_jobs_all_complete(tmp_path):

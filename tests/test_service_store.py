@@ -476,6 +476,21 @@ def test_v2_database_rekeys_on_the_semantic_fingerprint_and_still_dedupes(tmp_pa
     assert ResultsStore(path).counts()["runs"] == 1
 
 
+@pytest.mark.parametrize("version", [1, 2])
+def test_resaving_a_legacy_run_returns_its_stored_id(tmp_path, version):
+    path = tmp_path / "legacy.db"
+    run_id = build_legacy_database(path, version=version)
+    store = ResultsStore(path)
+    reports = store.load_run(run_id).reports
+    assert run_fingerprint(SPEC, reports) != run_id, "the legacy id predates the re-key"
+    assert store.save_run(SPEC, reports) == (run_id, False)
+    assert store.counts()["runs"] == 1
+    # Other reports of the same spec are another run.
+    other = {("GPT-4o", False): make_report(problems={"mzi_ps": [1, 0]})}
+    assert store.save_run(SPEC, other) == (run_fingerprint(SPEC, other), True)
+    assert store.counts()["runs"] == 2
+
+
 def test_v2_row_rejected_by_todays_checks_keeps_its_fingerprint(tmp_path):
     path = tmp_path / "v2.db"
     build_legacy_database(path, version=2)

@@ -13,6 +13,10 @@ acceptance path over the real socket protocol:
    back deduplicated onto the stored run.
 4. A self-diff of a stored run through the ``diff`` op: must be empty and
    must not trip the regression gate.
+5. A process-tier job over two models and both restriction settings, run
+   as one sharded sweep: its stored reports must equal an in-process
+   ``run_sweep`` of the same spec byte for byte, and its engine stats must
+   be the workers' (simulation-cache misses > 0).
 
 Exits non-zero with a message on the first violated invariant.
 
@@ -30,9 +34,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.harness.runner import run_sweep  # noqa: E402
+from repro.llm.profiles import get_profile  # noqa: E402
 from repro.service import EvalService, JobSpec  # noqa: E402
 from repro.service.client import ServiceClient  # noqa: E402
 from repro.service.daemon import ServiceDaemon  # noqa: E402
+from repro.service.store import canonical_report_json  # noqa: E402
 
 #: Small but engine-exercising spec (several structure-sharing candidates).
 BASE = dict(
@@ -137,6 +144,33 @@ def main() -> int:
                 if diff["report"]["is_regression"] is not False:
                     fail("self-diff tripped the regression gate")
                 print("ok: self-diff empty, regression gate clean")
+
+                # -- 5. a multi-pair process-tier job -----------------------
+                pairs = JobSpec(
+                    **dict(BASE, models=("GPT-4o", "Gemini 1.5 pro"), restrictions=(False, True)),
+                    problems=("mzi_ps", "mzm"),
+                    execution_mode="process",
+                    processes=2,
+                )
+                pairs_job = client.poll(client.submit(pairs), timeout=600.0)
+                if pairs_job["state"] != "done":
+                    fail(f"process-tier job ended {pairs_job['state']}: {pairs_job['error']}")
+                expected = run_sweep(
+                    pairs.sweep_config(),
+                    profiles=[get_profile(model) for model in pairs.models],
+                    restriction_settings=pairs.restrictions,
+                )
+                for (model, restrictions), report in expected.reports.items():
+                    stored = service.store.load_report_json(pairs_job["run_id"], model, restrictions)
+                    if stored != canonical_report_json(report):
+                        fail(f"process-tier report ({model}, {restrictions}) differs from run_sweep")
+                misses = pairs_job["engine_stats"]["simulation_cache"]["misses"]
+                if not misses > 0:
+                    fail(f"process-tier job recorded no worker simulation misses: {misses!r}")
+                print(
+                    f"ok: process-tier job over {len(expected.reports)} (model, restriction) "
+                    f"pairs equals run_sweep ({misses} worker simulation misses)"
+                )
 
                 counts = service.store.counts()
                 print(
