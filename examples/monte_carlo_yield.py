@@ -25,7 +25,7 @@ from repro.bench.problems.variability import (
     ring_filter_nominal,
 )
 from repro.constants import default_wavelength_grid
-from repro.engine import EngineConfig, ExecutionEngine
+from repro.engine import ExecutionEngine
 
 #: Number of fabrication draws (kept small so the example runs in seconds).
 DRAWS = 48
@@ -41,10 +41,10 @@ def main() -> int:
     # somewhere in the band (the ring still resonates despite the corner).
     spec = YieldSpec("O2", "I1", min_transmission=0.30, metric="max")
 
-    # An engine with a batch size: draws fuse into batched executor passes
-    # and land in the content-addressed simulation cache under the very same
-    # keys individual evaluations would use.
-    engine = ExecutionEngine(EngineConfig(batch_size=16))
+    # Through an engine, the draws fuse into batched executor passes and land
+    # in the content-addressed simulation cache under the very same keys
+    # individual evaluations would use.
+    engine = ExecutionEngine()
 
     result = monte_carlo_yield(
         netlist,

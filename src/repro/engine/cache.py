@@ -97,11 +97,6 @@ class SimulationCache:
         return self._memory.stats
 
     @property
-    def enabled(self) -> bool:
-        """Whether the cache can store anything at all."""
-        return self._memory.max_entries > 0 or self.cache_dir is not None
-
-    @property
     def nonfinite_rejected(self) -> int:
         """How many puts were refused because their data was not finite."""
         with self._stats_lock:

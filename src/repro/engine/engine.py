@@ -26,7 +26,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Ty
 import numpy as np
 
 from ..constants import normalize_wavelengths
-from ..faults import RetryPolicy, fault_point, fault_stats
+from ..faults import fault_point, fault_stats
 from ..netlist.schema import Netlist
 from ..netlist.validation import PortSpec
 from ..sim.batch import SettingsBatch, apply_settings, structural_key
@@ -78,44 +78,21 @@ R = TypeVar("R")
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Tuning knobs of an :class:`ExecutionEngine`.
+    """Where an :class:`ExecutionEngine` runs its work and keeps its caches.
+
+    Everything else is fixed by the :class:`~repro.sim.circuit.CircuitSolver`
+    and :class:`~repro.engine.cache.SimulationCache` defaults: the ``auto``
+    backend, which sizes its own wavelength blocks, a 128-plan cache, and a
+    2,048-entry simulation cache whose disk I/O gets two attempts 0.02 s
+    apart.  A caller that needs another solver passes one to the engine.
 
     Attributes
     ----------
     workers:
         Size of the scheduler's thread pool; ``1`` (the default) runs every
         task inline, ``0`` or negative means one worker per CPU core.
-    cache_entries:
-        Capacity of the in-memory simulation cache; ``0`` disables it.
     cache_dir:
         Optional directory for persistent ``.npz`` simulation artefacts.
-    solver_backend:
-        Circuit-solver backend (``auto``/``dense``/``cascade``, see
-        :data:`repro.sim.circuit.SOLVER_BACKENDS`).  A pure performance knob:
-        every backend computes the same S-matrices, so simulation cache keys
-        deliberately exclude it and cached artefacts are shared across
-        backends.
-    plan_cache_entries:
-        Capacity of the solver's compiled-plan cache (topology-keyed; see
-        :class:`repro.sim.plan.CompiledCircuit`).  ``0`` recompiles the
-        structure work on every evaluation.  Like the backend, plans are
-        invisible to simulation cache keys.
-    wavelength_chunk:
-        Optional bound on how many wavelength points the solver executes at
-        once, capping the peak ``(W, P, E)`` workspace on large grids;
-        ``None`` solves the whole grid in one batch.  Results are identical
-        for any chunk size.
-    batch_size:
-        Batched *pipeline* dispatch: when > 1, :meth:`ExecutionEngine.evaluate_many`
-        (and therefore sweeps and the evaluator's lockstep mode) fuses up to
-        this many structure-sharing samples per solver call; ``1`` (the
-        default) evaluates pipeline work per sample.  Explicit
-        :meth:`ExecutionEngine.evaluate_batch` calls are a request to batch
-        and fuse their whole miss set by default regardless (the solver
-        splits fused passes internally for cache residency); the knob then
-        only caps their chunk size when > 1.  Purely a performance knob:
-        results -- and simulation cache keys -- are identical for any batch
-        size.
     plan_dir:
         Optional directory for the solver's disk-backed compiled-plan spill
         (see :class:`repro.sim.circuit.CircuitSolver`).  Defaults to
@@ -123,36 +100,11 @@ class EngineConfig:
         work is then shared across processes and runs exactly like ``.npz``
         simulation artefacts.  Pass an explicit path to relocate it; the
         spill is off when both are ``None``.
-    io_retry_attempts:
-        Total attempts (first try included) for transient disk-cache I/O
-        errors on the ``.npz`` read and write paths.  ``1`` disables
-        retrying.  Purely a robustness knob: results are identical, failed
-        reads degrade to recomputation either way.
-    io_retry_backoff:
-        Base delay in seconds between disk-I/O retry attempts (exponential
-        with deterministic jitter; see :class:`repro.faults.RetryPolicy`).
     """
 
     workers: int = 1
-    cache_entries: int = 2048
     cache_dir: Optional[Path | str] = None
-    solver_backend: str = "auto"
-    plan_cache_entries: int = 128
-    wavelength_chunk: Optional[int] = None
-    batch_size: int = 1
     plan_dir: Optional[Path | str] = None
-    io_retry_attempts: int = 2
-    io_retry_backoff: float = 0.02
-
-    def __post_init__(self) -> None:
-        if self.io_retry_attempts < 1:
-            raise ValueError("io_retry_attempts must be >= 1")
-
-    def io_retry_policy(self) -> RetryPolicy:
-        """The disk-I/O retry policy these knobs describe."""
-        return RetryPolicy(
-            attempts=self.io_retry_attempts, base_delay=self.io_retry_backoff
-        )
 
     def resolved_plan_dir(self) -> Optional[Path]:
         """The effective plan-spill directory (``cache_dir/plans`` default)."""
@@ -177,19 +129,9 @@ class ExecutionEngine:
         self.solver = (
             solver
             if solver is not None
-            else CircuitSolver(
-                registry=registry,
-                backend=self.config.solver_backend,
-                plan_cache_entries=self.config.plan_cache_entries,
-                max_wavelength_chunk=self.config.wavelength_chunk,
-                plan_dir=self.config.resolved_plan_dir(),
-            )
+            else CircuitSolver(registry=registry, plan_dir=self.config.resolved_plan_dir())
         )
-        self.cache = SimulationCache(
-            max_entries=self.config.cache_entries,
-            cache_dir=self.config.cache_dir,
-            retry_policy=self.config.io_retry_policy(),
-        )
+        self.cache = SimulationCache(cache_dir=self.config.cache_dir)
         self.scheduler = TaskScheduler(workers=self.config.workers)
         self._registry_fp = registry_fingerprint(self.solver.registry)
         self._registry_fp_version = self.solver.registry.version
@@ -258,9 +200,6 @@ class ExecutionEngine:
         every time.
         """
         wavelengths = normalize_wavelengths(wavelengths)
-        if not self.cache.enabled:
-            fault_point("solver.evaluate")
-            return self.solver.evaluate(netlist, wavelengths, port_spec=port_spec)
         key = self.simulation_key(netlist, wavelengths, port_spec)
         cached = self.cache.get(key)
         if cached is not None:
@@ -273,6 +212,13 @@ class ExecutionEngine:
     # ------------------------------------------------------------------
     # Batched simulation
     # ------------------------------------------------------------------
+    def _count_batch(self, samples: int, hits: int) -> None:
+        """Count one batched call of ``samples`` samples, ``hits`` of them cached."""
+        with self._batch_stats_lock:
+            self._batch_stats.calls += 1
+            self._batch_stats.samples += samples
+            self._batch_stats.cache_hits += hits
+
     def evaluate_batch(
         self,
         netlist: Netlist,
@@ -288,63 +234,35 @@ class ExecutionEngine:
         the content address of its *derived* netlist (base plus overrides),
         exactly the key :meth:`evaluate` would compute for that netlist --
         so batched results hit (and seed) per-sample cache entries.  Samples
-        already cached are served directly; the misses run through
-        :meth:`CircuitSolver.evaluate_batch`.  Calling this method is an
-        explicit request to batch, so the whole miss set fuses into one
-        solver call by default (the solver splits fused passes internally
-        for cache residency); ``config.batch_size`` > 1 additionally caps
-        the samples per solver call.
+        already cached are served directly; the distinct misses fuse into
+        one :meth:`CircuitSolver.evaluate_batch` call, which splits its
+        executor passes for cache residency.
         """
         wavelengths = normalize_wavelengths(wavelengths)
-        num_samples = len(settings_batch)
-        results: List[Optional[SMatrix]] = [None] * num_samples
-        keys: List[Optional[str]] = [None] * num_samples
-        hits = 0
-        if self.cache.enabled:
-            for index, overrides in enumerate(settings_batch):
-                derived = apply_settings(netlist, overrides, merge)
-                key = self.simulation_key(derived, wavelengths, port_spec)
-                keys[index] = key
-                cached = self.cache.get(key)
-                if cached is not None:
-                    results[index] = cached
-                    hits += 1
-        misses = [index for index in range(num_samples) if results[index] is None]
-
-        # Deduplicate identical samples within the batch (same derived key).
-        representative: Dict[Optional[str], int] = {}
-        unique: List[int] = []
-        for index in misses:
-            key = keys[index]
-            if key is None:  # cache disabled: no key to deduplicate on
-                unique.append(index)
-            elif key not in representative:
-                representative[key] = index
-                unique.append(index)
-
-        chunk_size = max(1, int(self.config.batch_size)) if self.config.batch_size > 1 else len(unique)
-        for start in range(0, len(unique), max(1, chunk_size)):
-            chunk = unique[start : start + max(1, chunk_size)]
+        keys = [
+            self.simulation_key(apply_settings(netlist, overrides, merge), wavelengths, port_spec)
+            for overrides in settings_batch
+        ]
+        results: List[Optional[SMatrix]] = [self.cache.get(key) for key in keys]
+        hits = sum(result is not None for result in results)
+        # One solve per distinct missing key: identical samples share it.
+        misses: Dict[str, int] = {}
+        for index, key in enumerate(keys):
+            if results[index] is None:
+                misses.setdefault(key, index)
+        if misses:
             solved = self.solver.evaluate_batch(
                 netlist,
-                [settings_batch[index] for index in chunk],
+                [settings_batch[index] for index in misses.values()],
                 wavelengths,
                 port_spec=port_spec,
                 merge=merge,
             )
-            for index, smatrix in zip(chunk, solved):
-                results[index] = smatrix
-                if keys[index] is not None:
-                    self.cache.put(keys[index], smatrix)
-        for index in misses:
-            if results[index] is None:  # duplicate of a representative sample
-                results[index] = results[representative[keys[index]]]
-
-        with self._batch_stats_lock:
-            self._batch_stats.calls += 1
-            self._batch_stats.samples += num_samples
-            self._batch_stats.cache_hits += hits
-        assert all(result is not None for result in results)
+            fresh = dict(zip(misses, solved))
+            for key, smatrix in fresh.items():
+                self.cache.put(key, smatrix)
+            results = [fresh.get(key, result) for key, result in zip(keys, results)]
+        self._count_batch(len(settings_batch), hits)
         return results  # type: ignore[return-value]
 
     def evaluate_many(
@@ -352,8 +270,8 @@ class ExecutionEngine:
         netlists: Sequence[Netlist],
         wavelengths: Optional[np.ndarray] = None,
         *,
+        batch_size: int,
         port_specs: Optional[Sequence[Optional[PortSpec]]] = None,
-        batch_size: Optional[int] = None,
         return_exceptions: bool = False,
     ) -> List[Union[SMatrix, Exception]]:
         """Evaluate many (possibly unrelated) netlists, batching where possible.
@@ -363,11 +281,11 @@ class ExecutionEngine:
         :func:`repro.sim.batch.structural_key`) and port spec; each group is
         re-expressed as one base netlist plus per-sample settings and
         dispatched through the fused batch path in chunks of ``batch_size``
-        (default: ``config.batch_size``; values <= 1 fall back to per-item
-        :meth:`evaluate` calls).  Per-item cache keys are unchanged, so
-        results interoperate with individually evaluated netlists.  As in
-        :meth:`evaluate`, each cache miss visits the ``solver.evaluate``
-        fault point once, with its key, before anything is solved.
+        (values <= 1 fall back to per-item solves).  Per-item cache keys are
+        unchanged, so results interoperate with individually evaluated
+        netlists.  As in :meth:`evaluate`, each cache miss visits the
+        ``solver.evaluate`` fault point once, with its key, before anything
+        is solved.
 
         With ``return_exceptions=True`` a failing item contributes its
         exception (the same classified error :meth:`evaluate` would raise)
@@ -383,10 +301,14 @@ class ExecutionEngine:
             raise ValueError(
                 f"port_specs length {len(specs)} does not match {len(netlists)} netlists"
             )
-        chunk_size = int(batch_size) if batch_size is not None else int(self.config.batch_size)
-        results: List[Optional[Union[SMatrix, Exception]]] = [None] * len(netlists)
+        keys = [
+            self.simulation_key(netlist, wavelengths, spec)
+            for netlist, spec in zip(netlists, specs)
+        ]
+        results: List[Optional[Union[SMatrix, Exception]]] = [self.cache.get(key) for key in keys]
+        hits = sum(result is not None for result in results)
 
-        def solve_item(index: int, key: Optional[str]) -> None:
+        def solve_item(index: int) -> None:
             """Per-item fallback replicating :meth:`evaluate` semantics."""
             try:
                 smatrix = self.solver.evaluate(
@@ -397,21 +319,8 @@ class ExecutionEngine:
                     raise
                 results[index] = error
                 return
-            if key is not None:
-                self.cache.put(key, smatrix)
+            self.cache.put(keys[index], smatrix)
             results[index] = smatrix
-
-        # Per-item cache probe (batched and per-sample keys are identical).
-        keys: List[Optional[str]] = [None] * len(netlists)
-        hits = 0
-        for index, netlist in enumerate(netlists):
-            if self.cache.enabled:
-                key = self.simulation_key(netlist, wavelengths, specs[index])
-                keys[index] = key
-                cached = self.cache.get(key)
-                if cached is not None:
-                    results[index] = cached
-                    hits += 1
 
         misses = []
         for index in range(len(netlists)):
@@ -425,9 +334,9 @@ class ExecutionEngine:
                 results[index] = error
                 continue
             misses.append(index)
-        if chunk_size <= 1:
+        if batch_size <= 1:
             for index in misses:
-                solve_item(index, keys[index])
+                solve_item(index)
         else:
             groups: Dict[Tuple[str, Optional[Tuple[int, int]]], List[int]] = {}
             for index in misses:
@@ -436,10 +345,9 @@ class ExecutionEngine:
                 groups.setdefault(
                     (structural_key(netlists[index]), spec_key), []
                 ).append(index)
-            for (_, _), members in groups.items():
-                for start in range(0, len(members), chunk_size):
-                    chunk = members[start : start + chunk_size]
-                    base = netlists[chunk[0]]
+            for members in groups.values():
+                for start in range(0, len(members), batch_size):
+                    chunk = members[start : start + batch_size]
                     # Settings dicts are passed by reference (the batch path
                     # treats overrides as read-only): their stable object
                     # ids let the solver's fingerprint memos hit across
@@ -453,7 +361,7 @@ class ExecutionEngine:
                     ]
                     try:
                         solved = self.solver.evaluate_batch(
-                            base,
+                            netlists[chunk[0]],
                             overrides,
                             wavelengths,
                             port_spec=specs[chunk[0]],
@@ -461,18 +369,12 @@ class ExecutionEngine:
                         )
                     except Exception:  # noqa: BLE001 - isolate the failing item
                         for index in chunk:
-                            solve_item(index, keys[index])
+                            solve_item(index)
                         continue
                     for index, smatrix in zip(chunk, solved):
                         results[index] = smatrix
-                        if keys[index] is not None:
-                            self.cache.put(keys[index], smatrix)
-
-        with self._batch_stats_lock:
-            self._batch_stats.calls += 1
-            self._batch_stats.samples += len(netlists)
-            self._batch_stats.cache_hits += hits
-        assert all(result is not None for result in results)
+                        self.cache.put(keys[index], smatrix)
+        self._count_batch(len(netlists), hits)
         return results  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
@@ -496,7 +398,6 @@ class ExecutionEngine:
         solver_batch = self.solver.batch_stats()
         return {
             "workers": self.workers,
-            "batch_size": self.config.batch_size,
             "simulation_cache": self.cache.stats.as_dict(),
             "simulation_hit_rate": self.cache.stats.hit_rate,
             "instance_cache": solver_stats.as_dict(),
@@ -536,7 +437,7 @@ def stats_delta(
         elif (
             isinstance(after_value, bool)
             or not isinstance(after_value, (int, float))
-            or key in ("workers", "batch_size")
+            or key == "workers"
         ):
             # Configuration leaves are not counters: keep the current value.
             delta[key] = after_value

@@ -46,6 +46,7 @@ import importlib
 import multiprocessing
 import os
 import pickle
+import signal
 import time
 import traceback
 import uuid
@@ -137,8 +138,15 @@ _WORKER_SHARDS = 0
 
 
 def _worker_init(builder_ref: str, payload: Any) -> None:
-    """Pool initializer: build this process's context from the spec."""
+    """Pool initializer: build this process's context from the spec.
+
+    SIGTERM gets its default action back first: a worker forked from a
+    process with a SIGTERM handler (a ``serve`` daemon's graceful drain)
+    would otherwise run that handler instead of stopping when the watchdog
+    terminates it.
+    """
     global _WORKER_CONTEXT, _WORKER_ID
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     _WORKER_ID = f"{os.getpid()}:{uuid.uuid4().hex}"
     _WORKER_CONTEXT = resolve_ref(builder_ref)(payload)
 
@@ -512,7 +520,7 @@ class ProcessScheduler:
 # ----------------------------------------------------------------------
 #: Descriptive (non-counter) keys of ``ExecutionEngine.stats()`` snapshots:
 #: identical across workers, kept as-is instead of summed.
-_DESCRIPTIVE_KEYS = ("workers", "batch_size")
+_DESCRIPTIVE_KEYS = ("workers",)
 
 #: Hit-rate keys and the counter sub-dict each is recomputed from.
 _HIT_RATE_SOURCES = {

@@ -75,6 +75,12 @@ class EvaluationConfig:
         debugging, memory-hungry for full sweeps).
     base_seed:
         Global seed mixed into each sample's generation seed.
+    batch_size:
+        Lockstep dispatch: when > 1, :meth:`Evaluator.run_samples` advances
+        its trajectories one feedback iteration at a time and fuses up to
+        this many structure-sharing drafts per solver call; ``1`` (the
+        default) runs each trajectory on its own.  Purely a performance
+        knob: results are identical for any batch size.
     """
 
     samples_per_problem: int = DEFAULT_SAMPLES_PER_PROBLEM
@@ -84,6 +90,7 @@ class EvaluationConfig:
     include_restrictions: bool = False
     keep_responses: bool = False
     base_seed: int = 0
+    batch_size: int = 1
 
 
 #: Capacity of an evaluator's verdict memo; a default sweep judges about
@@ -279,7 +286,7 @@ class Evaluator:
         through :meth:`ExecutionEngine.evaluate_many`, which fuses
         structure-sharing candidates (samples that differ only in instance
         settings -- the common case across pass@k drafts) into shared
-        executor passes of at most ``engine.config.batch_size`` samples.
+        executor passes of at most ``config.batch_size`` samples.
         Drafts judged by an earlier call are served from the verdict memo;
         a draft repeated within this call is judged once, and each repeat
         takes the outcome of its first occurrence.
@@ -315,6 +322,7 @@ class Evaluator:
             simulated = self.engine.evaluate_many(
                 netlists,
                 self.golden_store.wavelengths,
+                batch_size=self.config.batch_size,
                 port_specs=[items[index][0].port_spec for index in pending],
                 return_exceptions=True,
             )
@@ -416,7 +424,7 @@ class Evaluator:
     ) -> List[SampleResult]:
         """Run many ``(client, problem, sample_index, prompt_config)`` trajectories.
 
-        With ``engine.config.batch_size > 1`` the trajectories advance in
+        With ``config.batch_size > 1`` the trajectories advance in
         lockstep, one feedback iteration at a time: the iteration's
         generations run on the engine's worker pool, then every draft is
         judged in one :meth:`evaluate_responses` call, so structurally
@@ -429,7 +437,7 @@ class Evaluator:
         ``on_done(index, sample)`` fires as each trajectory finishes -- on
         the pool's threads for the per-unit driver.
         """
-        if self.engine.config.batch_size <= 1:
+        if self.config.batch_size <= 1:
 
             def run_unit(index: int) -> SampleResult:
                 client, problem, sample_index, prompt_config = units[index]

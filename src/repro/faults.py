@@ -87,7 +87,6 @@ INJECTION_POINTS: Tuple[str, ...] = (
     "service.journal",
     "store.write",
     "daemon.request",
-    "lock.acquire",
     "solver.evaluate",
     "sweep.unit",
 )

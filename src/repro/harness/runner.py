@@ -29,7 +29,6 @@ from ..llm.profiles import DEFAULT_PROFILES, DesignerProfile
 from ..llm.simulated import SimulatedDesigner
 from ..netlist.errors import ErrorCategory
 from ..prompts.system_prompt import PromptConfig
-from ..sim.circuit import SOLVER_BACKENDS
 
 __all__ = ["EXECUTION_MODES", "SweepConfig", "SweepResult", "SweepSpec", "run_model", "run_sweep"]
 
@@ -98,9 +97,9 @@ class SweepSpec:
     identity, hashed by :func:`~repro.harness.journal.sweep_fingerprint`
     for the sweep journal and the results store alike.  The seven semantic
     fields are the sample count, feedback budget, wavelength grid, base
-    seed, problem selection, pack and pack parameters; the others (solver
-    backend, batch size, execution tier, retry budget, watchdog) change
-    how fast or how robustly a sweep runs, never what it reports.
+    seed, problem selection, pack and pack parameters; the others (batch
+    size, execution tier, retry budget, watchdog) change how fast or how
+    robustly a sweep runs, never what it reports.
 
     ``pack`` selects the problem pack the sweep enumerates (default: the
     paper's ``core`` suite) and ``pack_params`` overrides the pack's
@@ -148,16 +147,6 @@ class SweepSpec:
         parse=_parse_pack_params,
         action="append",
         metavar="KEY=VALUE",
-    )
-    solver_backend: str = _flagged(
-        "auto",
-        "--solver-backend",
-        "circuit-solver backend: 'cascade' evaluates the connectivity "
-        "graph's condensation in topological order (feed-forward circuits "
-        "never pay for a global dense solve), 'dense' is the classic "
-        "all-ports solve, 'auto' picks per circuit; all backends produce "
-        "identical results",
-        choices=list(SOLVER_BACKENDS),
     )
     batch_size: int = _flagged(
         1,
@@ -268,9 +257,7 @@ class SweepConfig(SweepSpec):
     threads (``1`` = sequential, ``0`` = one per core), with simulations
     served from a content-addressed cache optionally persisted under
     ``cache_dir`` (process-tier workers share it, with the compiled-plan
-    spill).  ``plan_cache_entries`` sizes the solver's topology-keyed
-    compiled-plan cache and ``wavelength_chunk`` bounds its peak
-    per-evaluation workspace on large grids.  ``journal_dir`` enables
+    spill).  ``journal_dir`` enables
     incremental checkpointing -- every completed trajectory is appended to
     a line-JSON journal keyed by the sweep's semantic fingerprint, so a
     killed run restarted with ``resume`` recomputes only the missing
@@ -291,23 +278,6 @@ class SweepConfig(SweepSpec):
         "--cache-dir",
         "directory for persistent simulation-cache artefacts (.npz); "
         "reused across runs to skip repeated simulations",
-    )
-    plan_cache_entries: int = _flagged(
-        128,
-        "--plan-cache-entries",
-        "capacity of the solver's topology-keyed compiled-plan cache; "
-        "structurally identical netlists (samples that only mutate settings) "
-        "pay for assembly and condensation once; 0 recompiles every call",
-        type=int,
-    )
-    wavelength_chunk: Optional[int] = _flagged(
-        None,
-        "--wavelength-chunk",
-        "solve at most this many wavelength points per batch, bounding "
-        "the solver's peak workspace on large grids (default: whole grid at "
-        "once); results are identical for any chunk size",
-        type=int,
-        metavar="POINTS",
     )
     journal_dir: Optional[str] = _flagged(
         None,
@@ -330,11 +300,8 @@ class SweepConfig(SweepSpec):
         return RetryPolicy(attempts=self.retry_attempts, base_delay=self.retry_backoff)
 
     def engine_config(self) -> EngineConfig:
-        """The :class:`EngineConfig` of this sweep: every field both declare, by name."""
-        shared = {engine_field.name for engine_field in fields(EngineConfig)}
-        return EngineConfig(
-            **{f.name: getattr(self, f.name) for f in fields(self) if f.name in shared}
-        )
+        """The :class:`EngineConfig` of this sweep: its worker count and cache directory."""
+        return EngineConfig(workers=self.workers, cache_dir=self.cache_dir)
 
     def evaluation_config(self, *, include_restrictions: bool) -> EvaluationConfig:
         """Build the corresponding :class:`EvaluationConfig`."""
@@ -344,6 +311,7 @@ class SweepConfig(SweepSpec):
             num_wavelengths=self.num_wavelengths,
             include_restrictions=include_restrictions,
             base_seed=self.base_seed,
+            batch_size=self.batch_size,
         )
 
     def select_problems(self) -> List[Problem]:

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import json
 import re
-from itertools import accumulate, repeat
-from typing import Any, Dict, List, Optional
+from typing import Any, Optional, Tuple
 
 from .errors import ExtraContentError, OtherSyntaxError
 from .schema import Netlist
@@ -30,69 +29,25 @@ __all__ = ["parse_netlist_text", "extract_json_object", "parse_netlist_dict"]
 
 _CODE_FENCE_RE = re.compile(r"```(?:json)?\s*(.*?)```", re.DOTALL)
 
-#: One token of a brace scan: a whole JSON string (``"(?:[^"\\]|\\.)*"``
-#: unrolled), a brace, or a quote that never closes (everything after it is
-#: inside that string).
-_JSON_TOKEN_RE = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|[{}]|".*', re.DOTALL)
-_MATCH_GROUP = re.Match.group
-_DEPTH_STEP = {"{": 1, "}": -1}
+_BRACE_RE = re.compile(r"[{}]")
+
+#: A quote with the backslashes right before it; an odd run escapes it.
+_QUOTE_RE = re.compile(r'\\*"')
 
 
-class _Phase:
-    """One tokenisation of a text from a ``{`` outside any string, with running depths.
+def _across_quotes(text: str, lo: int, hi: int, outside: int, inside: int) -> Tuple[int, int]:
+    """``(outside, inside)`` left of the quotes in ``text[lo:hi]``, given their values right of it.
 
-    ``depths[i]`` is the brace depth after token ``i``, so the ``{`` at token
-    ``i`` closes at the first later token of depth ``depths[i] - 1``.
+    A scan outside a string left of a quote opens a string there, so it
+    continues as the scan inside one; a scan inside a string left of an
+    unescaped quote leaves it there, while an escaped quote keeps it inside.
     """
-
-    __slots__ = ("matches", "tokens", "depths", "cursor", "closers")
-
-    def __init__(self, text: str, start: int) -> None:
-        self.matches = list(_JSON_TOKEN_RE.finditer(text, start))
-        self.tokens = list(map(_MATCH_GROUP, self.matches))
-        self.depths = list(accumulate(map(_DEPTH_STEP.get, self.tokens, repeat(0))))
-        # The first "{" token at or after the latest start sought (None: none left).
-        self.cursor: Optional[int] = 0
-        self.closers: Optional[List[Optional[int]]] = None
-
-    def seek(self, start: int) -> Optional[int]:
-        """The index of this phase's ``{`` token at ``start``, or ``None``.
-
-        ``None`` means the phase saw ``start`` inside a string.  Starts must
-        be sought in increasing order.
-        """
-        cursor = self.cursor
-        while cursor is not None and self.matches[cursor].start() < start:
-            try:
-                cursor = self.tokens.index("{", cursor + 1)
-            except ValueError:
-                cursor = None
-        self.cursor = cursor
-        if cursor is not None and self.matches[cursor].start() == start:
-            return cursor
-        return None
-
-    def close(self, index: int) -> Optional[int]:
-        """The index of the token closing the ``{`` at ``index``, or ``None``.
-
-        The phase's own start searches the depths once; a later start builds
-        every answer in one right-to-left pass.
-        """
-        depths = self.depths
-        if index == 0:
-            try:
-                return depths.index(depths[0] - 1, 1)
-            except ValueError:
-                return None
-        if self.closers is None:
-            closers: List[Optional[int]] = [None] * len(depths)
-            nearest: Dict[int, int] = {}  # depth -> first later token at that depth
-            for later in range(len(depths) - 1, -1, -1):
-                depth = depths[later]
-                closers[later] = nearest.get(depth - 1)
-                nearest[depth] = later
-            self.closers = closers
-        return self.closers[index]
+    if text.find("\\", lo, hi) == -1:
+        # Every quote is unescaped (the common case): only their parity counts.
+        return (inside, outside) if text.count('"', lo, hi) % 2 else (outside, inside)
+    for run in reversed(_QUOTE_RE.findall(text, lo, hi)):
+        outside, inside = inside, (outside if len(run) % 2 else inside)
+    return outside, inside
 
 
 def extract_json_object(text: str) -> Optional[str]:
@@ -102,30 +57,38 @@ def extract_json_object(text: str) -> Optional[str]:
     found.  Brace counting ignores braces inside JSON strings.
 
     Candidate starts are tried at every ``{`` in turn, each scanning as if
-    it began outside a string.  A tokenisation (strings, braces, and an
-    unterminated string running to the end) answers every start that falls
-    on one of its ``{`` tokens.  The latest two are kept: without escapes
-    they cover both quote parities, so any start lies on a ``{`` token of
-    one of them, and only a start both saw inside a string is tokenised
-    afresh.
+    it began outside a string, and the first that balances wins.  A scan's
+    future depends only on its position and on whether it is outside a
+    string, inside one, or inside one after a backslash, so scans that agree
+    once agree from then on.  From the first quote on, the quotes with an
+    even run of backslashes before them delimit the strings of every scan
+    that has met a quote: a string opened at one ends at the next, and one
+    opened at an escaped quote between them ends there too.  One right-to-
+    left pass over the braces therefore answers every start in linear time.
+    It carries two values for the current position: the index of the brace
+    at which a scan outside a string here first closes more braces than it
+    opened (``outside``), and the same for a scan inside such a string
+    (``inside``); ``len(braces)`` means never.
     """
-    phases: List[_Phase] = []
-    start = text.find("{")
-    while start != -1:
-        for phase in phases:
-            index = phase.seek(start)
-            if index is not None:
-                break
-        else:
-            # Keep the newest phase with a "{" token left, and the new one.
-            phases = [older for older in phases if older.cursor is not None][-1:]
-            phase, index = _Phase(text, start), 0
-            phases.append(phase)
-        close = phase.close(index)
-        if close is not None:
-            return text[start : phase.matches[close].end()]
-        start = text.find("{", start + 1)
-    return None
+    braces = [match.start() for match in _BRACE_RE.finditer(text)]
+    never = len(braces)
+    after = [never] * never  # ``outside`` just right of each "}"
+    outside = inside = never
+    found: Optional[Tuple[int, int]] = None
+    hi = len(text)
+    for index in range(never - 1, -1, -1):
+        lo = braces[index]
+        outside, inside = _across_quotes(text, lo + 1, hi, outside, inside)
+        if text[lo] == "}":
+            after[index] = outside
+            outside = index
+        elif outside < never:
+            found = index, outside
+            outside = after[outside]
+        hi = lo
+    if found is None:
+        return None
+    return text[braces[found[0]] : braces[found[1]] + 1]
 
 
 def _load_json(candidate: str) -> Any:

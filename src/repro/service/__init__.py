@@ -10,7 +10,7 @@ The package turns the one-shot sweep CLI into a long-running backend:
     worker concurrency and per-job crash containment.
 :mod:`repro.service.store`
     :class:`ResultsStore` -- the SQLite results database (schema-versioned,
-    migration-ready, lockfile-coordinated) persisting every
+    migration-ready, ``BEGIN IMMEDIATE`` writers) persisting every
     :class:`~repro.evalkit.outcome.EvalReport`, pass@k trajectory, engine
     stats snapshot and job record.
 :mod:`repro.service.diff` / :mod:`repro.service.report`

@@ -20,6 +20,11 @@ from ..llm.profiles import get_profile, profile_names
 
 __all__ = ["JOB_KINDS", "JobSpec"]
 
+#: Fields older specs carried that no longer exist; stored ``spec_json`` rows
+#: still hold them, so :meth:`JobSpec.from_dict` drops them.  None was
+#: semantic, so dropping them changes no fingerprint.
+RETIRED_FIELDS: Tuple[str, ...] = ("solver_backend",)
+
 #: Recognised job kinds: ``"sweep"`` evaluates every requested model under
 #: every requested restriction setting; ``"evaluate"`` is the single-model,
 #: single-restriction special case (exactly one of each is enforced).
@@ -38,8 +43,8 @@ class JobSpec(SweepSpec):
     configurations (``restrictions``, default: both the with- and
     without-restrictions settings).  The local-run fields of
     :class:`~repro.harness.runner.SweepConfig` (``workers``, ``cache_dir``,
-    the solver's plan-cache and chunk sizes, ``journal_dir``, ``resume``)
-    are deliberately absent: they belong to the service, not the job.
+    ``journal_dir``, ``resume``) are deliberately absent: they belong to the
+    service, not the job.
     """
 
     kind: str = "sweep"
@@ -90,12 +95,15 @@ class JobSpec(SweepSpec):
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "JobSpec":
-        """Rebuild a spec from :meth:`to_dict` output (or protocol JSON)."""
-        known = {f for f in cls.__dataclass_fields__}  # noqa: C416 - explicit set
-        unknown = set(payload) - known
+        """Rebuild a spec from :meth:`to_dict` output (or protocol JSON).
+
+        Keys of :data:`RETIRED_FIELDS` are dropped, so specs stored by older
+        versions still load; any other unknown key raises ``ValueError``.
+        """
+        data = {key: value for key, value in payload.items() if key not in RETIRED_FIELDS}
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown JobSpec fields: {sorted(unknown)}")
-        data = dict(payload)
         for key in ("models", "restrictions", "problems"):
             if data.get(key) is not None:
                 data[key] = tuple(data[key])  # type: ignore[arg-type]
@@ -111,9 +119,9 @@ class JobSpec(SweepSpec):
         :func:`~repro.harness.journal.sweep_fingerprint` of the spec, its
         models and its restriction settings: only the fields declared
         semantic participate.  Two submissions of the same evaluation share
-        a fingerprint whatever their kind, batch size, execution tier,
-        solver backend or retry budget -- none of them changes a report --
-        which is what lets the store deduplicate them.
+        a fingerprint whatever their kind, batch size, execution tier or
+        retry budget -- none of them changes a report -- which is what lets
+        the store deduplicate them.
         """
         return sweep_fingerprint(self, self.models, self.restrictions)
 

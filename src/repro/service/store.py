@@ -18,9 +18,8 @@ hook: opening a database written by an older schema applies each migration
 in sequence inside one transaction.  SQLite is the first backend; the SQL
 sticks to the portable subset (TEXT/INTEGER/REAL columns, standard DML) so
 the same statements -- and the same migration ladder -- can target Postgres
-later.  Cross-process writers are serialised with the
-:class:`~repro._locks.FileLock` lockfile next to the database file (on top
-of SQLite's own busy handler).
+later.  Cross-process writers are serialised by SQLite's own lock: every
+write transaction opens with ``BEGIN IMMEDIATE``.
 """
 
 from __future__ import annotations
@@ -28,12 +27,11 @@ from __future__ import annotations
 import json
 import sqlite3
 import time
-from contextlib import closing
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from .._locks import FileLock
 from ..engine.fingerprint import stable_hash
 from ..faults import RetryPolicy, fault_point, retry_call
 from ..evalkit.outcome import EvalReport
@@ -225,9 +223,9 @@ class ResultsStore:
     """Schema-versioned SQLite persistence for runs, reports and jobs.
 
     Thread- and process-safe by construction: every operation opens its own
-    short-lived connection, and every write transaction is additionally
-    serialised through a ``<db>.lock`` :class:`~repro._locks.FileLock` so
-    concurrent service processes (or sweep workers) never interleave
+    short-lived connection, and every write transaction takes SQLite's
+    write lock with its first statement (:meth:`_write`), so concurrent
+    service processes (or sweep workers) never interleave
     partially-written runs.
     """
 
@@ -241,22 +239,20 @@ class ResultsStore:
         transient=(OSError, sqlite3.OperationalError),
     )
 
-    def __init__(self, path: Path | str, *, lock_timeout: float = 30.0) -> None:
+    def __init__(self, path: Path | str) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._lock_path = self.path.with_name(self.path.name + ".lock")
-        self._lock_timeout = float(lock_timeout)
         #: How many write transactions needed at least one retry attempt.
         self.write_retries = 0
-        with self._write_lock(), closing(self._connect()) as conn:
+        with self._write() as conn:
             self._ensure_schema(conn)
 
     def _retried_write(self, label: str, write: Callable[[], None]) -> None:
         """Run one write transaction under the store's retry policy.
 
-        ``write`` must be a self-contained transaction (lock + connection +
-        commit inside), so a retried attempt starts from scratch and can
-        never observe -- or leave behind -- a partial write.
+        ``write`` must be a self-contained transaction (one :meth:`_write`
+        inside), so a retried attempt starts from scratch and can never
+        observe -- or leave behind -- a partial write.
         """
 
         def _count(_attempt: int, _error: BaseException) -> None:
@@ -268,46 +264,57 @@ class ResultsStore:
     # Connection / schema plumbing
     # ------------------------------------------------------------------
     def _connect(self) -> sqlite3.Connection:
-        """A fresh connection with a generous busy timeout."""
-        conn = sqlite3.connect(self.path, timeout=30.0)
+        """A fresh autocommit connection with a generous busy timeout."""
+        conn = sqlite3.connect(self.path, timeout=30.0, isolation_level=None)
         conn.execute("PRAGMA foreign_keys = ON")
         return conn
 
-    def _write_lock(self) -> FileLock:
-        """The cross-process writer lock (advisory; see :mod:`repro._locks`)."""
-        return FileLock(self._lock_path, timeout=self._lock_timeout)
+    @contextmanager
+    def _write(self) -> Iterator[sqlite3.Connection]:
+        """One write transaction, committed on success and rolled back on error.
+
+        ``BEGIN IMMEDIATE`` takes SQLite's write lock before the first read,
+        so a read-check-write sequence never interleaves with another
+        writer; a contended writer waits out the busy timeout.  The lock
+        dies with its process: a killed writer never stalls the next one.
+        """
+        with closing(self._connect()) as conn:
+            conn.execute("BEGIN IMMEDIATE")
+            try:
+                yield conn
+            except BaseException:
+                conn.rollback()
+                raise
+            conn.commit()
 
     def _ensure_schema(self, conn: sqlite3.Connection) -> None:
         """Create a fresh schema or migrate an existing one forward."""
-        with conn:
-            tables = {
-                row[0]
-                for row in conn.execute(
-                    "SELECT name FROM sqlite_master WHERE type = 'table'"
-                )
-            }
-            if "meta" not in tables:
-                for statement in _SCHEMA_V1:
-                    conn.execute(statement)
-                conn.execute(_SCHEMA_V2_TRAJECTORIES)
-                conn.execute(
-                    "INSERT INTO meta (key, value) VALUES ('schema_version', ?)",
-                    (str(SCHEMA_VERSION),),
-                )
-                return
-            version = self._read_version(conn)
-            if version > SCHEMA_VERSION:
-                raise RuntimeError(
-                    f"results database {self.path} has schema version {version}, "
-                    f"newer than this code's {SCHEMA_VERSION}; refusing to open"
-                )
-            while version < SCHEMA_VERSION:
-                _MIGRATIONS[version](conn)
-                version += 1
-                conn.execute(
-                    "UPDATE meta SET value = ? WHERE key = 'schema_version'",
-                    (str(version),),
-                )
+        tables = {
+            row[0]
+            for row in conn.execute("SELECT name FROM sqlite_master WHERE type = 'table'")
+        }
+        if "meta" not in tables:
+            for statement in _SCHEMA_V1:
+                conn.execute(statement)
+            conn.execute(_SCHEMA_V2_TRAJECTORIES)
+            conn.execute(
+                "INSERT INTO meta (key, value) VALUES ('schema_version', ?)",
+                (str(SCHEMA_VERSION),),
+            )
+            return
+        version = self._read_version(conn)
+        if version > SCHEMA_VERSION:
+            raise RuntimeError(
+                f"results database {self.path} has schema version {version}, "
+                f"newer than this code's {SCHEMA_VERSION}; refusing to open"
+            )
+        while version < SCHEMA_VERSION:
+            _MIGRATIONS[version](conn)
+            version += 1
+            conn.execute(
+                "UPDATE meta SET value = ? WHERE key = 'schema_version'",
+                (str(version),),
+            )
 
     @staticmethod
     def _read_version(conn: sqlite3.Connection) -> int:
@@ -358,7 +365,7 @@ class ResultsStore:
         def write() -> None:
             nonlocal created, run_id
             fault_point("store.write", key=run_id)
-            with self._write_lock(), closing(self._connect()) as conn, conn:
+            with self._write() as conn:
                 exists = conn.execute(
                     "SELECT 1 FROM runs WHERE run_id = ?", (run_id,)
                 ).fetchone()
@@ -500,7 +507,7 @@ class ResultsStore:
         """
         def write() -> None:
             fault_point("store.write", key=str(job["job_id"]))
-            with self._write_lock(), closing(self._connect()) as conn, conn:
+            with self._write() as conn:
                 existing = conn.execute(
                     "SELECT state FROM jobs WHERE job_id = ?", (job["job_id"],)
                 ).fetchone()
@@ -582,10 +589,8 @@ class ResultsStore:
         ``False`` instead of raising.
         """
         try:
-            with self._write_lock(), closing(self._connect()) as conn, conn:
-                conn.execute(
-                    "UPDATE meta SET value = value WHERE key = 'schema_version'"
-                )
+            with self._write() as conn:
+                conn.execute("UPDATE meta SET value = value WHERE key = 'schema_version'")
         except Exception:  # noqa: BLE001 - a health probe never raises
             return False
         return True

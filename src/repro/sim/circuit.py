@@ -40,8 +40,6 @@ Two executors evaluate that expression (:mod:`repro.sim.plan`):
 Both executors evaluate the same linear system and agree to well below 1e-9;
 backend choice is a performance knob, never a semantic one (engine cache
 keys deliberately exclude it, and the plan cache is shared by both).
-``max_wavelength_chunk`` bounds the peak size of the ``(W, P, E)`` execution
-workspace by splitting the solve over the wavelength axis.
 """
 
 from __future__ import annotations
@@ -122,18 +120,6 @@ def _check_backend(backend: str) -> str:
     return backend
 
 
-def _check_chunk(max_wavelength_chunk: Optional[int]) -> Optional[int]:
-    """Validate the wavelength-chunk knob (``None`` = no chunking)."""
-    if max_wavelength_chunk is None:
-        return None
-    chunk = int(max_wavelength_chunk)
-    if chunk < 1:
-        raise ValueError(
-            f"max_wavelength_chunk must be a positive integer or None, got {max_wavelength_chunk!r}"
-        )
-    return chunk
-
-
 @dataclass(frozen=True)
 class _InstanceRecord:
     """One cached device evaluation: the S-matrix plus derived structure.
@@ -179,12 +165,6 @@ class CircuitSolver:
         structurally identical netlists skip assembly, condensation and
         schedule construction entirely.  ``0`` disables the cache (every
         call recompiles -- the cold path).
-    max_wavelength_chunk:
-        When set, execution splits the wavelength axis into chunks of at
-        most this many points, bounding the peak ``(W, P, E)`` / ``(W, P,
-        P)`` workspace on large grids.  ``None`` (default) solves the whole
-        grid at once.  Purely a memory/performance knob: results are
-        identical.
     plan_dir:
         Optional directory for the disk-backed plan-cache spill: every
         compiled plan is additionally pickled (atomically, unless the file
@@ -207,13 +187,11 @@ class CircuitSolver:
         instance_cache_entries: int = 512,
         backend: str = "auto",
         plan_cache_entries: int = 128,
-        max_wavelength_chunk: Optional[int] = None,
         plan_dir: Optional[Path | str] = None,
     ) -> None:
         self.registry = registry if registry is not None else default_registry()
         self.validate = validate
         self.backend = _check_backend(backend)
-        self.max_wavelength_chunk = _check_chunk(max_wavelength_chunk)
         self.plan_dir = Path(plan_dir) if plan_dir is not None else None
         if self.plan_dir is not None:
             try:
@@ -289,15 +267,6 @@ class CircuitSolver:
                 reason = event.get("reason", "nonfinite")
                 self._degradations[reason] = self._degradations.get(reason, 0) + 1
         return True
-
-    def clear_plan_cache(self) -> None:
-        """Drop every compiled plan, cached validation verdict and stacked
-        matrices (stats are kept); used by benchmarks to time the cold
-        structure path.  Spilled plans on disk (``plan_dir``) are left in
-        place -- they belong to the shared directory, not this solver."""
-        self._plan_cache.clear()
-        self._validated.clear()
-        self._stack_memo.clear()
 
     # ------------------------------------------------------------------
     # Plan cache: memory tier + optional disk spill
@@ -657,16 +626,11 @@ class CircuitSolver:
                         matrices, stacks, stack_positions = fuse_sample_stacks(
                             compiled.stack_members, sample_matrices, num_points
                         )
-                        max_block = (
-                            num_points
-                            if self.max_wavelength_chunk is None
-                            else min(num_points, self.max_wavelength_chunk)
-                        )
                         data = execute_cascade(
                             compiled,
                             matrices,
                             fused_points,
-                            max_block=max_block,
+                            max_block=num_points,
                             symmetric=symmetric,
                             stacks=stacks,
                             stack_positions=stack_positions,
@@ -799,34 +763,22 @@ class CircuitSolver:
         *,
         memo_stacks: bool = True,
     ) -> np.ndarray:
-        """Run the chosen executor, bounding the wavelength axis if configured.
+        """Run the chosen executor over the whole wavelength axis.
 
-        ``memo_stacks=False`` skips the stacked-matrix memo: batch-fused
-        matrices are freshly allocated per call, so memoising them would only
-        pin dead ``B``-times-larger copies in the LRU.
+        The cascade executor sizes its own wavelength blocks for cache
+        residency.  ``memo_stacks=False`` skips the stacked-matrix memo:
+        batch-fused matrices are freshly allocated per call, so memoising
+        them would only pin dead ``B``-times-larger copies in the LRU.
         """
-        chunk = self.max_wavelength_chunk
         if chosen == "cascade":
-            # The cascade executor blocks the wavelength axis internally
-            # (cache-residency); the knob only caps its block size.
             return execute_cascade(
                 compiled,
                 matrices,
                 num_wavelengths,
-                max_block=chunk,
                 symmetric=symmetric,
                 stacks=self._stacks_for(compiled, matrices) if memo_stacks else None,
             )
-        if chunk is None or num_wavelengths <= chunk:
-            return execute_dense(compiled, matrices, num_wavelengths)
-        num_external = compiled.num_external
-        out = np.empty((num_wavelengths, num_external, num_external), dtype=complex)
-        for lo in range(0, num_wavelengths, chunk):
-            hi = min(lo + chunk, num_wavelengths)
-            out[lo:hi] = execute_dense(
-                compiled, [data[lo:hi] for data in matrices], hi - lo
-            )
-        return out
+        return execute_dense(compiled, matrices, num_wavelengths)
 
     def _stacks_for(
         self, compiled: CompiledCircuit, matrices: List[np.ndarray]

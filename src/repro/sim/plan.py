@@ -36,8 +36,7 @@ S-matrix values.  This module pays that work exactly once per topology:
       pattern and each group executes a restricted, row-compacted schedule,
       skipping the dead work entirely.
     * *Wavelength blocks.* The per-group workspace is processed in blocks
-      sized to stay cache-resident; ``max_wavelength_chunk`` caps the block
-      size, bounding peak memory on large grids.
+      sized to stay cache-resident.
 
 ``execute_dense``
     The dense backend over the same compiled assembly (spans, connection

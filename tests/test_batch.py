@@ -20,7 +20,7 @@ import pytest
 
 from repro._cache import LRUCache
 from repro.bench.packs import get_pack, pack_names
-from repro.engine import EngineConfig, ExecutionEngine, TaskScheduler
+from repro.engine import ExecutionEngine, TaskScheduler
 from repro.harness.cli import build_parser
 from repro.harness.runner import SweepConfig, run_sweep
 from repro.netlist import Instance, Netlist
@@ -357,16 +357,6 @@ class TestSolverEvaluateBatch:
         for result in results:
             assert result.data.base is None
 
-    def test_wavelength_chunk_is_result_invariant(self, wavelengths):
-        netlist = _ring_netlist()
-        batch = [{"cp": {"coupling": 0.1 * (k + 1)}} for k in range(3)]
-        plain = CircuitSolver().evaluate_batch(netlist, batch, wavelengths)
-        chunked = CircuitSolver(max_wavelength_chunk=4).evaluate_batch(
-            netlist, batch, wavelengths
-        )
-        for a, b in zip(plain, chunked):
-            assert _max_abs_diff(a, b) <= EQUIVALENCE_ATOL
-
     def test_batch_stats_accumulate(self, wavelengths):
         solver = CircuitSolver()
         netlist = _shifter_netlist()
@@ -384,7 +374,7 @@ class TestSolverEvaluateBatch:
 # ----------------------------------------------------------------------
 class TestEngineBatch:
     def test_batched_results_seed_per_sample_cache_entries(self, wavelengths):
-        engine = ExecutionEngine(EngineConfig(batch_size=4))
+        engine = ExecutionEngine()
         netlist = _ring_netlist()
         batch = [{"cp": {"coupling": 0.1 * (k + 1)}} for k in range(4)]
         batched = engine.evaluate_batch(netlist, batch, wavelengths)
@@ -396,7 +386,7 @@ class TestEngineBatch:
         assert engine.cache.stats.hits >= hits_before + len(batch)
 
     def test_per_sample_entries_hit_inside_batches(self, wavelengths):
-        engine = ExecutionEngine(EngineConfig(batch_size=4))
+        engine = ExecutionEngine()
         netlist = _ring_netlist()
         overrides = {"cp": {"coupling": 0.25}}
         engine.evaluate(apply_settings(netlist, overrides), wavelengths)
@@ -406,7 +396,7 @@ class TestEngineBatch:
         assert stats.cache_hits == 1
 
     def test_duplicate_samples_solve_once(self, wavelengths):
-        engine = ExecutionEngine(EngineConfig(batch_size=4))
+        engine = ExecutionEngine()
         netlist = _shifter_netlist()
         overrides = {"ps": {"phase": 0.4}}
         results = engine.evaluate_batch(netlist, [overrides, overrides], wavelengths)
@@ -414,7 +404,7 @@ class TestEngineBatch:
         assert engine.solver.batch_stats().samples == 1  # deduplicated
 
     def test_evaluate_many_groups_structure_sharing_netlists(self, wavelengths):
-        engine = ExecutionEngine(EngineConfig(batch_size=8))
+        engine = ExecutionEngine()
         ring = _ring_netlist()
         shifter = _shifter_netlist()
         netlists = [
@@ -423,45 +413,41 @@ class TestEngineBatch:
             apply_settings(ring, {"cp": {"coupling": 0.2}}),
             apply_settings(shifter, {"ps": {"phase": 0.2}}),
         ]
-        results = engine.evaluate_many(netlists, wavelengths)
+        results = engine.evaluate_many(netlists, wavelengths, batch_size=8)
         assert engine.solver.batch_stats().calls == 2  # one per structure group
         for netlist, result in zip(netlists, results):
             direct = CircuitSolver().evaluate(netlist, wavelengths)
             assert _max_abs_diff(result, direct) <= EQUIVALENCE_ATOL
 
     def test_evaluate_many_isolates_failures(self, wavelengths):
-        engine = ExecutionEngine(EngineConfig(batch_size=8))
+        engine = ExecutionEngine()
         good = apply_settings(_ring_netlist(), {"cp": {"coupling": 0.2}})
         bad = apply_settings(_ring_netlist(), {"cp": {"coupling": 9.0}})
         results = engine.evaluate_many(
-            [good, bad, good], wavelengths, return_exceptions=True
+            [good, bad, good], wavelengths, batch_size=8, return_exceptions=True
         )
         assert not isinstance(results[0], Exception)
         assert isinstance(results[1], OtherSyntaxError)
         assert not isinstance(results[2], Exception)
 
     def test_evaluate_many_raises_without_return_exceptions(self, wavelengths):
-        engine = ExecutionEngine(EngineConfig(batch_size=8))
+        engine = ExecutionEngine()
         bad = apply_settings(_ring_netlist(), {"cp": {"coupling": 9.0}})
         with pytest.raises(OtherSyntaxError):
-            engine.evaluate_many([bad], wavelengths)
+            engine.evaluate_many([bad], wavelengths, batch_size=8)
 
     def test_evaluate_many_per_item_path_matches_batched_path(self, wavelengths):
         netlists = [
             apply_settings(_ring_netlist(), {"cp": {"coupling": 0.1 * (k + 1)}})
             for k in range(3)
         ]
-        batched = ExecutionEngine(EngineConfig(batch_size=4)).evaluate_many(
-            netlists, wavelengths
-        )
-        per_item = ExecutionEngine(EngineConfig(batch_size=1)).evaluate_many(
-            netlists, wavelengths
-        )
+        batched = ExecutionEngine().evaluate_many(netlists, wavelengths, batch_size=4)
+        per_item = ExecutionEngine().evaluate_many(netlists, wavelengths, batch_size=1)
         for a, b in zip(batched, per_item):
             assert _max_abs_diff(a, b) <= EQUIVALENCE_ATOL
 
     def test_stats_report_batch_hit_rates(self, wavelengths):
-        engine = ExecutionEngine(EngineConfig(batch_size=4))
+        engine = ExecutionEngine()
         netlist = _shifter_netlist()
         batch = [{"ps": {"phase": 0.1 * k}} for k in range(3)]
         engine.evaluate_batch(netlist, batch, wavelengths)
@@ -473,7 +459,6 @@ class TestEngineBatch:
         assert stats["batch_hit_rate"] == pytest.approx(0.5)
         assert stats["solver_batch"]["samples"] == 3
         assert 0.0 <= stats["batch_fusion_rate"] <= 1.0
-        assert stats["batch_size"] == 4
 
 
 # ----------------------------------------------------------------------
@@ -637,7 +622,7 @@ class TestDefaultSolverConcurrency:
 class TestBatchPlumbing:
     def test_sweep_config_threads_batch_size(self):
         config = SweepConfig(batch_size=6)
-        assert config.engine_config().batch_size == 6
+        assert config.evaluation_config(include_restrictions=False).batch_size == 6
 
     def test_cli_accepts_batch_size(self):
         args = build_parser().parse_args(["sweep", "--batch-size", "8"])
@@ -663,7 +648,7 @@ class TestBatchPlumbing:
 
     def test_registry_override_still_supported(self, wavelengths):
         registry = default_registry()
-        engine = ExecutionEngine(EngineConfig(batch_size=4), registry=registry)
+        engine = ExecutionEngine(registry=registry)
         assert engine.registry is registry
         results = engine.evaluate_batch(
             _ring_netlist(), [{"cp": {"coupling": 0.3}}], wavelengths

@@ -8,7 +8,7 @@ import pytest
 from repro.bench.packs import get_pack, pack_names, unregister_pack
 from repro.bench.problems import variability
 from repro.bench.suite import all_problems
-from repro.engine import EngineConfig, ExecutionEngine
+from repro.engine import ExecutionEngine
 from repro.harness.runner import SweepConfig, run_sweep
 from repro.netlist.validation import validate_netlist
 from repro.sim import CircuitSolver, apply_settings
@@ -204,7 +204,7 @@ class TestYield:
         assert 0.0 <= result.yield_fraction <= 1.0
 
     def test_monte_carlo_yield_through_engine_batches(self, wavelengths):
-        engine = ExecutionEngine(EngineConfig(batch_size=4))
+        engine = ExecutionEngine()
         netlist = variability.interferometer_nominal()
         spec = variability.YieldSpec("O1", "I1", 0.0)
         result = variability.monte_carlo_yield(

@@ -39,9 +39,6 @@ def reference_sweep_config(args: argparse.Namespace) -> SweepConfig:
         cache_dir=args.cache_dir,
         pack=args.pack,
         pack_params=_parse_pack_params(args.pack_param),
-        solver_backend=args.solver_backend,
-        plan_cache_entries=args.plan_cache_entries,
-        wavelength_chunk=args.wavelength_chunk,
         batch_size=args.batch_size,
         execution_mode=args.execution_mode,
         processes=args.processes,
@@ -69,7 +66,6 @@ def reference_spec_from_args(args: argparse.Namespace) -> JobSpec:
         "problems": tuple(args.problems) if args.problems else None,
         "pack": args.pack,
         "pack_params": _parse_pack_params(args.pack_param),
-        "solver_backend": args.solver_backend,
         "batch_size": args.batch_size,
         "execution_mode": args.execution_mode,
         "processes": args.processes,
@@ -112,10 +108,9 @@ CI_SUBMIT_INVOCATIONS = [
 HARNESS_ALL_FLAGS = (
     "sweep --samples 3 --feedback 2 --wavelengths 7 --seed 9 --problems mzi_ps nls "
     "--pack wdm-links --pack-param channels=[2,4] --pack-param spacing=0.2 "
-    "--solver-backend dense --batch-size 4 --execution-mode process --processes 3 "
+    "--batch-size 4 --execution-mode process --processes 3 "
     "--retry-attempts 5 --retry-backoff 0.5 --unit-timeout 30 --workers 2 "
-    "--cache-dir cache --plan-cache-entries 7 --wavelength-chunk 5 "
-    "--journal-dir journal --resume"
+    "--cache-dir cache --journal-dir journal --resume"
 )
 
 #: Every flag of ``jobs submit`` away from its default.
@@ -123,7 +118,7 @@ SUBMIT_ALL_FLAGS = (
     "jobs --port 7341 submit --kind evaluate --models GPT-4 --restrictions with "
     "--samples 3 --feedback 2 --wavelengths 7 --seed 9 --problems mzi_ps nls "
     "--pack wdm-links --pack-param channels=[2,4] --pack-param spacing=0.2 "
-    "--solver-backend dense --batch-size 4 --execution-mode process --processes 3 "
+    "--batch-size 4 --execution-mode process --processes 3 "
     "--retry-attempts 5 --retry-backoff 0.5 --unit-timeout 30 "
     "--priority 2 --dedupe --idempotent --wait"
 )
@@ -137,7 +132,6 @@ SPEC_VALUES = dict(
     problems=("mzi_ps", "nls"),
     pack="wdm-links",
     pack_params={"channels": [2, 4], "spacing": 0.2},
-    solver_backend="dense",
     batch_size=4,
     execution_mode="process",
     processes=3,
@@ -165,8 +159,6 @@ def test_all_flags_reach_their_fields():
         **SPEC_VALUES,
         workers=2,
         cache_dir="cache",
-        plan_cache_entries=7,
-        wavelength_chunk=5,
         journal_dir="journal",
         resume=True,
     )
@@ -182,7 +174,7 @@ def test_default_invocations_keep_the_flag_defaults():
     # The namespaces the hand-declared parsers produced with no sweep flags.
     sweep_defaults = {
         "samples": 5, "feedback": 3, "wavelengths": 41, "seed": 0, "problems": None,
-        "pack": "core", "pack_param": None, "solver_backend": "auto", "batch_size": 1,
+        "pack": "core", "pack_param": None, "batch_size": 1,
         "execution_mode": "thread", "processes": 0, "retry_attempts": 2,
         "retry_backoff": 0.1, "unit_timeout": None,
     }
@@ -190,8 +182,7 @@ def test_default_invocations_keep_the_flag_defaults():
     assert harness == {
         **sweep_defaults,
         "target": "sweep", "model": "GPT-4o", "output": None, "list_packs": False,
-        "workers": 1, "cache_dir": None, "plan_cache_entries": 128,
-        "wavelength_chunk": None, "journal_dir": None, "resume": False,
+        "workers": 1, "cache_dir": None, "journal_dir": None, "resume": False,
     }
     submit = vars(build_service_parser().parse_args(["jobs", "--port", "1", "submit"]))
     assert submit == {
@@ -238,8 +229,32 @@ def test_submit_declares_the_harness_spec_flags_plus_its_own():
             for flag in action.option_strings
             if action.choices is not None
         }
-        assert choices["--solver-backend"] == ["auto", "dense", "cascade"]
         assert choices["--execution-mode"] == ["thread", "process"]
+
+
+RETIRED_FLAGS = [
+    ["--solver-backend", "dense"],
+    ["--plan-cache-entries", "7"],
+    ["--wavelength-chunk", "5"],
+]
+
+
+@pytest.mark.parametrize("argv", RETIRED_FLAGS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize(
+    "main, prefix",
+    [
+        (harness_main, ["sweep"]),
+        (service_main, ["jobs", "--port", "1", "submit"]),
+    ],
+    ids=["harness", "jobs-submit"],
+)
+def test_retired_solver_flags_are_usage_errors(main, prefix, argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*prefix, *argv])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(argv)}" in err
+    assert "Traceback" not in err
 
 
 # ----------------------------------------------------------------------

@@ -115,17 +115,9 @@ class TestDocsFiles:
         known_flags = collect_flags(build_parser()) | collect_flags(
             build_service_parser()
         )
-        bench_tool_flags = (  # tools/bench_to_json.py CLI, not the harness
-            "--assert-speedup",
-            "--assert-warm-speedup",
-            "--assert-batch-speedup",
-            "--assert-process-speedup",
-        )
         for text in (authoring_text, architecture_text):
             for flag in re.findall(r"--[a-z-]+\b", text):
                 if flag in ("--fail-under", "--verbose"):  # check_docstrings CLI
-                    continue
-                if flag in bench_tool_flags:
                     continue
                 assert flag in known_flags, f"doc references unknown CLI flag {flag}"
 

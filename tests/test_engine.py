@@ -126,14 +126,6 @@ class TestSimulationCache:
                 engine.evaluate(bad, wavelengths)
         assert len(engine.cache) == 0
 
-    def test_disabled_cache_still_evaluates(self, wavelengths):
-        engine = ExecutionEngine(EngineConfig(cache_entries=0))
-        netlist = _mzi_netlist()
-        first = engine.evaluate(netlist, wavelengths)
-        second = engine.evaluate(netlist, wavelengths)
-        assert second is not first
-        np.testing.assert_allclose(first.data, second.data)
-
     def test_disk_cache_round_trip(self, wavelengths, tmp_path):
         netlist = _mzi_netlist()
         warm = ExecutionEngine(EngineConfig(cache_dir=tmp_path))
@@ -182,12 +174,6 @@ class TestSimulationCache:
         bogus.touch()
         with pytest.raises(ValueError, match="not a directory"):
             ExecutionEngine(EngineConfig(cache_dir=bogus))
-
-    def test_io_retry_knobs_validate_and_thread_through(self):
-        with pytest.raises(ValueError, match="io_retry_attempts"):
-            EngineConfig(io_retry_attempts=0)
-        policy = EngineConfig(io_retry_attempts=4, io_retry_backoff=0.5).io_retry_policy()
-        assert policy.attempts == 4 and policy.base_delay == 0.5
 
     def test_corrupt_disk_entry_is_quarantined_and_recomputed(
         self, wavelengths, tmp_path

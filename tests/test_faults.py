@@ -59,7 +59,6 @@ def test_registry_covers_production_seams():
         "procpool.unit",
         "store.write",
         "daemon.request",
-        "lock.acquire",
         "solver.evaluate",
         "sweep.unit",
     ):

@@ -1,26 +1,31 @@
 """Old-versus-new differential tests for the netlist writer and the JSON extractor.
 
 ``Netlist.to_json`` writes the indent-2 document straight from the netlist's
-fields, and ``extract_json_object`` tokenises each scan phase once instead of
-walking the text character by character from every ``{`` (keeping the latest
-two tokenisations, so starts of either quote parity reuse one).  The replaced
-implementations are kept below as references: the writer must return exactly
-what ``json.dumps(netlist.to_dict(), indent=2)`` returns, or raise the same
-exception type, and the extractor must return exactly what the character scan
-returns.
+fields, and ``extract_json_object`` answers every ``{`` start in one
+right-to-left pass over the braces instead of walking the text character by
+character from every ``{``, or tokenising it afresh from every start that
+the latest two tokenisations miss.  The replaced implementations are kept
+below as references: the writer must return exactly what
+``json.dumps(netlist.to_dict(), indent=2)`` returns, or raise the same
+exception type, and the extractor must return exactly what the character
+scan and the tokenising extractor return.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 import time
+from itertools import accumulate, repeat
+from typing import Dict, List, Optional
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bench.packs import get_pack
+from repro.llm import format_response
 from repro.llm.mutations import SYNTAX_MUTATORS, apply_functional_mutation
 from repro.netlist import Instance, Netlist, extract_json_object
 from repro.netlist.errors import ErrorCategory
@@ -66,6 +71,74 @@ def reference_extract_json_object(text):
     return None
 
 
+_JSON_TOKEN_RE = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|[{}]|".*', re.DOTALL)
+_DEPTH_STEP = {"{": 1, "}": -1}
+
+
+class _Phase:
+    """One tokenisation of a text from a ``{`` outside any string, with running depths."""
+
+    def __init__(self, text: str, start: int) -> None:
+        self.matches = list(_JSON_TOKEN_RE.finditer(text, start))
+        self.tokens = [match.group() for match in self.matches]
+        self.depths = list(accumulate(map(_DEPTH_STEP.get, self.tokens, repeat(0))))
+        self.cursor: Optional[int] = 0
+        self.closers: Optional[List[Optional[int]]] = None
+
+    def seek(self, start: int) -> Optional[int]:
+        """The index of this phase's ``{`` token at ``start`` (``None``: inside a string)."""
+        cursor = self.cursor
+        while cursor is not None and self.matches[cursor].start() < start:
+            try:
+                cursor = self.tokens.index("{", cursor + 1)
+            except ValueError:
+                cursor = None
+        self.cursor = cursor
+        if cursor is not None and self.matches[cursor].start() == start:
+            return cursor
+        return None
+
+    def close(self, index: int) -> Optional[int]:
+        """The index of the token closing the ``{`` at ``index``, or ``None``."""
+        depths = self.depths
+        if index == 0:
+            try:
+                return depths.index(depths[0] - 1, 1)
+            except ValueError:
+                return None
+        if self.closers is None:
+            closers: List[Optional[int]] = [None] * len(depths)
+            nearest: Dict[int, int] = {}
+            for later in range(len(depths) - 1, -1, -1):
+                depth = depths[later]
+                closers[later] = nearest.get(depth - 1)
+                nearest[depth] = later
+            self.closers = closers
+        return self.closers[index]
+
+
+def tokenising_extract_json_object(text):
+    """The tokenising ``extract_json_object``: the latest two tokenisations
+    answer the starts on their ``{`` tokens, any other start is tokenised
+    afresh (quadratic on escaped quotes)."""
+    phases: List[_Phase] = []
+    start = text.find("{")
+    while start != -1:
+        for phase in phases:
+            index = phase.seek(start)
+            if index is not None:
+                break
+        else:
+            phases = [older for older in phases if older.cursor is not None][-1:]
+            phase, index = _Phase(text, start), 0
+            phases.append(phase)
+        close = phase.close(index)
+        if close is not None:
+            return text[start : phase.matches[close].end()]
+        start = text.find("{", start + 1)
+    return None
+
+
 def assert_same_json(netlist: Netlist) -> None:
     """The writer returns the reference's string, or raises its exception type."""
     try:
@@ -79,6 +152,12 @@ def assert_same_json(netlist: Netlist) -> None:
 
 def assert_same_extraction(text: str) -> None:
     assert extract_json_object(text) == reference_extract_json_object(text)
+
+
+def assert_same_as_both_references(text: str) -> None:
+    expected = reference_extract_json_object(text)
+    assert tokenising_extract_json_object(text) == expected
+    assert extract_json_object(text) == expected
 
 
 PACKS = ("core", "wdm-links", "variability")
@@ -291,15 +370,55 @@ def test_long_generated_texts_match_the_reference_extractor(parts):
     assert_same_extraction("".join(parts))
 
 
+@settings(max_examples=2000, deadline=None)
+@given(
+    parts=st.lists(
+        st.sampled_from(["{", "}", '"', "\\", '\\"', '\\\\', '{"', '"}', '{\\"', "a"]),
+        max_size=80,
+    )
+)
+def test_escape_rich_texts_match_both_reference_extractors(parts):
+    assert_same_as_both_references("".join(parts))
+
+
+@settings(max_examples=2000, deadline=None)
+@given(text=st.text(alphabet='{}"\\', max_size=60))
+def test_brace_quote_backslash_texts_match_both_reference_extractors(text):
+    assert_same_as_both_references(text)
+
+
 @pytest.mark.parametrize(
     "text",
-    ['{"' * 4000, '{"' * 10000, '{"{' * 10000, "{" * 20000],
-    ids=["quote-brace-4000", "quote-brace-10000", "quote-brace-brace-10000", "brace-20000"],
+    [
+        '{"' * 4000,
+        '{"' * 10000,
+        '{"{' * 10000,
+        "{" * 20000,
+        '{"\\"' * 8000,
+        '{\\"' * 8000,
+        '"{\\' * 8000,
+    ],
+    ids=[
+        "quote-brace-4000",
+        "quote-brace-10000",
+        "quote-brace-brace-10000",
+        "brace-20000",
+        "escaped-quote-8000",
+        "escaped-quote-brace-8000",
+        "quote-brace-backslash-8000",
+    ],
 )
 def test_hostile_brace_and_quote_texts_are_linear(text):
     # Seconds each when every start re-tokenised or searched its depths to
-    # the end of the text; every start of either quote parity lands on a
-    # "{" token of one of the latest two tokenisations.
+    # the end of the text.
     start = time.perf_counter()
     assert extract_json_object(text) is None
     assert time.perf_counter() - start < 0.5
+
+
+def test_a_32_kb_escaped_quote_draft_is_judged_within_a_second(evaluator, mzi_ps_problem):
+    draft = format_response("analysis", '{"\\"' * 8000)
+    start = time.perf_counter()
+    outcome = evaluator.evaluate_response(mzi_ps_problem, draft)
+    assert time.perf_counter() - start < 1.0
+    assert outcome.error.category is ErrorCategory.OTHER_SYNTAX

@@ -17,8 +17,6 @@ import pytest
 from repro.bench.packs import get_pack, pack_names
 from repro.engine.engine import EngineConfig, ExecutionEngine
 from repro.engine.scheduler import TaskScheduler
-from repro.harness.cli import build_parser
-from repro.harness.runner import SweepConfig
 from repro.netlist import Instance, Netlist
 from repro.netlist.errors import BadComponentNameError, UndefinedModelError
 from repro.sim import CircuitSolver, CompiledCircuit, SMatrix, compile_netlist
@@ -261,34 +259,6 @@ class TestValidationBehaviour:
         assert result.num_ports == 3
 
 
-class TestChunkedExecution:
-    @pytest.mark.parametrize("backend", ["dense", "cascade"])
-    def test_chunked_matches_unchunked(self, wavelengths, backend):
-        from repro.bench import get_problem
-
-        plain = CircuitSolver()
-        chunked = CircuitSolver(max_wavelength_chunk=3)
-        for netlist in (
-            _mzi_netlist(),
-            _ring_netlist(),
-            get_problem("clements_4x4").golden_netlist(),
-        ):
-            a = plain.evaluate(netlist, wavelengths, backend=backend)
-            b = chunked.evaluate(netlist, wavelengths, backend=backend)
-            assert _max_abs_diff(a, b) <= 1e-12
-
-    def test_chunk_of_one_point(self, wavelengths):
-        chunked = CircuitSolver(max_wavelength_chunk=1)
-        plain = CircuitSolver()
-        a = plain.evaluate(_ring_netlist(), wavelengths, backend="cascade")
-        b = chunked.evaluate(_ring_netlist(), wavelengths, backend="cascade")
-        assert _max_abs_diff(a, b) <= 1e-12
-
-    def test_invalid_chunk_rejected(self):
-        with pytest.raises(ValueError, match="max_wavelength_chunk"):
-            CircuitSolver(max_wavelength_chunk=0)
-
-
 class TestLevelledExecutorEquivalence:
     @pytest.mark.parametrize("problem", _registered_pack_problems())
     def test_matches_dense_and_pr3_cascade_on_every_pack_problem(
@@ -440,13 +410,6 @@ class TestPlanSpill:
         assert _max_abs_diff(result, expected) <= 1e-12
         assert warm.plan_cache_stats().disk_hits == 0
 
-    def test_clear_plan_cache_leaves_spill_in_place(self, wavelengths, tmp_path):
-        solver = CircuitSolver(plan_dir=tmp_path)
-        solver.evaluate(_ring_netlist(), wavelengths, backend="cascade")
-        spilled = sorted(tmp_path.glob("plan-*.pkl"))
-        solver.clear_plan_cache()
-        assert sorted(tmp_path.glob("plan-*.pkl")) == spilled
-
     def test_bad_plan_dir_rejected(self, tmp_path):
         target = tmp_path / "occupied"
         target.write_text("a file, not a directory")
@@ -461,39 +424,11 @@ class TestPlanSpill:
 
 
 class TestKnobPlumbing:
-    def test_engine_config_threads_plan_knobs(self):
-        engine = ExecutionEngine(
-            EngineConfig(plan_cache_entries=7, wavelength_chunk=13)
-        )
-        assert engine.solver._plan_cache.max_entries == 7
-        assert engine.solver.max_wavelength_chunk == 13
-        stats = engine.stats()
-        assert "plan_cache" in stats and "plan_hit_rate" in stats
-
-    def test_sweep_config_threads_plan_knobs(self):
-        config = SweepConfig(plan_cache_entries=11, wavelength_chunk=17)
-        engine_config = config.engine_config()
-        assert engine_config.plan_cache_entries == 11
-        assert engine_config.wavelength_chunk == 17
-
-    def test_cli_accepts_plan_flags(self):
-        parser = build_parser()
-        args = parser.parse_args(
-            ["sweep", "--plan-cache-entries", "42", "--wavelength-chunk", "33"]
-        )
-        assert args.plan_cache_entries == 42
-        assert args.wavelength_chunk == 33
-
-    def test_cli_defaults(self):
-        args = build_parser().parse_args(["sweep"])
-        assert args.plan_cache_entries == 128
-        assert args.wavelength_chunk is None
-
     def test_engine_cache_key_is_plan_invariant(self, wavelengths):
-        # Engine cache keys must not depend on plan-cache or chunk settings.
+        # Engine cache keys must not depend on the solver's plan cache.
         netlist = _ring_netlist()
-        a = ExecutionEngine(EngineConfig(plan_cache_entries=0, wavelength_chunk=2))
-        b = ExecutionEngine(EngineConfig(plan_cache_entries=64, wavelength_chunk=None))
+        a = ExecutionEngine(solver=CircuitSolver(plan_cache_entries=0))
+        b = ExecutionEngine()
         assert a.simulation_key(netlist, wavelengths) == b.simulation_key(
             netlist, wavelengths
         )

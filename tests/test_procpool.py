@@ -13,6 +13,9 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -270,6 +273,50 @@ def test_watchdog_kills_hung_workers_and_bounds_the_unit(tmp_path):
     assert failure.crashed and failure.timed_out
     assert scheduler.counters["shard_timeouts"] >= 1
     assert scheduler.counters["unit_timeouts"] >= 1
+
+
+#: A parent with a SIGTERM handler, as ``serve`` installs one, maps a hung
+#: unit under the watchdog and prints how long the map took.
+_SIGTERM_HANDLER_CHILD = """
+import signal, sys, time
+sys.path[:0] = [{src!r}, {tests!r}]
+from repro.engine.procpool import ProcessScheduler, UnitFailure
+from repro.faults import RetryPolicy
+from test_procpool import OFFSET_SPEC
+
+signal.signal(signal.SIGTERM, lambda *_: None)
+scheduler = ProcessScheduler(
+    OFFSET_SPEC, processes=1, unit_timeout=0.5, retry_policy=RetryPolicy(attempts=1)
+)
+start = time.monotonic()
+(failure,), _ = scheduler.map("test_procpool:_hanging_task", ["hang"])
+assert isinstance(failure, UnitFailure) and failure.timed_out, failure
+print(time.monotonic() - start)
+"""
+
+
+def test_watchdog_stops_workers_of_a_parent_with_a_sigterm_handler():
+    """Workers do not inherit the parent's SIGTERM handler, so terminate() stops them."""
+    here = Path(__file__).resolve().parent
+    child = subprocess.Popen(
+        [
+            sys.executable,
+            "-c",
+            _SIGTERM_HANDLER_CHILD.format(src=str(here.parent / "src"), tests=str(here)),
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        out, err = child.communicate(timeout=30.0)
+    except subprocess.TimeoutExpired:
+        os.killpg(child.pid, signal.SIGKILL)
+        child.communicate()
+        pytest.fail("the watchdog could not stop a worker running the parent's SIGTERM handler")
+    assert child.returncode == 0, err
+    assert float(out) < 10.0
 
 
 def test_injected_worker_kills_are_recovered():

@@ -74,7 +74,6 @@ def test_fingerprint_ignores_performance_and_robustness_knobs(tmp_path):
         replace(base, unit_timeout=12.0),
         replace(base, cache_dir=str(tmp_path)),
         replace(base, journal_dir=str(tmp_path), resume=True),
-        replace(base, solver_backend="dense"),
     ):
         assert sweep_fingerprint(variant, ("GPT-4o",), (False,)) == fingerprint
 
@@ -134,22 +133,8 @@ def test_every_sweep_field_is_declared_once_and_classified():
 
 def test_engine_config_receives_every_shared_field():
     shared = {f.name for f in fields(EngineConfig)} & {f.name for f in fields(SweepConfig)}
-    assert shared == {
-        "workers",
-        "cache_dir",
-        "solver_backend",
-        "plan_cache_entries",
-        "wavelength_chunk",
-        "batch_size",
-    }
-    config = SweepConfig(
-        workers=3,
-        cache_dir="cache",
-        solver_backend="dense",
-        plan_cache_entries=7,
-        wavelength_chunk=5,
-        batch_size=4,
-    )
+    assert shared == {"workers", "cache_dir"}
+    config = SweepConfig(workers=3, cache_dir="cache")
     engine_config = config.engine_config()
     for name in shared:
         assert getattr(engine_config, name) == getattr(config, name), name

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -344,10 +345,18 @@ def test_poll_backoff_grows_and_caps():
 # ======================================================================
 # Acceptance: SIGKILL a real daemon, restart with --recover
 # ======================================================================
-def serve_daemon(db, cache, *extra):
+#: Holds every trajectory after a daemon's first two (one two-sample job),
+#: so the jobs submitted after it are still in flight when it is killed.
+HOLD_AFTER_FIRST_JOB = "sweep.unit=delay+2~30"
+
+
+def serve_daemon(db, cache, *extra, faults=None):
+    """A ``serve`` subprocess in its own session, and its address line."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     env.setdefault("PYTHONHASHSEED", "0")
+    if faults is not None:
+        env["REPRO_FAULTS"] = faults
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro.service", "serve",
@@ -358,12 +367,22 @@ def serve_daemon(db, cache, *extra):
         stderr=subprocess.PIPE,
         env=env,
         text=True,
+        start_new_session=True,
     )
     line = proc.stdout.readline()
     if not line:
-        proc.kill()
+        kill_session(proc)
         raise AssertionError(f"daemon died on startup: {proc.stderr.read()}")
     return proc, json.loads(line)
+
+
+def kill_session(proc) -> None:
+    """SIGKILL a daemon's whole session: the daemon and any pool workers it left."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    proc.wait(timeout=30.0)
 
 
 @pytest.mark.parametrize("mode", ["thread", "process"])
@@ -388,22 +407,24 @@ def test_sigkilled_daemon_recovers_all_jobs(tmp_path, mode):
             )
 
     db, cache = tmp_path / "results.db", tmp_path / "cache"
-    proc = restarted = None
+    daemons = []
     try:
-        proc, addr = serve_daemon(db, cache)
+        proc, addr = serve_daemon(db, cache, faults=HOLD_AFTER_FIRST_JOB)
+        daemons.append(proc)
         client = ServiceClient(addr["host"], addr["port"])
         job_ids = [client.submit(specs[0])]
         first = client.poll(
             job_ids[0], timeout=300.0, interval=0.02, max_interval=0.05
         )
         assert first["state"] == "done"
-        # Submit the rest and SIGKILL before they can finish: the crash
-        # deterministically leaves done + in-flight + queued jobs behind.
+        # Submit the rest and SIGKILL while the fault plan holds them: the
+        # crash deterministically leaves done + in-flight + queued jobs behind.
         job_ids += [client.submit(spec) for spec in specs[1:]]
         proc.kill()  # SIGKILL: no drain, no goodbye
         proc.wait(timeout=30.0)
 
         restarted, addr = serve_daemon(db, cache, "--recover")
+        daemons.append(restarted)
         assert addr["recovery"]["enabled"] is True
         assert addr["recovery"]["recovered"] >= 2  # the in-flight jobs
         client = ServiceClient(addr["host"], addr["port"])
@@ -414,7 +435,6 @@ def test_sigkilled_daemon_recovers_all_jobs(tmp_path, mode):
         statuses = {job_id: client.status(job_id) for job_id in job_ids}
         client.shutdown()
         restarted.wait(timeout=60.0)
-        restarted = None
 
         store = ResultsStore(db)
         for spec, job_id in zip(specs, job_ids):
@@ -425,7 +445,5 @@ def test_sigkilled_daemon_recovers_all_jobs(tmp_path, mode):
                 f"recovered report of {job_id} is not byte-identical"
             )
     finally:
-        for p in (proc, restarted):
-            if p is not None and p.poll() is None:
-                p.kill()
-                p.wait(timeout=30.0)
+        for daemon in daemons:
+            kill_session(daemon)

@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
+import signal
 import sqlite3
 import threading
+import time
 from contextlib import closing
 from dataclasses import replace
 
@@ -25,7 +28,7 @@ from repro.evalkit.outcome import AttemptRecord, EvalReport, SampleResult
 from repro.harness.journal import sweep_fingerprint
 from repro.harness.runner import FEEDBACK_COLUMNS, PASS_AT
 from repro.netlist.errors import ErrorCategory
-from repro.service import EvalService, JobSpec, ResultsStore, SCHEMA_VERSION
+from repro.service import EvalService, JobSpec, JobState, ResultsStore, SCHEMA_VERSION
 from repro.service.store import (
     PACK_AGGREGATE,
     TRAJECTORY_METRICS,
@@ -377,20 +380,31 @@ def test_failed_job_keeps_error_text(tmp_path):
 # ======================================================================
 # Schema migration
 # ======================================================================
+def legacy_payload(spec: JobSpec) -> dict:
+    """``spec`` as stored before the solver backend was retired from it."""
+    return {**spec.to_dict(), "solver_backend": "auto"}
+
+
+def legacy_json(spec: JobSpec) -> str:
+    """The stored ``spec_json`` of :func:`legacy_payload`."""
+    return json.dumps(legacy_payload(spec), sort_keys=True, separators=(",", ":"))
+
+
 def v2_fingerprint(spec: JobSpec) -> str:
     """``JobSpec.fingerprint`` as schemas v1 and v2 keyed runs and jobs:
     every spec field but the retry knobs (a copy of the retired code)."""
-    payload = spec.to_dict()
+    payload = legacy_payload(spec)
     for name in ("retry_attempts", "retry_backoff", "unit_timeout"):
         payload.pop(name)
     return stable_hash("jobspec", json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
 def build_legacy_database(path, version: int) -> str:
-    """A schema-``version`` (1 or 2) database with one stored run and its job,
-    keyed on :func:`v2_fingerprint` as that schema keyed them; returns the run id."""
+    """A schema-``version`` (1, 2 or 3) database with one stored run and its
+    job, keyed as that schema keyed them (:func:`v2_fingerprint` before v3)
+    and holding :func:`legacy_json` specs; returns the run id."""
     report = make_report(problems={"mzi_ps": [0, None], "y_branch": [1]})
-    fingerprint = v2_fingerprint(SPEC)
+    fingerprint = v2_fingerprint(SPEC) if version < 3 else SPEC.fingerprint()
     run_id = stable_hash("run", fingerprint, f"GPT-4o|0|{canonical_report_json(report)}")
     with closing(sqlite3.connect(path)) as conn, conn:
         for statement in _SCHEMA_V1:
@@ -398,7 +412,7 @@ def build_legacy_database(path, version: int) -> str:
         conn.execute("INSERT INTO meta VALUES ('schema_version', ?)", (str(version),))
         conn.execute(
             "INSERT INTO runs VALUES (?, ?, ?, ?, ?)",
-            (run_id, fingerprint, SPEC.canonical_json(), 42.0, None),
+            (run_id, fingerprint, legacy_json(SPEC), 42.0, None),
         )
         conn.execute(
             "INSERT INTO reports VALUES (?, ?, ?, ?, ?)",
@@ -407,7 +421,7 @@ def build_legacy_database(path, version: int) -> str:
         conn.execute(
             "INSERT INTO jobs VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
             (
-                "job-legacy", fingerprint, SPEC.canonical_json(),
+                "job-legacy", fingerprint, legacy_json(SPEC),
                 0, "done", 1.0, 2.0, 3.0, None, run_id,
             ),
         )
@@ -494,7 +508,7 @@ def test_resaving_a_legacy_run_returns_its_stored_id(tmp_path, version):
 def test_v2_row_rejected_by_todays_checks_keeps_its_fingerprint(tmp_path):
     path = tmp_path / "v2.db"
     build_legacy_database(path, version=2)
-    bad_spec = dict(SPEC.to_dict(), max_feedback_iterations=-1)  # accepted by v2
+    bad_spec = dict(legacy_payload(SPEC), max_feedback_iterations=-1)  # accepted by v2
     with closing(sqlite3.connect(path)) as conn, conn:
         conn.execute(
             "UPDATE jobs SET spec_json = ? WHERE job_id = 'job-legacy'",
@@ -503,6 +517,30 @@ def test_v2_row_rejected_by_todays_checks_keeps_its_fingerprint(tmp_path):
     store = ResultsStore(path)  # the upgrade is not blocked
     assert store.schema_version == SCHEMA_VERSION
     assert store.load_job("job-legacy")["spec_fingerprint"] == v2_fingerprint(SPEC)
+
+
+@pytest.mark.parametrize("version", [2, 3])
+def test_rows_carrying_the_retired_solver_backend_still_load_and_recover(tmp_path, version):
+    path = tmp_path / "legacy.db"
+    run_id = build_legacy_database(path, version=version)
+    pending = replace(SPEC, base_seed=1)
+    with closing(sqlite3.connect(path)) as conn, conn:
+        conn.execute(
+            "INSERT INTO jobs VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+            (
+                "job-pending", v2_fingerprint(pending) if version < 3 else pending.fingerprint(),
+                legacy_json(pending), 0, "queued", 4.0, None, None, None, None,
+            ),
+        )
+    with EvalService(path, job_workers=1, recover=True) as service:
+        assert service.store.find_runs(SPEC.fingerprint())[0]["run_id"] == run_id
+        assert service.store.load_run(run_id).spec == SPEC
+        done = service.status("job-legacy")
+        assert (done.state, done.spec, done.run_id) == (JobState.DONE, SPEC, run_id)
+        recovered = service.wait("job-pending", timeout=60.0)
+        assert recovered.state is JobState.DONE, recovered.error
+        assert recovered.spec == pending
+        assert service.store.load_job("job-pending")["spec_fingerprint"] == pending.fingerprint()
 
 
 def test_newer_schema_version_refused(tmp_path):
@@ -584,6 +622,62 @@ def test_concurrent_process_writers(tmp_path):
         assert conn.execute("PRAGMA integrity_check").fetchone()[0] == "ok"
 
 
+def _writer_killed_inside_save_run(path: str) -> None:
+    """Child body: SIGKILL this process inside a ``save_run`` transaction."""
+    import repro.service.store as store_module
+
+    store = ResultsStore(path)
+    store_module.trajectory_rows = lambda *_args: os.kill(os.getpid(), signal.SIGKILL)
+    store.save_run(SPEC, {("GPT-4o", False): make_report()})
+
+
+def test_a_writer_killed_inside_save_run_does_not_stall_the_next(tmp_path):
+    path = tmp_path / "results.db"
+    ResultsStore(path)
+    child = multiprocessing.get_context("fork").Process(
+        target=_writer_killed_inside_save_run, args=(str(path),)
+    )
+    child.start()
+    child.join(60.0)
+    assert child.exitcode == -signal.SIGKILL
+    start = time.monotonic()
+    store = ResultsStore(path)
+    assert store.save_run(SPEC, {("GPT-4o", False): make_report()})[1] is True
+    assert time.monotonic() - start < 5.0, "the killed writer's lock outlived it"
+    assert store.counts()["runs"] == 1, "the killed transaction was rolled back"
+
+
+def _racing_writer(path: str, barrier, job_states) -> None:
+    """Child body: save ``SPEC``'s run and record ``job_states`` as soon as
+    every racer is ready; contended writers wait their turn, never retry."""
+    store = ResultsStore(path)
+    barrier.wait(30.0)
+    store.save_run(SPEC, {("GPT-4o", False): make_report()})
+    for state in job_states:
+        store.record_job(job_row("job-1", state))
+    assert store.write_retries == 0
+
+
+def test_processes_racing_on_one_run_and_one_job_keep_one_of_each(tmp_path):
+    path = tmp_path / "results.db"
+    ResultsStore(path)
+    orders = [("queued", "running", "done"), ("done",), ("running", "queued"), ("queued",)]
+    context = multiprocessing.get_context("fork")
+    barrier = context.Barrier(len(orders))
+    workers = [
+        context.Process(target=_racing_writer, args=(str(path), barrier, states))
+        for states in orders
+    ]
+    for process in workers:
+        process.start()
+    for process in workers:
+        process.join(60.0)
+        assert process.exitcode == 0, "a racing writer raised or retried"
+    store = ResultsStore(path)
+    assert store.counts() == {"runs": 1, "reports": 1, "trajectories": 2 * 2 * 3 * 2, "jobs": 1}
+    assert store.load_job("job-1")["state"] == "done"
+
+
 def test_counts_tracks_every_table(tmp_path):
     store = ResultsStore(tmp_path / "results.db")
     assert store.counts() == {"runs": 0, "reports": 0, "trajectories": 0, "jobs": 0}
@@ -627,14 +721,11 @@ def test_exhausted_write_faults_propagate(tmp_path):
 SAME_EVALUATION = (
     replace(SPEC, batch_size=4),
     replace(SPEC, execution_mode="process", processes=2),
-    replace(SPEC, solver_backend="dense"),
     replace(SPEC, kind="evaluate"),
 )
 
 
-@pytest.mark.parametrize(
-    "variant", SAME_EVALUATION, ids=["batch_size", "process_tier", "solver_backend", "kind"]
-)
+@pytest.mark.parametrize("variant", SAME_EVALUATION, ids=["batch_size", "process_tier", "kind"])
 def test_execution_settings_share_the_spec_fingerprint(variant):
     assert variant.fingerprint() == SPEC.fingerprint()
 

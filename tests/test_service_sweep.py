@@ -91,6 +91,19 @@ def test_multi_pair_job_stores_the_per_pair_reports_from_one_journal(tmp_path, r
         )
 
 
+def test_a_thread_tier_job_runs_its_batch_size_in_lockstep(tmp_path, reference):
+    """The shared engine runs a thread-tier job at the job's batch size."""
+    with EvalService(tmp_path / "results.db", job_workers=1) as service:
+        record = service.wait(service.submit(JobSpec(**PAIRS, batch_size=4)), timeout=300.0)
+        assert record.state is JobState.DONE, record.error
+        assert record.engine_stats["batch"]["calls"] > 0
+        # The run id and bytes of the batch-size-1 job.
+        assert record.run_id == run_fingerprint(JobSpec(**PAIRS), reference)
+        for (model, restrictions), report in reference.items():
+            stored = service.store.load_report_json(record.run_id, model, restrictions)
+            assert stored == canonical_report_json(report), (model, restrictions)
+
+
 @pytest.mark.parametrize("tier", TIERS)
 def test_cancel_lands_at_the_next_finished_trajectory(tmp_path, tier):
     spec = JobSpec(**PAIRS, **TIERS[tier])

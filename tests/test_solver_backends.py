@@ -3,8 +3,8 @@
 The cascade backend must be numerically equivalent (<= 1e-9) to the dense
 backend on every problem of every registered pack and on adversarial cyclic
 topologies (rings, nested rings, self-coupled clusters); backend selection
-must thread through the solver, the convenience API, the engine (with
-backend-invariant cache keys) and the sweep configuration.
+must thread through the solver and the convenience API, and engines built on
+solvers of different backends must share cache keys.
 """
 
 from __future__ import annotations
@@ -13,9 +13,7 @@ import numpy as np
 import pytest
 
 from repro.bench.packs import pack_names, get_pack
-from repro.engine.engine import EngineConfig, ExecutionEngine
-from repro.harness.cli import build_parser
-from repro.harness.runner import SweepConfig
+from repro.engine.engine import ExecutionEngine
 from repro.netlist import Instance, Netlist
 from repro.sim import SOLVER_BACKENDS, CircuitSolver, evaluate_netlist
 from repro.sim.cascade import strongly_connected_components
@@ -268,33 +266,14 @@ class TestBackendPlumbing:
 
     def test_engine_cache_key_is_backend_invariant(self, wavelengths):
         netlist = _ring_netlist()
-        dense_engine = ExecutionEngine(EngineConfig(solver_backend="dense"))
-        cascade_engine = ExecutionEngine(EngineConfig(solver_backend="cascade"))
+        dense_engine = ExecutionEngine(solver=CircuitSolver(backend="dense"))
+        cascade_engine = ExecutionEngine(solver=CircuitSolver(backend="cascade"))
         assert dense_engine.simulation_key(netlist, wavelengths) == cascade_engine.simulation_key(
             netlist, wavelengths
         )
         dense_result = dense_engine.evaluate(netlist, wavelengths)
         cascade_result = cascade_engine.evaluate(netlist, wavelengths)
         assert _max_abs_diff(dense_result, cascade_result) <= EQUIVALENCE_ATOL
-
-    def test_engine_threads_backend_to_solver(self):
-        engine = ExecutionEngine(EngineConfig(solver_backend="cascade"))
-        assert engine.solver.backend == "cascade"
-        assert engine.config.solver_backend == "cascade"
-
-    def test_sweep_config_threads_backend(self):
-        config = SweepConfig(solver_backend="cascade")
-        assert config.engine_config().solver_backend == "cascade"
-
-    def test_cli_accepts_solver_backend(self):
-        parser = build_parser()
-        args = parser.parse_args(["sweep", "--solver-backend", "cascade"])
-        assert args.solver_backend == "cascade"
-
-    def test_cli_rejects_unknown_solver_backend(self):
-        parser = build_parser()
-        with pytest.raises(SystemExit):
-            parser.parse_args(["sweep", "--solver-backend", "sparse-lu"])
 
 
 class TestUnvalidatedEdgeCases:

@@ -24,7 +24,7 @@ import pytest
 
 from repro.bench.packs import get_pack
 from repro.bench.suite import get_problem
-from repro.engine.engine import EngineConfig, ExecutionEngine
+from repro.engine.engine import ExecutionEngine
 from repro.evalkit.classify import as_picbench_error
 from repro.evalkit.evaluator import AttemptOutcome, EvaluationConfig, Evaluator
 from repro.faults import FaultInjected, FaultRule, inject
@@ -180,9 +180,11 @@ def verdict(outcome: AttemptOutcome):
     )
 
 
-def make_evaluator(**engine_config) -> Evaluator:
-    engine = ExecutionEngine(EngineConfig(**engine_config))
-    return Evaluator(EvaluationConfig(num_wavelengths=TEST_NUM_WAVELENGTHS), engine=engine)
+def make_evaluator(batch_size: int = 1) -> Evaluator:
+    return Evaluator(
+        EvaluationConfig(num_wavelengths=TEST_NUM_WAVELENGTHS, batch_size=batch_size),
+        engine=ExecutionEngine(),
+    )
 
 
 def _wrapped(result) -> str:

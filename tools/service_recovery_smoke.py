@@ -26,11 +26,14 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import socket
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
+from typing import List, Optional
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 sys.path.insert(0, SRC)
@@ -54,11 +57,21 @@ def fail(message: str) -> None:
     sys.exit(1)
 
 
-def serve(db: Path, cache: Path, *extra: str):
-    """Start a daemon subprocess; returns (process, parsed address line)."""
+#: Holds every trajectory after a daemon's first two (one two-sample job),
+#: so the jobs submitted after it are still in flight when it is killed.
+HOLD_AFTER_FIRST_JOB = "sweep.unit=delay+2~30"
+
+
+def serve(
+    daemons: List[subprocess.Popen], db: Path, cache: Path, *extra: str, faults: Optional[str] = None
+):
+    """Start a daemon subprocess in its own session, appended to ``daemons``;
+    returns (process, parsed address line)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     env.setdefault("PYTHONHASHSEED", "0")
+    if faults is not None:
+        env["REPRO_FAULTS"] = faults
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro.service", "serve",
@@ -69,15 +82,36 @@ def serve(db: Path, cache: Path, *extra: str):
         stderr=subprocess.PIPE,
         env=env,
         text=True,
+        start_new_session=True,
     )
+    daemons.append(proc)
     line = proc.stdout.readline()
     if not line:
-        proc.kill()
         fail(f"daemon died on startup: {proc.stderr.read()}")
     return proc, json.loads(line)
 
 
+def kill_sessions(daemons: List[subprocess.Popen]) -> None:
+    """SIGKILL every started daemon's session, with any pool workers it left."""
+    for proc in daemons:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait(timeout=30.0)
+
+
 def main() -> int:
+    """Run the smoke, then SIGKILL every daemon session it started."""
+    daemons: List[subprocess.Popen] = []
+    try:
+        return smoke(daemons)
+    finally:
+        kill_sessions(daemons)
+
+
+def smoke(daemons: List[subprocess.Popen]) -> int:
+    """Run the four checks, recording every daemon started in ``daemons``."""
     specs = [JobSpec(**BASE, base_seed=seed) for seed in (0, 1, 2)]
     with tempfile.TemporaryDirectory(prefix="recovery-smoke-") as raw:
         root = Path(raw)
@@ -96,44 +130,39 @@ def main() -> int:
 
         # -- 2. SIGKILL a live daemon mid-flight -----------------------
         db, cache = root / "results.db", root / "cache"
-        proc, addr = serve(db, cache)
+        proc, addr = serve(daemons, db, cache, faults=HOLD_AFTER_FIRST_JOB)
         client = ServiceClient(addr["host"], addr["port"])
         job_ids = [client.submit(specs[0])]
         first = client.poll(job_ids[0], timeout=300.0, interval=0.02, max_interval=0.05)
         if first["state"] != "done":
             fail(f"first job ended {first['state']} before the crash")
-        # Submit the remaining jobs and kill before they can finish: the
-        # crash deterministically leaves one DONE, one RUNNING-or-QUEUED,
-        # one QUEUED job behind.
+        # Submit the remaining jobs and kill while the fault plan holds
+        # them: the crash deterministically leaves one DONE, one
+        # RUNNING-or-QUEUED, one QUEUED job behind.
         job_ids += [client.submit(spec) for spec in specs[1:]]
         proc.kill()
         proc.wait(timeout=30.0)
         print("ok: daemon SIGKILLed with one job done and two jobs in flight")
 
         # -- 3. restart with --recover: nothing may be lost ------------
-        proc, addr = serve(db, cache, "--recover")
-        try:
-            recovery = addr["recovery"]
-            if not recovery["enabled"]:
-                fail("restarted daemon did not report recovery enabled")
-            if recovery["recovered"] < 2:
-                fail(
-                    "the in-flight jobs were not re-adopted "
-                    f"(recovered={recovery['recovered']})"
-                )
-            client = ServiceClient(addr["host"], addr["port"])
-            run_ids = {}
-            for job_id in job_ids:
-                record = client.poll(job_id, timeout=300.0)
-                if record["state"] != "done":
-                    fail(f"job {job_id} ended {record['state']} after recovery")
-                run_ids[job_id] = str(record["run_id"])
-            client.shutdown()
-            proc.wait(timeout=60.0)
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=30.0)
+        proc, addr = serve(daemons, db, cache, "--recover")
+        recovery = addr["recovery"]
+        if not recovery["enabled"]:
+            fail("restarted daemon did not report recovery enabled")
+        if recovery["recovered"] < 2:
+            fail(
+                "the in-flight jobs were not re-adopted "
+                f"(recovered={recovery['recovered']})"
+            )
+        client = ServiceClient(addr["host"], addr["port"])
+        run_ids = {}
+        for job_id in job_ids:
+            record = client.poll(job_id, timeout=300.0)
+            if record["state"] != "done":
+                fail(f"job {job_id} ended {record['state']} after recovery")
+            run_ids[job_id] = str(record["run_id"])
+        client.shutdown()
+        proc.wait(timeout=60.0)
         store = ResultsStore(db)
         for spec, job_id in zip(specs, job_ids):
             stored = store.load_report_json(run_ids[job_id], "GPT-4o", False)
@@ -145,44 +174,33 @@ def main() -> int:
         )
 
         # -- 4. backpressure: structured queue_full rejection ----------
-        proc, addr = serve(root / "bp.db", root / "bpcache", "--max-queued", "1")
-        try:
-            client = ServiceClient(addr["host"], addr["port"])
-            running = client.submit(specs[0])
-            # Wait for the worker to pick the first job up, so the second
-            # deterministically occupies the whole max_queued=1 budget.
-            import time as _time
-
-            deadline = _time.monotonic() + 60.0
-            while client.status(running)["state"] == "queued":
-                if _time.monotonic() > deadline:
-                    fail("first backpressure job never started running")
-                _time.sleep(0.02)
-            accepted = [running, client.submit(specs[1])]
-            # Raw request: the structured error fields, not the client's raise.
-            payload = json.dumps(
-                {"op": "submit", "spec": specs[2].to_dict()}
-            ) + "\n"
-            with socket.create_connection(
-                (addr["host"], addr["port"]), timeout=30.0
-            ) as sock:
-                sock.sendall(payload.encode("utf-8"))
-                response = json.loads(sock.makefile("r").readline())
-            if response.get("ok") is not False:
-                fail(f"overflow submit was not rejected: {response!r}")
-            if response.get("error_code") != "queue_full":
-                fail(f"rejection is not structured: {response!r}")
-            if "queue_depth" not in response or "max_queued" not in response:
-                fail(f"queue_full error lacks context: {response!r}")
-            for job_id in accepted:
-                if client.poll(job_id, timeout=300.0)["state"] != "done":
-                    fail(f"accepted job {job_id} did not finish under backpressure")
-            client.shutdown()
-            proc.wait(timeout=60.0)
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=30.0)
+        proc, addr = serve(daemons, root / "bp.db", root / "bpcache", "--max-queued", "1")
+        client = ServiceClient(addr["host"], addr["port"])
+        running = client.submit(specs[0])
+        # Wait for the worker to pick the first job up, so the second
+        # deterministically occupies the whole max_queued=1 budget.
+        deadline = time.monotonic() + 60.0
+        while client.status(running)["state"] == "queued":
+            if time.monotonic() > deadline:
+                fail("first backpressure job never started running")
+            time.sleep(0.02)
+        accepted = [running, client.submit(specs[1])]
+        # Raw request: the structured error fields, not the client's raise.
+        payload = json.dumps({"op": "submit", "spec": specs[2].to_dict()}) + "\n"
+        with socket.create_connection((addr["host"], addr["port"]), timeout=30.0) as sock:
+            sock.sendall(payload.encode("utf-8"))
+            response = json.loads(sock.makefile("r").readline())
+        if response.get("ok") is not False:
+            fail(f"overflow submit was not rejected: {response!r}")
+        if response.get("error_code") != "queue_full":
+            fail(f"rejection is not structured: {response!r}")
+        if "queue_depth" not in response or "max_queued" not in response:
+            fail(f"queue_full error lacks context: {response!r}")
+        for job_id in accepted:
+            if client.poll(job_id, timeout=300.0)["state"] != "done":
+                fail(f"accepted job {job_id} did not finish under backpressure")
+        client.shutdown()
+        proc.wait(timeout=60.0)
         print(
             "ok: overflow submit rejected with structured queue_full "
             f"(depth={response['queue_depth']}, max={response['max_queued']}), "
