@@ -357,6 +357,25 @@ class TestSolverEvaluateBatch:
         for result in results:
             assert result.data.base is None
 
+    def test_fusion_budget_splits_passes_without_changing_results(
+        self, wavelengths, monkeypatch
+    ):
+        # The engine hands the solver its whole miss set, so the solver's
+        # fusion budget alone decides how many samples one pass carries.
+        import repro.sim.circuit as circuit_module
+
+        netlist = _ring_netlist()
+        batch = [{"cp": {"coupling": 0.1 * (k + 1)}} for k in range(3)]
+        fused_solver = CircuitSolver()
+        fused = fused_solver.evaluate_batch(netlist, batch, wavelengths)
+        assert fused_solver.batch_stats().executor_passes == 1
+        monkeypatch.setattr(circuit_module, "_BATCH_FUSION_TARGET_BYTES", 1)
+        split_solver = CircuitSolver()
+        split = split_solver.evaluate_batch(netlist, batch, wavelengths)
+        assert split_solver.batch_stats().executor_passes == len(batch)
+        for a, b in zip(fused, split):
+            assert _max_abs_diff(a, b) <= EQUIVALENCE_ATOL
+
     def test_batch_stats_accumulate(self, wavelengths):
         solver = CircuitSolver()
         netlist = _shifter_netlist()

@@ -169,6 +169,14 @@ class TestSimulationCache:
         engine.evaluate(netlist, wavelengths)
         assert engine.cache.stats.misses == 2 and engine.cache.stats.hits == 0
 
+    def test_default_engine_builds_the_auto_solver_on_the_default_sizes(self):
+        engine = ExecutionEngine()
+        assert engine.solver.backend == "auto"
+        assert engine.solver._plan_cache.max_entries == 128
+        assert engine.cache._memory.max_entries == 2048
+        policy = engine.cache._retry_policy
+        assert (policy.attempts, policy.base_delay) == (2, 0.02)
+
     def test_cache_dir_pointing_at_a_file_fails_fast(self, tmp_path):
         bogus = tmp_path / "notadir"
         bogus.touch()

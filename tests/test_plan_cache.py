@@ -259,6 +259,43 @@ class TestValidationBehaviour:
         assert result.num_ports == 3
 
 
+class TestWavelengthBlocks:
+    """The cascade sizes its own wavelength blocks; the block size bounds the
+    executor's working set and never changes the result."""
+
+    @pytest.mark.parametrize("name", ["mzi", "ring", "clements_4x4"])
+    def test_self_sized_blocks_match_one_block(self, name, monkeypatch):
+        from repro.bench import get_problem
+        from repro.constants import default_wavelength_grid
+        import repro.sim.plan as plan_module
+
+        netlist = {
+            "mzi": _mzi_netlist,
+            "ring": _ring_netlist,
+            "clements_4x4": lambda: get_problem("clements_4x4").golden_netlist(),
+        }[name]()
+        grid = default_wavelength_grid(41)
+        whole = CircuitSolver().evaluate(netlist, grid, backend="cascade")
+        # A one-byte workspace budget floors every group at 8-point blocks,
+        # and the reciprocity mirror runs in 3-point blocks.
+        monkeypatch.setattr(plan_module, "_WORKSPACE_TARGET_BYTES", 1)
+        monkeypatch.setattr(plan_module, "_MIRROR_BLOCK", 3)
+        solver = CircuitSolver()
+        blocked = solver.evaluate(netlist, grid, backend="cascade")
+        groups = solver.compile(netlist, grid).groups
+        assert all(plan_module._auto_block(group, grid.size) < grid.size for group in groups)
+        assert _max_abs_diff(whole, blocked) <= 1e-12
+
+    @pytest.mark.parametrize("backend", ["dense", "cascade"])
+    def test_single_point_grids_match_the_whole_grid(self, wavelengths, backend):
+        solver = CircuitSolver()
+        netlist = _ring_netlist()
+        whole = solver.evaluate(netlist, wavelengths, backend=backend)
+        for index in range(wavelengths.size):
+            point = solver.evaluate(netlist, wavelengths[index : index + 1], backend=backend)
+            assert _max_abs_diff(point.data[0], whole.data[index]) <= 1e-12
+
+
 class TestLevelledExecutorEquivalence:
     @pytest.mark.parametrize("problem", _registered_pack_problems())
     def test_matches_dense_and_pr3_cascade_on_every_pack_problem(

@@ -420,6 +420,17 @@ def test_spec_from_dict_rejects_unknown_fields():
         JobSpec.from_dict({"cache_dir": "/tmp/x"})
 
 
+@pytest.mark.parametrize("backend", ["auto", "dense", "cascade"])
+def test_spec_from_dict_drops_the_retired_solver_backend(backend):
+    # Specs stored while the solver backend was a job field still load, and
+    # dedupe with today's spec of the same evaluation.
+    spec = JobSpec(**TINY)
+    stored = JobSpec.from_dict({**spec.to_dict(), "solver_backend": backend})
+    assert stored == spec
+    assert stored.fingerprint() == spec.fingerprint()
+    assert "solver_backend" not in stored.to_dict()
+
+
 def test_queue_submit_validates_spec():
     queue = JobQueue(Recorder(), workers=1)
     with pytest.raises(KeyError):

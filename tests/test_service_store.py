@@ -519,7 +519,7 @@ def test_v2_row_rejected_by_todays_checks_keeps_its_fingerprint(tmp_path):
     assert store.load_job("job-legacy")["spec_fingerprint"] == v2_fingerprint(SPEC)
 
 
-@pytest.mark.parametrize("version", [2, 3])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_rows_carrying_the_retired_solver_backend_still_load_and_recover(tmp_path, version):
     path = tmp_path / "legacy.db"
     run_id = build_legacy_database(path, version=version)
@@ -676,6 +676,86 @@ def test_processes_racing_on_one_run_and_one_job_keep_one_of_each(tmp_path):
     store = ResultsStore(path)
     assert store.counts() == {"runs": 1, "reports": 1, "trajectories": 2 * 2 * 3 * 2, "jobs": 1}
     assert store.load_job("job-1")["state"] == "done"
+
+
+def _racing_opener(path: str, barrier, worker: int) -> None:
+    """Child body: open the database as soon as every opener is ready (so the
+    schema work races), then save one run of its own."""
+    barrier.wait(30.0)
+    store = ResultsStore(path)
+    store.save_run(replace(SPEC, base_seed=worker + 1), {("GPT-4o", False): make_report()})
+    assert store.write_retries == 0
+
+
+def _open_and_save_sequentially(path, legacy_version, openers: int) -> dict:
+    """Row counts of the database the racing openers should leave behind."""
+    if legacy_version is not None:
+        build_legacy_database(path, version=legacy_version)
+    store = ResultsStore(path)
+    for worker in range(openers):
+        store.save_run(replace(SPEC, base_seed=worker + 1), {("GPT-4o", False): make_report()})
+    return store.counts()
+
+
+@pytest.mark.parametrize("version", [None, 1, 2], ids=["fresh", "v1", "v2"])
+def test_processes_opening_one_database_at_once_create_or_migrate_it_once(tmp_path, version):
+    path = tmp_path / "results.db"
+    legacy_run = build_legacy_database(path, version=version) if version is not None else None
+    context = multiprocessing.get_context("fork")
+    barrier = context.Barrier(4)
+    openers = [
+        context.Process(target=_racing_opener, args=(str(path), barrier, worker))
+        for worker in range(4)
+    ]
+    for process in openers:
+        process.start()
+    for process in openers:
+        process.join(60.0)
+        assert process.exitcode == 0, "an opener raised or retried"
+    store = ResultsStore(path)
+    assert store.schema_version == SCHEMA_VERSION
+    assert store.counts() == _open_and_save_sequentially(tmp_path / "sequential.db", version, 4)
+    if legacy_run is not None:
+        assert store.load_run(legacy_run).spec == SPEC
+    with closing(sqlite3.connect(path)) as conn:
+        assert conn.execute("PRAGMA integrity_check").fetchone()[0] == "ok"
+
+
+def test_a_writer_queues_behind_another_connections_write_lock(tmp_path):
+    path = tmp_path / "results.db"
+    store = ResultsStore(path)
+    saved = threading.Event()
+
+    def save() -> None:
+        store.save_run(SPEC, {("GPT-4o", False): make_report()})
+        saved.set()
+
+    writer = threading.Thread(target=save)
+    with closing(sqlite3.connect(path, isolation_level=None)) as holder:
+        holder.execute("BEGIN IMMEDIATE")
+        writer.start()
+        assert not saved.wait(0.5), "a write ran inside another connection's transaction"
+        holder.execute("COMMIT")
+    writer.join(30.0)
+    assert saved.is_set(), "the queued writer failed instead of waiting"
+    assert store.write_retries == 0
+    assert store.counts()["runs"] == 1
+
+
+def test_readers_answer_while_another_connection_holds_the_write_lock(tmp_path):
+    path = tmp_path / "results.db"
+    store = ResultsStore(path)
+    run_id, _ = store.save_run(SPEC, {("GPT-4o", False): make_report()})
+    store.record_job(job_row("job-1", "done", run_id))
+    with closing(sqlite3.connect(path, isolation_level=None)) as holder:
+        holder.execute("BEGIN IMMEDIATE")
+        holder.execute("DELETE FROM jobs")  # uncommitted: no reader may see it
+        start = time.monotonic()
+        assert store.load_run(run_id).spec == SPEC
+        assert store.load_job("job-1")["state"] == "done"
+        assert store.counts()["jobs"] == 1
+        assert time.monotonic() - start < 5.0, "a reader waited for the writer"
+        holder.execute("ROLLBACK")
 
 
 def test_counts_tracks_every_table(tmp_path):
