@@ -144,6 +144,9 @@ class JobQueue:
         Optional hook called (from queue/worker threads) after every state
         transition -- the service uses it to persist job metadata.  Hook
         exceptions are swallowed: persistence must never kill a worker.
+        A record made runnable through :meth:`enqueue` (rather than
+        :meth:`submit`) was persisted by its caller, so its QUEUED state is
+        not reported again.
     max_queued:
         Backpressure bound: when set, a submit finding this many jobs
         already QUEUED raises :class:`QueueFullError` instead of accepting
@@ -192,9 +195,13 @@ class JobQueue:
         Raises :class:`QueueFullError` when ``max_queued`` is set and
         reached.  Callers that must persist the accepted job *before* it can
         start running use the :meth:`prepare` / :meth:`enqueue` split
-        instead; ``submit`` is exactly ``enqueue(prepare(...))``.
+        instead; ``submit`` is ``enqueue(prepare(...))`` plus the QUEUED
+        ``on_update`` notification.
         """
-        return self.enqueue(self.prepare(spec, priority=priority))
+        record = self.prepare(spec, priority=priority)
+        self.enqueue(record)
+        self._notify(record)
+        return record.job_id
 
     def prepare(self, spec: JobSpec, *, priority: int = 0) -> JobRecord:
         """Validate a spec and mint its job record WITHOUT queueing it.
@@ -211,7 +218,9 @@ class JobQueue:
         """Make a prepared record runnable; returns its job id.
 
         With ``enforce_bound`` (the default) a full queue raises
-        :class:`QueueFullError` before the record becomes visible.
+        :class:`QueueFullError` before the record becomes visible.  The
+        ``on_update`` hook is not called: the caller already persisted the
+        QUEUED record (or, on recovery, read it from the store).
         """
         with self._not_empty:
             if self._shutdown:
@@ -227,7 +236,6 @@ class JobQueue:
             self._queued += 1
             heapq.heappush(self._heap, (record.priority, next(self._seq), record.job_id))
             self._not_empty.notify()
-        self._notify(record)
         return record.job_id
 
     def adopt(self, record: JobRecord, *, requeue: bool = False) -> None:

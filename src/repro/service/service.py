@@ -164,7 +164,8 @@ class EvalService:
         # Journal before acknowledging: unlike the queue's on_update hook
         # (which swallows persistence errors to protect workers), this write
         # is synchronous and raise-capable -- an unjournalable job is
-        # rejected, never half-accepted.
+        # rejected, never half-accepted.  It is the job's only QUEUED write:
+        # `enqueue` leaves the hook out.
         fault_point("service.journal", key=record.job_id)
         self.store.record_job(record.to_dict())
         try:

@@ -11,9 +11,8 @@ The public surface mirrors what the benchmark needs from SAX:
 
 from .analysis import ComparisonResult, FrequencyResponse, compare_responses
 from .batch import BatchStats, apply_settings, batch_evaluate_model, fuse_sample_matrices
-from .cascade import CascadePlan
 from .circuit import SOLVER_BACKENDS, CircuitSolver, default_solver, evaluate_netlist
-from .plan import CompiledCircuit, compile_netlist
+from .plan import CascadePlan, CompiledCircuit, compile_netlist
 from .registry import ModelInfo, ModelRegistry, UnknownModelError, default_registry
 from .sparams import SMatrix, is_reciprocal, is_unitary, power_transmission, sdict_to_smatrix
 

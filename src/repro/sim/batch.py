@@ -16,12 +16,12 @@ module adds the missing **batch axis** ``B``:
   ``(B, W, n, n)`` instance data the executor needs.
 * :func:`fuse_sample_matrices` folds the batch axis into the wavelength
   axis: every step of the compiled executor -- the injection seeds, the
-  level pulls, the coefficient gathers, the reachability-group schedules
-  and the feedback-cluster ``(W, n, n)`` solves -- is elementwise along the
-  wavelength axis, so executing the fused ``(B*W, n, n)`` stack *is*
-  executing with a leading batch dimension: one pass computes all ``B``
-  samples, and the per-level Python overhead is paid once instead of ``B``
-  times.  Feedback clusters become one ``(B*W, n, n)`` batched solve.
+  level pulls, the coefficient gathers and the feedback-cluster
+  ``(W, n, n)`` solves -- is elementwise along the wavelength axis, so
+  executing the fused ``(B*W, n, n)`` stack *is* executing with a leading
+  batch dimension: one pass computes all ``B`` samples, and the per-level
+  Python overhead is paid once instead of ``B`` times.  Feedback clusters
+  become one ``(B*W, n, n)`` batched solve.
 * :func:`apply_settings` derives one sample's concrete netlist from a base
   netlist plus a settings-override mapping -- the per-sample loop the batch
   path replaces (and the representation the engine's batch-aware cache keys

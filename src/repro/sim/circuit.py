@@ -31,8 +31,8 @@ Two executors evaluate that expression (:mod:`repro.sim.plan`):
     fancy-indexed multiply-add plus a segment sum over all of the level's
     edges -- solving a small local dense system only for genuine feedback
     clusters (rings).  Feed-forward meshes and switch fabrics never touch a
-    global solve.  (:mod:`repro.sim.cascade` keeps the original per-port
-    reference implementation the test suite checks the executor against.)
+    global solve.  The dense backend is the differential oracle the test
+    suite checks it against.
 ``auto``
     Picks ``dense`` for small circuits (where one vectorised solve beats the
     cascade's per-component bookkeeping) and ``cascade`` otherwise.
@@ -70,14 +70,14 @@ from .batch import (
     fuse_sample_stacks,
     merge_settings,
 )
-from .cascade import CascadePlan, structural_masks
 from .guardrails import collect_degradations
 from .plan import (
+    CascadePlan,
     CompiledCircuit,
-    build_stacks,
     compile_netlist,
     execute_cascade,
     execute_dense,
+    structural_masks,
     topology_fingerprint,
 )
 from .registry import ModelRegistry, UnknownModelError, default_registry
@@ -100,6 +100,12 @@ _MEMO_MAX_ENTRIES = 8192
 
 #: Filename prefix of spilled compiled plans under ``plan_dir``.
 _PLAN_PREFIX = "plan-"
+
+#: Layout tag of spilled plans, part of every spill's file name.  Bump it
+#: whenever :class:`~repro.sim.plan.CompiledCircuit`'s layout changes: a
+#: plan spilled under another layout then sits under another name, so it is
+#: recompiled instead of handed to this executor.
+_PLAN_FORMAT = "v2"
 
 #: Target bytes of one fused executor pass's working set (coefficient
 #: array, workspace, contribution buffer, output block).  Batched execution
@@ -168,15 +174,15 @@ class CircuitSolver:
     plan_dir:
         Optional directory for the disk-backed plan-cache spill: every
         compiled plan is additionally pickled (atomically, unless the file
-        already exists) to ``plan_dir/plan-<fingerprint>.pkl``, and a
-        memory-tier miss tries the spill before recompiling.  This is what
-        lets later processes (a later sweep, an isolated retry, a
-        process-mode service job) reuse structure work: topology
-        fingerprints are content-derived and model identities are
-        ``module.qualname`` strings, so a plan spilled by one process is
-        valid in any other process running the same code.  The directory is
-        trusted (pickle is loaded from it) -- point it only at paths this
-        run controls, like the sweep's cache directory.
+        already exists) to ``plan_dir/plan-v2-<fingerprint>.pkl`` (``v2``
+        tags the plan layout), and a memory-tier miss tries the spill
+        before recompiling.  This is what lets later processes (a later
+        sweep, an isolated retry, a process-mode service job) reuse
+        structure work: topology fingerprints are content-derived and model
+        identities are ``module.qualname`` strings, so a plan spilled by one
+        process is valid in any other process running the same code.  The
+        directory is trusted (pickle is loaded from it) -- point it only at
+        paths this run controls, like the sweep's cache directory.
     """
 
     def __init__(
@@ -230,14 +236,6 @@ class CircuitSolver:
         # Numerical-guardrail firings (see repro.sim.guardrails): counted
         # under the memo lock, surfaced through degradation_stats().
         self._degradations: Dict[str, int] = {"singular": 0, "nonfinite": 0}
-        # Stacked instance matrices per (plan, concrete instance arrays).
-        # Deliberately small: it only pays off for repeated evaluation of
-        # content-identical netlists (instance-cache hits return the same
-        # arrays), while settings-mutating sweeps produce fresh arrays per
-        # call -- a large memo would just pin dead copies (see _stacks_for).
-        self._stack_memo: LRUCache[
-            Tuple[str, Tuple[int, ...]], Tuple[List[np.ndarray], List[np.ndarray]]
-        ] = LRUCache(max_entries=8)
 
     def instance_cache_stats(self) -> CacheStats:
         """Hit/miss counters of the per-device evaluation sub-cache."""
@@ -274,7 +272,7 @@ class CircuitSolver:
     def _plan_path(self, fingerprint: str) -> Optional[Path]:
         if self.plan_dir is None:
             return None
-        return self.plan_dir / f"{_PLAN_PREFIX}{fingerprint}.pkl"
+        return self.plan_dir / f"{_PLAN_PREFIX}{_PLAN_FORMAT}-{fingerprint}.pkl"
 
     def _plan_lookup(self, fingerprint: str) -> Optional[CompiledCircuit]:
         """Fetch a compiled plan: memory first, then the disk spill."""
@@ -642,7 +640,6 @@ class CircuitSolver:
                             fused_points,
                             chosen,
                             symmetric,
-                            memo_stacks=False,
                         )
                 # A fused pass solves every sample in one system, so a
                 # guardrail firing is attributed to all of the pass's samples.
@@ -682,18 +679,14 @@ class CircuitSolver:
         per-pass overhead on large fabrics, while small circuits fuse
         whole batches.
         """
-        groups = (
-            compiled.cover_groups
-            if symmetric and compiled.cover_groups is not None
-            else compiled.groups
-        )
-        if not groups:
+        schedule = compiled.schedule_for(symmetric)
+        if schedule is None:
             return max(1, _BATCH_FUSION_TARGET_BYTES // max(1, 16 * num_points))
-        cells_per_wavelength = sum(
-            group.num_edges
-            + (group.num_rows + group.max_push_edges) * group.workspace_cols
-            for group in groups
-        ) + 2 * compiled.num_external * compiled.num_external
+        cells_per_wavelength = (
+            schedule.num_edges
+            + (schedule.num_rows + schedule.max_push_edges) * schedule.columns.size
+            + 2 * compiled.num_external * compiled.num_external
+        )
         per_sample_bytes = 16 * num_points * max(1, cells_per_wavelength)
         return max(1, _BATCH_FUSION_TARGET_BYTES // per_sample_bytes)
 
@@ -760,43 +753,15 @@ class CircuitSolver:
         num_wavelengths: int,
         chosen: str,
         symmetric: bool,
-        *,
-        memo_stacks: bool = True,
     ) -> np.ndarray:
         """Run the chosen executor over the whole wavelength axis.
 
         The cascade executor sizes its own wavelength blocks for cache
-        residency.  ``memo_stacks=False`` skips the stacked-matrix memo:
-        batch-fused matrices are freshly allocated per call, so memoising
-        them would only pin dead ``B``-times-larger copies in the LRU.
+        residency.
         """
         if chosen == "cascade":
-            return execute_cascade(
-                compiled,
-                matrices,
-                num_wavelengths,
-                symmetric=symmetric,
-                stacks=self._stacks_for(compiled, matrices) if memo_stacks else None,
-            )
+            return execute_cascade(compiled, matrices, num_wavelengths, symmetric=symmetric)
         return execute_dense(compiled, matrices, num_wavelengths)
-
-    def _stacks_for(
-        self, compiled: CompiledCircuit, matrices: List[np.ndarray]
-    ) -> List[np.ndarray]:
-        """Memo of :func:`~repro.sim.plan.build_stacks` per concrete inputs.
-
-        Keyed by ``(plan fingerprint, instance array identities)``; each
-        entry holds strong references to the arrays it was built from, so a
-        live entry's ids can never be recycled by other arrays -- an
-        instance-cache eviction simply misses and rebuilds.
-        """
-        key = (compiled.fingerprint, tuple(map(id, matrices)))
-        entry = self._stack_memo.get(key)
-        if entry is not None:
-            return entry[1]
-        stacks = build_stacks(compiled, matrices)
-        self._stack_memo.put(key, (list(matrices), stacks))
-        return stacks
 
     def _compiled(
         self,

@@ -10,16 +10,14 @@ S-matrix values.  This module pays that work exactly once per topology:
 ``compile_netlist``
     Captures everything wavelength- and settings-independent in a
     :class:`CompiledCircuit`: the flattened port index (spans / owner /
-    partner arrays), the connection structure, the SCC condensation
-    (:class:`~repro.sim.cascade.CascadePlan`), and -- the parts that make
-    execution fast -- a **level-batched schedule** with precomputed
-    gather/scatter index arrays, split into **external-column groups** by
-    structural reachability.
+    partner arrays), the connection structure, the SCC condensation of the
+    port-level signal-flow graph (:class:`CascadePlan`), and a
+    **level-batched schedule** over every external column with precomputed
+    gather/scatter index arrays.
 
 ``execute_cascade``
-    Runs a compiled circuit against concrete per-instance S-matrices.  Three
-    compiled structures do the work the per-port Python loop of
-    :func:`repro.sim.cascade.cascade_solve` used to redo on every call:
+    Runs a compiled circuit against concrete per-instance S-matrices by
+    block-triangular elimination of the signal-flow graph:
 
     * *Topological levels.* Singleton components are grouped by longest-path
       depth in the condensation; each level's accumulation is one
@@ -28,15 +26,13 @@ S-matrix values.  This module pays that work exactly once per topology:
       local ``(W, n, n)`` solves, with prebuilt ``(rows, cols)`` fill
       arrays).  The workspace is port-major and permuted so every level's
       receiving rows are contiguous.
-    * *Column groups.* An external port's injected wave only ever reaches
-      the ports structurally downstream of it.  In switch fabrics and
-      meshes most of the ``(P, E)`` workspace is therefore exactly zero --
-      measured on the benchmark's 8x8 fabrics only 9-36% of edge-column
-      work is structurally active.  Columns are grouped by reachability
-      pattern and each group executes a restricted, row-compacted schedule,
-      skipping the dead work entirely.
-    * *Wavelength blocks.* The per-group workspace is processed in blocks
-      sized to stay cache-resident.
+    * *Row restriction.*  Ports that no injected wave structurally reaches
+      never enter the workspace.  When every instance S-matrix of a call is
+      symmetric, a second schedule over a *reciprocity cover* computes only
+      a structurally-covering subset of the external columns and mirrors
+      the rest.
+    * *Wavelength blocks.* The workspace is processed in blocks sized to
+      stay cache-resident.
 
 ``execute_dense``
     The dense backend over the same compiled assembly (spans, connection
@@ -57,34 +53,28 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..netlist.errors import WrongPortError
 from ..netlist.schema import Netlist, format_endpoint, parse_endpoint
-from .cascade import CascadePlan, _dependent_rows, build_cascade_plan, structural_masks
 from .guardrails import _record_degradation, collect_degradations, solve_with_fallback
 from .sparams import SMatrix
 
 __all__ = [
+    "CascadePlan",
     "CompiledCircuit",
+    "build_cascade_plan",
     "collect_degradations",
     "compile_netlist",
     "solve_with_fallback",
+    "strongly_connected_components",
+    "structural_masks",
     "topology_fingerprint",
     "execute_cascade",
     "execute_dense",
 ]
-
-#: Upper bound on the number of reachability column groups per plan; exact
-#: per-column patterns beyond this are greedily merged (smallest extra work
-#: first).
-_MAX_COLUMN_GROUPS = 16
-
-#: Workspaces smaller than this many cells skip column grouping entirely --
-#: for tiny circuits one batched pass beats several restricted ones.
-_MIN_CELLS_FOR_GROUPING = 1024
 
 #: Wavelength points per block of the reciprocity-mirror transpose (keeps
 #: the strided read/write pair cache-resident on batch-fused grids).
@@ -92,9 +82,164 @@ _MIRROR_BLOCK = 256
 
 #: Target size (bytes) of the cascade executor's per-block workspace.  The
 #: wavelength axis is processed in blocks small enough that the whole
-#: ``(rows, block, cols)`` group workspace -- and the contribution buffer --
-#: stay cache-resident across the level sweep.
+#: ``(rows, block, cols)`` workspace -- and the contribution buffer -- stay
+#: cache-resident across the level sweep.
 _WORKSPACE_TARGET_BYTES = 4 << 20
+
+
+# ----------------------------------------------------------------------
+# Signal-flow condensation
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class CascadePlan:
+    """The evaluation order the cascade backend derives from a netlist.
+
+    ``M = S C`` is extremely sparse: column ``j`` is non-zero only on the
+    ports of the instance that owns ``partner(j)``.  The strongly-connected
+    components of the graph "``b_i`` depends on ``b_j``" are exactly the
+    circuit's feedback clusters (rings, coupled-ring loops, self-coupled
+    instances), while feed-forward structures -- splitter trees, MZI
+    meshes, switch fabrics -- condense into singletons.
+
+    Attributes
+    ----------
+    components:
+        Port-index groups (strongly-connected components of the signal-flow
+        graph) in topological evaluation order; feed-forward ports appear as
+        singletons.
+    feedback:
+        The subset of :attr:`components` that require a local dense solve:
+        components of two or more ports, plus self-coupled single ports.
+    num_ports:
+        Total number of flattened instance ports.
+    """
+
+    components: Tuple[Tuple[int, ...], ...]
+    feedback: Tuple[Tuple[int, ...], ...]
+    num_ports: int
+
+    @property
+    def num_feedback_ports(self) -> int:
+        """Total number of ports inside feedback clusters."""
+        return sum(len(component) for component in self.feedback)
+
+    @property
+    def largest_feedback_cluster(self) -> int:
+        """Port count of the largest feedback cluster (0 when feed-forward)."""
+        return max((len(component) for component in self.feedback), default=0)
+
+
+def strongly_connected_components(
+    adjacency: Sequence[Sequence[int]],
+) -> List[List[int]]:
+    """Tarjan's algorithm, iterative; components in reverse topological order.
+
+    ``adjacency[v]`` lists the successors of node ``v``.  Each emitted
+    component precedes every component that can reach it, so reversing the
+    returned list yields a topological order of the condensation.
+    """
+    num_nodes = len(adjacency)
+    index = [-1] * num_nodes
+    lowlink = [0] * num_nodes
+    on_stack = [False] * num_nodes
+    stack: List[int] = []
+    components: List[List[int]] = []
+    counter = 0
+
+    for root in range(num_nodes):
+        if index[root] != -1:
+            continue
+        work: List[Tuple[int, int]] = [(root, 0)]
+        while work:
+            node, next_edge = work[-1]
+            if next_edge == 0:
+                index[node] = lowlink[node] = counter
+                counter += 1
+                stack.append(node)
+                on_stack[node] = True
+            descended = False
+            successors = adjacency[node]
+            for position in range(next_edge, len(successors)):
+                successor = successors[position]
+                if index[successor] == -1:
+                    work[-1] = (node, position + 1)
+                    work.append((successor, 0))
+                    descended = True
+                    break
+                if on_stack[successor]:
+                    lowlink[node] = min(lowlink[node], index[successor])
+            if descended:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                lowlink[parent] = min(lowlink[parent], lowlink[node])
+            if lowlink[node] == index[node]:
+                component: List[int] = []
+                while True:
+                    member = stack.pop()
+                    on_stack[member] = False
+                    component.append(member)
+                    if member == node:
+                        break
+                components.append(component)
+    return components
+
+
+def structural_masks(matrices: Sequence[np.ndarray]) -> List[np.ndarray]:
+    """Per-instance boolean masks of S-matrix entries non-zero at any wavelength.
+
+    This is the single definition of "structurally non-zero" shared by plan
+    construction and the solve itself.
+    """
+    return [np.any(data != 0, axis=0) for data in matrices]
+
+
+def _dependent_rows(
+    masks: Sequence[np.ndarray],
+    spans: Sequence[Tuple[int, int]],
+    owner: np.ndarray,
+    partner: np.ndarray,
+) -> List[List[int]]:
+    """Adjacency of the signal-flow graph: per port ``j``, the rows ``i`` with
+    ``M[i, j]`` structurally non-zero (``b_i`` depends on ``b_j``)."""
+    adjacency: List[List[int]] = [[] for _ in range(int(owner.size))]
+    for port in range(int(owner.size)):
+        source = int(partner[port])
+        if source < 0:
+            continue
+        instance = int(owner[source])
+        start, _ = spans[instance]
+        adjacency[port] = [
+            start + int(row_local)
+            for row_local in np.nonzero(masks[instance][:, source - start])[0]
+        ]
+    return adjacency
+
+
+def build_cascade_plan(adjacency: Sequence[Sequence[int]]) -> CascadePlan:
+    """Condense the port-level signal-flow graph into an evaluation plan.
+
+    ``adjacency`` lists, per flattened port, its dependent rows (see
+    :func:`_dependent_rows`).
+    """
+    components = strongly_connected_components(adjacency)
+    components.reverse()  # dependencies first
+
+    ordered: List[Tuple[int, ...]] = []
+    feedback: List[Tuple[int, ...]] = []
+    for component in components:
+        component_tuple = tuple(sorted(component))
+        ordered.append(component_tuple)
+        if len(component_tuple) > 1:
+            feedback.append(component_tuple)
+        else:
+            port = component_tuple[0]
+            if port in adjacency[port]:  # self-coupled port
+                feedback.append(component_tuple)
+    return CascadePlan(
+        components=tuple(ordered), feedback=tuple(feedback), num_ports=len(adjacency)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -104,7 +249,7 @@ _WORKSPACE_TARGET_BYTES = 4 << 20
 class _SelfLoop:
     """A self-coupled singleton component: ``b = r / (1 - M_pp)``.
 
-    ``row`` is the port's row in the group workspace.
+    ``row`` is the port's row in the schedule's workspace.
     """
 
     row: int
@@ -136,7 +281,7 @@ class _PullLevel:
     Workspace rows are laid out by topological depth with each depth's
     edge-receiving rows first and contiguous (``row_lo:row_hi``), so the
     accumulation is a single slice ``+=`` -- no scatter index.  Edges in
-    ``start:stop`` (of the group's edge arrays) are sorted by target row;
+    ``start:stop`` (of the schedule's edge arrays) are sorted by target row;
     ``src`` are their source workspace rows, ``starts`` the segment
     boundaries per target row, and ``single_source`` flags the feed-forward
     common case of one in-edge per row, which skips the segment sum
@@ -156,17 +301,12 @@ class _PullLevel:
     row_lo: int
     row_hi: int
     single_source: bool
-    #: True when no receiving row of this level is seeded by an injection:
-    #: the pull then *assigns* (multiply into the target slice) instead of
-    #: accumulating, saving a full read-modify-write pass.
-    assign: bool
 
 
 @dataclass(frozen=True)
 class _Step:
     """One topological depth: pull incoming edges, then solve its feedback."""
 
-    level: int
     pull: Optional[_PullLevel]
     self_loops: Tuple[_SelfLoop, ...]
     clusters: Tuple[_ClusterSolve, ...]
@@ -180,7 +320,7 @@ class _CoefGather:
     (see :attr:`CompiledCircuit.stack_members`); then
     ``coef[positions] = stacks[stack][pos, :, m_rows, m_cols]`` fills every
     edge whose owning instance lives in that stack -- one advanced-indexing
-    op per (group, stack) instead of one per instance.
+    op per stack instead of one per instance.
     """
 
     stack: int
@@ -191,40 +331,34 @@ class _CoefGather:
 
 
 @dataclass(frozen=True)
-class _ColumnGroup:
-    """The restricted schedule of one reachability group of external columns.
+class _Schedule:
+    """A restricted, row-compacted level schedule over some external columns.
 
     Attributes
     ----------
     columns:
-        External column indices this group computes (disjoint across groups,
-        covering all of ``0..E-1``).
+        External column indices this schedule computes (all of ``0..E-1``,
+        or the reciprocity cover's kept columns).
     num_rows:
-        Rows of the group workspace: only ports structurally reachable from
-        the group's injections (plus every external output row), compacted.
+        Rows of the workspace: only ports structurally reachable from the
+        injections of :attr:`columns` (plus every external output row),
+        compacted.
     injection:
-        Per group column, ``(group column position, instance, workspace
-        rows, local matrix rows, injected local column)`` -- the seed
-        ``r = S E`` restricted to this group and to the structurally
-        non-zero rows of the injected device column.
+        Per column, ``(column position, instance, workspace rows, local
+        matrix rows, injected local column)`` -- the seed ``r = S E``
+        restricted to the structurally non-zero rows of the injected device
+        column.
     out_rows:
         Workspace row of every external port (the result's row axis).
     steps / coef_gathers / num_edges / max_push_edges:
-        The level schedule over the group's edges, the batched per-stack
-        coefficient gathers, and the largest single-level edge count (sizes
-        the reusable contribution buffer).
+        The level schedule over the schedule's edges, the batched per-stack
+        coefficient gathers, the edge count and the largest single-level
+        edge count (sizes the reusable contribution buffer).
     """
 
     columns: np.ndarray
     num_rows: int
-    #: Width of the workspace column axis.  Usually ``columns.size``; ``1``
-    #: for a *stacked* group (several single-column reachability groups
-    #: merged into one block-diagonal row space sharing one workspace
-    #: column -- same element work, a fraction of the numpy-call count).
-    workspace_cols: int
     injection: Tuple[Tuple[int, int, np.ndarray, np.ndarray, int], ...]
-    #: 1-D (every external row, this group's columns) or, for a stacked
-    #: group, 2-D ``(columns, external rows)`` workspace rows.
     out_rows: np.ndarray
     steps: Tuple[_Step, ...]
     coef_gathers: Tuple[_CoefGather, ...]
@@ -265,30 +399,26 @@ class CompiledCircuit:
         External port names and, per external column, the flattened instance
         port behind it plus its ``(instance, local column)`` address.
     plan:
-        The cascade backend's :class:`~repro.sim.cascade.CascadePlan`
-        (components in topological order, feedback clusters); ``None``
-        when ``partner`` is ``None``.
-    groups:
-        The level-batched execution schedule, one restricted
-        :class:`_ColumnGroup` per reachability group of external columns;
+        The cascade backend's :class:`CascadePlan` (components in
+        topological order, feedback clusters); ``None`` when ``partner`` is
+        ``None``.
+    schedule:
+        The level-batched execution schedule over every external column;
         ``None`` when the cascade executor does not apply.
-    cover_groups / cover_mirror:
-        The *reciprocity cover* schedule: for circuits whose instance
-        S-matrices are all symmetric the composed response is symmetric too,
-        so only a structurally-covering subset of external columns is
-        computed and the ``cover_mirror`` columns are filled by transposing
-        (their remaining block is structurally zero, proven by
-        reachability).  ``None`` when no column can be dropped.  Symmetry is
-        a *value* property, so the executor applies the cover only when the
-        concrete matrices of a call are symmetric; the full ``groups``
-        schedule remains the general path.
+    cover_schedule / cover_mirror:
+        The *reciprocity cover*: for circuits whose instance S-matrices are
+        all symmetric the composed response is symmetric too, so only a
+        structurally-covering subset of external columns is computed and
+        the ``cover_mirror`` columns are filled by transposing (their
+        remaining block is structurally zero, proven by reachability).
+        ``None`` when no column can be dropped.  Symmetry is a *value*
+        property, so the executor applies the cover only when the concrete
+        matrices of a call are symmetric; :attr:`schedule` remains the
+        general path.
     stack_members:
         Instance indices grouped by port count: execution stacks each
         group's matrices into one ``(m, W, n, n)`` array so edge
         coefficients gather in one advanced-indexing op per stack.
-    num_edges:
-        Cross-component edges of the full signal-flow condensation (before
-        column restriction) -- a size metric for introspection.
     """
 
     fingerprint: str
@@ -304,11 +434,10 @@ class CompiledCircuit:
     injection_instances: np.ndarray
     injection_locals: np.ndarray
     plan: Optional[CascadePlan]
-    groups: Optional[Tuple[_ColumnGroup, ...]]
-    cover_groups: Optional[Tuple[_ColumnGroup, ...]]
+    schedule: Optional[_Schedule]
+    cover_schedule: Optional[_Schedule]
     cover_mirror: Optional[np.ndarray]
     stack_members: Tuple[np.ndarray, ...]
-    num_edges: int
 
     @property
     def num_ports(self) -> int:
@@ -323,30 +452,17 @@ class CompiledCircuit:
     @property
     def supports_cascade(self) -> bool:
         """Whether the level-batched cascade executor applies to this plan."""
-        return self.groups is not None
+        return self.schedule is not None
 
-    @property
-    def num_levels(self) -> int:
-        """Topological depth of the schedule (max over column groups)."""
-        if not self.groups:
-            return 0
-        return max(len(group.steps) for group in self.groups)
+    def schedule_for(self, symmetric: bool) -> Optional[_Schedule]:
+        """The schedule the cascade executor runs for a call.
 
-    @property
-    def num_column_groups(self) -> int:
-        """Number of reachability column groups (0 = dense only)."""
-        return len(self.groups) if self.groups is not None else 0
-
-    @property
-    def active_cells(self) -> int:
-        """Workspace cells actually computed, summed over column groups.
-
-        Compare against ``num_ports * num_external`` (what a single
-        unrestricted schedule would touch) for the structural-sparsity win.
+        The reciprocity cover when the call's matrices are all symmetric and
+        the plan has one, else the full schedule.
         """
-        if not self.groups:
-            return 0
-        return sum(group.num_rows * group.workspace_cols for group in self.groups)
+        if symmetric and self.cover_schedule is not None:
+            return self.cover_schedule
+        return self.schedule
 
 
 # ----------------------------------------------------------------------
@@ -466,7 +582,7 @@ def _component_depths(
 
 
 # ----------------------------------------------------------------------
-# Compilation: reachability column groups
+# Compilation: reachability and the level schedules
 # ----------------------------------------------------------------------
 def _reachability(
     num_ports: int,
@@ -505,44 +621,6 @@ def _reachability(
     return reach
 
 
-def _column_groups_partition(
-    reach: np.ndarray, num_ports: int, columns: Sequence[int]
-) -> List[List[int]]:
-    """Partition ``columns`` (external column indices) by reachability pattern.
-
-    Columns with identical reachable-port sets share a group; beyond
-    :data:`_MAX_COLUMN_GROUPS` (or for tiny workspaces) groups are greedily
-    merged, picking the merge that adds the least ``rows x columns`` work.
-    """
-    columns = list(columns)
-    if not columns:
-        return []
-    if num_ports * len(columns) < _MIN_CELLS_FOR_GROUPING:
-        return [columns]
-    by_pattern: Dict[bytes, List[int]] = {}
-    for column in columns:
-        by_pattern.setdefault(reach[:, column].tobytes(), []).append(column)
-    groups: List[Tuple[List[int], np.ndarray]] = [
-        (group, reach[:, group].any(axis=1)) for group in by_pattern.values()
-    ]
-    while len(groups) > _MAX_COLUMN_GROUPS:
-        best = None
-        for i in range(len(groups)):
-            for j in range(i + 1, len(groups)):
-                cols_i, rows_i = groups[i]
-                cols_j, rows_j = groups[j]
-                union = rows_i | rows_j
-                added = int(union.sum()) * (len(cols_i) + len(cols_j)) - (
-                    int(rows_i.sum()) * len(cols_i) + int(rows_j.sum()) * len(cols_j)
-                )
-                if best is None or added < best[0]:
-                    best = (added, i, j, union)
-        _, i, j, union = best
-        merged = (groups[i][0] + groups[j][0], union)
-        groups = [g for k, g in enumerate(groups) if k not in (i, j)] + [merged]
-    return [sorted(group) for group, _ in groups]
-
-
 def _cover_columns(
     reach: np.ndarray, injection_ports: np.ndarray
 ) -> Tuple[List[int], List[int]]:
@@ -571,7 +649,7 @@ def _cover_columns(
     return kept, sorted(dropped)
 
 
-def _build_group(
+def _build_level_schedule(
     columns: Sequence[int],
     reach: np.ndarray,
     edges: Sequence[Tuple[int, int, int]],
@@ -589,25 +667,24 @@ def _build_group(
     injection_span_locals: Sequence[np.ndarray],
     instance_stack: np.ndarray,
     instance_pos: np.ndarray,
-) -> _ColumnGroup:
-    """Build one column group's restricted, row-compacted level schedule."""
+) -> _Schedule:
+    """Build the restricted, row-compacted level schedule of ``columns``."""
     columns = list(columns)
     active = reach[:, columns].any(axis=1)
     # Every external port row appears in the result, reachable or not.
-    active = active.copy()
     active[injection_ports] = True
     # A cluster is solved whole: if any member is active, all are.
     for component in cluster_components:
         if active[list(component)].any():
             active[list(component)] = True
 
-    group_edges = [edge for edge in edges if active[edge[2]]]
-    receiving: Set[int] = set(edge[1] for edge in group_edges)
+    schedule_edges = [edge for edge in edges if active[edge[2]]]
+    receiving = set(edge[1] for edge in schedule_edges)
 
     # Workspace rows grouped by depth, receiving rows first (each depth's
     # pull is then a contiguous slice); inside each block, original port
-    # order -- group_edges are sorted by (depth, target port, source port),
-    # so their workspace target rows are sorted too.
+    # order -- schedule_edges are sorted by (depth, target port, source
+    # port), so their workspace target rows are sorted too.
     num_levels = (int(depth_of_port.max()) + 1) if depth_of_port.size else 0
     ports_by_depth: List[List[int]] = [[] for _ in range(num_levels)]
     for port in np.nonzero(active)[0]:
@@ -629,7 +706,7 @@ def _build_group(
         row_bounds.append((lo, hi))
     num_rows = next_row
 
-    # Per-level structures over the group's edges.
+    # Per-level structures over the schedule's edges.
     self_loops: List[List[_SelfLoop]] = [[] for _ in range(num_levels)]
     clusters: List[List[_ClusterSolve]] = [[] for _ in range(num_levels)]
     for port, (instance, row_local, col_local) in self_loop_ports.items():
@@ -661,7 +738,7 @@ def _build_group(
         )
 
     gather_by_stack: Dict[int, List[Tuple[int, int, int, int]]] = {}
-    for position, (_, row, port) in enumerate(group_edges):
+    for position, (_, row, port) in enumerate(schedule_edges):
         source = int(partner[port])
         instance = int(owner[source])
         start = spans[instance][0]
@@ -679,26 +756,20 @@ def _build_group(
         for stack, entries in sorted(gather_by_stack.items())
     )
 
-    # Workspace rows seeded by the group's injections: levels whose
-    # receiving rows are all seed-free can assign instead of accumulate.
-    seeded_rows: Set[int] = set()
-    for column in columns:
-        seeded_rows.update(int(r) for r in row_of[injection_span_ports[column]] if r >= 0)
-
     steps: List[_Step] = []
     max_push_edges = 0
     cursor = 0
     for level in range(num_levels):
         lo = cursor
-        while cursor < len(group_edges) and group_edges[cursor][0] == level:
+        while cursor < len(schedule_edges) and schedule_edges[cursor][0] == level:
             cursor += 1
         hi = cursor
         pull: Optional[_PullLevel] = None
         if hi > lo:
             target_rows = row_of[
-                np.array([group_edges[i][1] for i in range(lo, hi)], dtype=int)
+                np.array([schedule_edges[i][1] for i in range(lo, hi)], dtype=int)
             ]
-            src = row_of[np.array([group_edges[i][2] for i in range(lo, hi)], dtype=int)]
+            src = row_of[np.array([schedule_edges[i][2] for i in range(lo, hi)], dtype=int)]
             unique_rows, starts = np.unique(target_rows, return_index=True)
             row_lo, row_hi = row_bounds[level]
             # The receiving rows of this depth are exactly its contiguous
@@ -713,11 +784,9 @@ def _build_group(
                 row_lo=row_lo,
                 row_hi=row_hi,
                 single_source=unique_rows.size == hi - lo,
-                assign=all(row not in seeded_rows for row in range(row_lo, row_hi)),
             )
             max_push_edges = max(max_push_edges, hi - lo)
         step = _Step(
-            level=level,
             pull=pull,
             self_loops=tuple(self_loops[level]),
             clusters=tuple(clusters[level]),
@@ -735,158 +804,19 @@ def _build_group(
         )
         for position, column in enumerate(columns)
     )
-    return _ColumnGroup(
+    return _Schedule(
         columns=np.array(columns, dtype=int),
         num_rows=num_rows,
-        workspace_cols=len(columns),
         injection=injection,
         out_rows=row_of[injection_ports],
         steps=tuple(steps),
         coef_gathers=coef_gathers,
-        num_edges=len(group_edges),
+        num_edges=len(schedule_edges),
         max_push_edges=max_push_edges,
     )
 
 
-def _stack_single_column_groups(groups: Sequence[_ColumnGroup]) -> _ColumnGroup:
-    """Merge single-column groups into one block-diagonal schedule.
-
-    Each group keeps its own (disjoint) rows, all sharing workspace column
-    0: element work is unchanged, but level ``d`` of every group runs as
-    *one* pull -- on chain-like fabrics this shrinks the numpy-call count
-    by the group count.  Rows are renumbered so that, per level, the
-    receiving rows of all groups are consecutive (group-major), matching
-    the group-major concatenation of each level's edges.
-    """
-    num_levels = (
-        max((step.level for group in groups for step in group.steps), default=-1) + 1
-    )
-    step_of: List[Dict[int, _Step]] = [
-        {step.level: step for step in group.steps} for group in groups
-    ]
-    remaps = [np.full(group.num_rows, -1, dtype=int) for group in groups]
-    next_row = 0
-    level_bounds: List[Tuple[int, int]] = []
-    for level in range(num_levels):
-        lo = next_row
-        for gi, group in enumerate(groups):
-            step = step_of[gi].get(level)
-            if step is not None and step.pull is not None:
-                count = step.pull.row_hi - step.pull.row_lo
-                remaps[gi][step.pull.row_lo : step.pull.row_hi] = np.arange(
-                    next_row, next_row + count
-                )
-                next_row += count
-        level_bounds.append((lo, next_row))
-    for gi, group in enumerate(groups):
-        unassigned = np.nonzero(remaps[gi] < 0)[0]
-        remaps[gi][unassigned] = np.arange(next_row, next_row + unassigned.size)
-        next_row += unassigned.size
-    num_rows = next_row
-
-    # New edge numbering: level-major, group-major inside a level.
-    edge_remaps = [np.empty(group.num_edges, dtype=int) for group in groups]
-    steps: List[_Step] = []
-    max_push_edges = 0
-    edge_cursor = 0
-    for level in range(num_levels):
-        pull_start = edge_cursor
-        src_parts: List[np.ndarray] = []
-        starts_parts: List[np.ndarray] = []
-        self_loops: List[_SelfLoop] = []
-        clusters: List[_ClusterSolve] = []
-        single_source = True
-        assign = True
-        for gi, group in enumerate(groups):
-            step = step_of[gi].get(level)
-            if step is None:
-                continue
-            pull = step.pull
-            if pull is not None:
-                count = pull.stop - pull.start
-                edge_remaps[gi][pull.start : pull.stop] = np.arange(
-                    edge_cursor, edge_cursor + count
-                )
-                src_parts.append(remaps[gi][pull.src])
-                starts_parts.append(pull.starts + (edge_cursor - pull_start))
-                single_source = single_source and pull.single_source
-                assign = assign and pull.assign
-                edge_cursor += count
-            for loop in step.self_loops:
-                self_loops.append(
-                    _SelfLoop(
-                        row=int(remaps[gi][loop.row]),
-                        instance=loop.instance,
-                        row_local=loop.row_local,
-                        col_local=loop.col_local,
-                    )
-                )
-            for cluster in step.clusters:
-                clusters.append(
-                    _ClusterSolve(rows=remaps[gi][cluster.rows], fill=cluster.fill)
-                )
-        merged_pull: Optional[_PullLevel] = None
-        if edge_cursor > pull_start:
-            row_lo, row_hi = level_bounds[level]
-            merged_starts = np.concatenate(starts_parts)
-            merged_pull = _PullLevel(
-                start=pull_start,
-                stop=edge_cursor,
-                src=np.concatenate(src_parts),
-                starts=merged_starts,
-                extra=_segment_extras(merged_starts, edge_cursor - pull_start),
-                row_lo=row_lo,
-                row_hi=row_hi,
-                single_source=single_source,
-                assign=assign,
-            )
-            max_push_edges = max(max_push_edges, edge_cursor - pull_start)
-        if merged_pull is not None or self_loops or clusters:
-            steps.append(
-                _Step(
-                    level=level,
-                    pull=merged_pull,
-                    self_loops=tuple(self_loops),
-                    clusters=tuple(clusters),
-                )
-            )
-
-    gather_by_stack: Dict[int, List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]] = {}
-    for gi, group in enumerate(groups):
-        for gather in group.coef_gathers:
-            gather_by_stack.setdefault(gather.stack, []).append(
-                (gather.pos, gather.m_rows, gather.m_cols, edge_remaps[gi][gather.positions])
-            )
-    coef_gathers = tuple(
-        _CoefGather(
-            stack=stack,
-            pos=np.concatenate([e[0] for e in entries]),
-            m_rows=np.concatenate([e[1] for e in entries]),
-            m_cols=np.concatenate([e[2] for e in entries]),
-            positions=np.concatenate([e[3] for e in entries]),
-        )
-        for stack, entries in sorted(gather_by_stack.items())
-    )
-
-    injection = tuple(
-        (0, instance, remaps[gi][rows], local_rows, local)
-        for gi, group in enumerate(groups)
-        for (_, instance, rows, local_rows, local) in group.injection
-    )
-    return _ColumnGroup(
-        columns=np.array([int(group.columns[0]) for group in groups], dtype=int),
-        num_rows=num_rows,
-        workspace_cols=1,
-        injection=injection,
-        out_rows=np.stack([remaps[gi][group.out_rows] for gi, group in enumerate(groups)]),
-        steps=tuple(steps),
-        coef_gathers=coef_gathers,
-        num_edges=sum(group.num_edges for group in groups),
-        max_push_edges=max_push_edges,
-    )
-
-
-def _build_schedule(
+def _build_schedules(
     plan: CascadePlan,
     adjacency: Sequence[Sequence[int]],
     masks: Sequence[np.ndarray],
@@ -897,13 +827,12 @@ def _build_schedule(
     injection_instances: np.ndarray,
     injection_locals: np.ndarray,
 ) -> Tuple[
-    Tuple[_ColumnGroup, ...],
-    Optional[Tuple[_ColumnGroup, ...]],
+    _Schedule,
+    Optional[_Schedule],
     Optional[np.ndarray],
     Tuple[np.ndarray, ...],
-    int,
 ]:
-    """Turn the condensation into reachability-grouped level schedules."""
+    """Turn the condensation into the full and reciprocity-cover schedules."""
     # Instances grouped by port count: one coefficient-gather stack each.
     size_to_stack: Dict[int, int] = {}
     stack_member_lists: List[List[int]] = []
@@ -932,7 +861,7 @@ def _build_schedule(
     feedback_set = set(plan.feedback)
 
     # Cross-component edges, sorted by (target depth, target port, source):
-    # the pull order of every level, shared by all groups.
+    # the pull order of every level, shared by both schedules.
     edges: List[Tuple[int, int, int]] = []
     for ci, component in enumerate(components):
         members = set(component)
@@ -942,7 +871,7 @@ def _build_schedule(
                     edges.append((depth[int(comp_of[row])], row, port))
     edges.sort()
 
-    # Feedback structure in original port indices, shared by all groups.
+    # Feedback structure in original port indices, shared by both schedules.
     cluster_components: List[Tuple[int, ...]] = []
     cluster_fill_entries: Dict[
         Tuple[int, ...], Dict[int, List[Tuple[int, int, int, int]]]
@@ -994,43 +923,32 @@ def _build_schedule(
         depth_of_port,
     )
 
-    def build_groups(columns: Sequence[int]) -> Tuple[_ColumnGroup, ...]:
-        built = [
-            _build_group(
-                group_columns,
-                reach,
-                edges,
-                depth_of_port,
-                cluster_components,
-                self_loop_ports,
-                cluster_fill_entries,
-                spans,
-                owner,
-                partner,
-                injection_ports,
-                injection_instances,
-                injection_locals,
-                injection_span_ports,
-                injection_span_locals,
-                instance_stack,
-                instance_pos,
-            )
-            for group_columns in _column_groups_partition(reach, num_ports, columns)
-        ]
-        singles = [group for group in built if group.columns.size == 1]
-        if len(singles) >= 2:
-            built = [group for group in built if group.columns.size != 1]
-            built.append(_stack_single_column_groups(singles))
-        return tuple(built)
+    def build(columns: Sequence[int]) -> _Schedule:
+        return _build_level_schedule(
+            columns,
+            reach,
+            edges,
+            depth_of_port,
+            cluster_components,
+            self_loop_ports,
+            cluster_fill_entries,
+            spans,
+            owner,
+            partner,
+            injection_ports,
+            injection_instances,
+            injection_locals,
+            injection_span_ports,
+            injection_span_locals,
+            instance_stack,
+            instance_pos,
+        )
 
-    groups = build_groups(range(num_external))
+    schedule = build(range(num_external))
     kept, dropped = _cover_columns(reach, injection_ports)
-    cover_groups: Optional[Tuple[_ColumnGroup, ...]] = None
-    cover_mirror: Optional[np.ndarray] = None
-    if dropped:
-        cover_groups = build_groups(kept)
-        cover_mirror = np.array(dropped, dtype=int)
-    return groups, cover_groups, cover_mirror, stack_members, len(edges)
+    if not dropped:
+        return schedule, None, None, stack_members
+    return schedule, build(kept), np.array(dropped, dtype=int), stack_members
 
 
 # ----------------------------------------------------------------------
@@ -1097,15 +1015,14 @@ def compile_netlist(
         masks = structural_masks([instance_matrices[name].data for name in names])
 
     plan: Optional[CascadePlan] = None
-    groups: Optional[Tuple[_ColumnGroup, ...]] = None
-    cover_groups: Optional[Tuple[_ColumnGroup, ...]] = None
+    schedule: Optional[_Schedule] = None
+    cover_schedule: Optional[_Schedule] = None
     cover_mirror: Optional[np.ndarray] = None
     stack_members: Tuple[np.ndarray, ...] = ()
-    num_edges = 0
     if partner is not None:
         adjacency = _dependent_rows(masks, spans, owner, partner)
-        plan = build_cascade_plan(masks, spans, owner, partner, adjacency)
-        groups, cover_groups, cover_mirror, stack_members, num_edges = _build_schedule(
+        plan = build_cascade_plan(adjacency)
+        schedule, cover_schedule, cover_mirror, stack_members = _build_schedules(
             plan,
             adjacency,
             masks,
@@ -1133,48 +1050,44 @@ def compile_netlist(
         injection_instances=injection_instances,
         injection_locals=injection_locals,
         plan=plan,
-        groups=groups,
-        cover_groups=cover_groups,
+        schedule=schedule,
+        cover_schedule=cover_schedule,
         cover_mirror=cover_mirror,
         stack_members=stack_members,
-        num_edges=num_edges,
     )
 
 
 # ----------------------------------------------------------------------
 # Execution
 # ----------------------------------------------------------------------
-def _auto_block(group: _ColumnGroup, num_wavelengths: int) -> int:
-    """Wavelength block size keeping the group workspace near the cache budget."""
-    bytes_per_wavelength = 16 * group.workspace_cols * (
-        group.num_rows + group.max_push_edges
+def _auto_block(schedule: _Schedule, num_wavelengths: int) -> int:
+    """Wavelength block size keeping the workspace near the cache budget."""
+    bytes_per_wavelength = 16 * schedule.columns.size * (
+        schedule.num_rows + schedule.max_push_edges
     )
     if bytes_per_wavelength * num_wavelengths <= _WORKSPACE_TARGET_BYTES:
         return num_wavelengths
     return max(8, _WORKSPACE_TARGET_BYTES // max(1, bytes_per_wavelength))
 
 
-def _execute_group(
-    group: _ColumnGroup,
+def _execute_schedule(
+    schedule: _Schedule,
     matrices: Sequence[np.ndarray],
     stacks: Sequence[np.ndarray],
     num_wavelengths: int,
     out: np.ndarray,
     max_block: Optional[int],
     stack_positions: Optional[Sequence[np.ndarray]] = None,
-    flat_stacks: Optional[Sequence[Optional[np.ndarray]]] = None,
 ) -> None:
-    """Run one column group's schedule, writing its columns of ``out``.
+    """Run one level schedule, writing its columns of ``out``.
 
     ``stack_positions`` optionally remaps each coefficient gather's member
     positions into rows of a deduplicated stack (see
     :func:`repro.sim.batch.fuse_sample_stacks`); ``None`` means the stacks
     are member-aligned, as :func:`build_stacks` produces them.
-    ``flat_stacks`` optionally holds element-major flattened views of the
-    deduplicated stacks for the fast contiguous-row coefficient gather.
     """
-    num_cols = group.workspace_cols
-    block = _auto_block(group, num_wavelengths)
+    num_cols = int(schedule.columns.size)
+    block = _auto_block(schedule, num_wavelengths)
     if max_block is not None:
         block = min(block, max(1, int(max_block)))
     block = min(block, max(1, num_wavelengths))
@@ -1184,34 +1097,24 @@ def _execute_group(
     # advanced-indexing op per instance stack.
     coef: Optional[np.ndarray] = None
     buffer: Optional[np.ndarray] = None
-    if group.num_edges:
-        coef = np.empty((group.num_edges, num_wavelengths), dtype=complex)
-        for gather in group.coef_gathers:
-            if stack_positions is None:
-                coef[gather.positions] = stacks[gather.stack][
-                    gather.pos, :, gather.m_rows, gather.m_cols
-                ]
-                continue
-            pos = stack_positions[gather.stack][gather.pos]
-            flat = None if flat_stacks is None else flat_stacks[gather.stack]
-            if flat is not None:
-                # Deduplicated stack: gather whole contiguous rows of the
-                # flattened (u*n*n, W) element view -- a memcpy-speed row
-                # take instead of one strided vector copy per edge.
-                size = stacks[gather.stack].shape[2]
-                flat_index = (pos * size + gather.m_rows) * size + gather.m_cols
-                coef[gather.positions] = np.take(flat, flat_index, axis=0)
-            else:
-                coef[gather.positions] = stacks[gather.stack][
-                    pos, :, gather.m_rows, gather.m_cols
-                ]
+    if schedule.num_edges:
+        coef = np.empty((schedule.num_edges, num_wavelengths), dtype=complex)
+        for gather in schedule.coef_gathers:
+            pos = (
+                gather.pos
+                if stack_positions is None
+                else stack_positions[gather.stack][gather.pos]
+            )
+            coef[gather.positions] = stacks[gather.stack][
+                pos, :, gather.m_rows, gather.m_cols
+            ]
         # One reusable contribution buffer sized for the largest level.
-        buffer = np.empty((group.max_push_edges, block, num_cols), dtype=complex)
+        buffer = np.empty((schedule.max_push_edges, block, num_cols), dtype=complex)
 
-    # The (rows, block, cols) workspace is port-major in the group's
+    # The (rows, block, cols) workspace is port-major in the schedule's
     # compacted row order: per-row slabs are contiguous, and each level's
     # accumulation is a contiguous row-slice ``+=`` -- no scatter index.
-    waves = np.empty((group.num_rows, block, num_cols), dtype=complex)
+    waves = np.empty((schedule.num_rows, block, num_cols), dtype=complex)
 
     for lo in range(0, num_wavelengths, block):
         hi = min(lo + block, num_wavelengths)
@@ -1220,10 +1123,10 @@ def _execute_group(
         ws.fill(0.0)
         # Seed the injected right-hand side r = S E for this block (only
         # the structurally non-zero rows of each injected device column).
-        for position, instance, rows, local_rows, local in group.injection:
+        for position, instance, rows, local_rows, local in schedule.injection:
             ws[rows, :, position] += matrices[instance][lo:hi, local_rows, local].T
 
-        for step in group.steps:
+        for step in schedule.steps:
             pull = step.pull
             if pull is not None:
                 count = pull.stop - pull.start
@@ -1235,25 +1138,15 @@ def _execute_group(
                 else:
                     contributions = np.empty((count, width, num_cols), dtype=complex)
                 np.take(ws, pull.src, axis=0, out=contributions)
-                coef_slice = coef[pull.start : pull.stop, lo:hi, None]
+                contributions *= coef[pull.start : pull.stop, lo:hi, None]
                 target = ws[pull.row_lo : pull.row_hi]
                 if pull.single_source:
                     # Feed-forward common case: one in-edge per row.
-                    if pull.assign:
-                        # No seeds on the receiving rows: write instead of
-                        # accumulate, saving a read-modify-write pass.
-                        np.multiply(contributions, coef_slice, out=target)
-                    else:
-                        contributions *= coef_slice
-                        target += contributions
+                    target += contributions
                 else:
-                    contributions *= coef_slice
                     # Segment sums by rank decomposition (vectorised, unlike
                     # np.add.reduceat's scalar inner loop).
-                    if pull.assign:
-                        target[:] = contributions[pull.starts]
-                    else:
-                        target += contributions[pull.starts]
+                    target += contributions[pull.starts]
                     for segments, edge_positions in pull.extra:
                         target[segments] += contributions[edge_positions]
             for loop in step.self_loops:
@@ -1286,21 +1179,13 @@ def _execute_group(
                     system, rhs, site="cluster"
                 ).transpose(1, 0, 2)
 
-        if group.out_rows.ndim == 2:
-            # Stacked group: per column, gather its own block's external rows.
-            out[lo:hi, :, group.columns] = ws[group.out_rows, :, 0].transpose(2, 1, 0)
-        else:
-            out[lo:hi, :, group.columns] = ws[group.out_rows, :width].transpose(1, 0, 2)
+        out[lo:hi, :, schedule.columns] = ws[schedule.out_rows, :width].transpose(1, 0, 2)
 
 
 def build_stacks(
     compiled: CompiledCircuit, matrices: Sequence[np.ndarray]
 ) -> List[np.ndarray]:
-    """Stack same-size instance matrices for the batched coefficient gathers.
-
-    Pure function of ``matrices``; the solver memoises the result per plan
-    so repeated evaluations of identical instance data skip the copies.
-    """
+    """Stack same-size instance matrices for the batched coefficient gathers."""
     return [
         matrices[int(members[0])][None]
         if members.size == 1
@@ -1325,72 +1210,40 @@ def execute_cascade(
     response of shape ``(W, E, E)``, identical (to round-off) to the dense
     backend's ``E.T @ (I - S C)^{-1} @ S @ E``.
 
-    Each reachability column group runs its restricted schedule over
-    wavelength blocks of at most ``max_block`` points (default: sized so the
-    group workspace stays cache-resident); the block size bounds peak memory
-    and never changes the result.  ``symmetric`` asserts that every entry of
-    ``matrices`` equals its transpose (the caller's responsibility, checked
-    cheaply at instance-evaluation time by the solver): the composed
-    response is then symmetric too, and the reciprocity-cover schedule
-    computes only a structurally-covering column subset, mirroring the rest.
+    The schedule runs over wavelength blocks of at most ``max_block``
+    points (default: sized so the workspace stays cache-resident); the
+    block size bounds peak memory and never changes the result.
+    ``symmetric`` asserts that every entry of ``matrices`` equals its
+    transpose (the caller's responsibility, checked cheaply at
+    instance-evaluation time by the solver): the composed response is then
+    symmetric too, and the reciprocity-cover schedule computes only a
+    structurally-covering column subset, mirroring the rest.
     """
-    if compiled.groups is None:
+    schedule = compiled.schedule_for(symmetric)
+    if schedule is None:
         raise ValueError(
             "compiled circuit does not support the cascade executor "
             "(a port is connected to several partners)"
         )
-    num_external = compiled.num_external
     if stacks is None:
         stacks = build_stacks(compiled, matrices)
-    flat_stacks: Optional[List[Optional[np.ndarray]]] = None
-    if stack_positions is not None:
-        # Element-major flattened copies of the deduplicated stacks power
-        # the contiguous-row coefficient gather; only built where the
-        # deduplication actually collapsed rows (the flatten itself is a
-        # strided copy of the whole stack, which must stay small).
-        flat_stacks = []
-        for stack, positions in zip(stacks, stack_positions):
-            rows, _, size = stack.shape[0], stack.shape[1], stack.shape[2]
-            if rows * size * size <= 2 * positions.size:
-                flat_stacks.append(
-                    stack.transpose(0, 2, 3, 1).reshape(rows * size * size, -1)
-                )
-            else:
-                flat_stacks.append(None)
-    if symmetric and compiled.cover_groups is not None:
-        out = np.zeros((num_wavelengths, num_external, num_external), dtype=complex)
-        for group in compiled.cover_groups:
-            _execute_group(
-                group,
-                matrices,
-                stacks,
-                num_wavelengths,
-                out,
-                max_block,
-                stack_positions,
-                flat_stacks,
-            )
-        mirror = compiled.cover_mirror
-        # S[i, j] = S[j, i] for the dropped columns; their remaining
-        # (dropped x dropped) block is structurally zero by construction.
-        # Blocked along the wavelength axis so the transpose-assign stays
-        # cache-resident on long (batch-fused) grids.
+    mirror = None if schedule is compiled.schedule else compiled.cover_mirror
+    num_external = compiled.num_external
+    # The cover never writes the (dropped x dropped) block: it is
+    # structurally zero by construction.
+    out = (np.empty if mirror is None else np.zeros)(
+        (num_wavelengths, num_external, num_external), dtype=complex
+    )
+    _execute_schedule(
+        schedule, matrices, stacks, num_wavelengths, out, max_block, stack_positions
+    )
+    if mirror is not None:
+        # S[i, j] = S[j, i] for the dropped columns.  Blocked along the
+        # wavelength axis so the transpose-assign stays cache-resident on
+        # long (batch-fused) grids.
         for lo in range(0, num_wavelengths, _MIRROR_BLOCK):
             hi = min(lo + _MIRROR_BLOCK, num_wavelengths)
             out[lo:hi, :, mirror] = out[lo:hi, mirror, :].transpose(0, 2, 1)
-        return out
-    out = np.empty((num_wavelengths, num_external, num_external), dtype=complex)
-    for group in compiled.groups:
-        _execute_group(
-            group,
-            matrices,
-            stacks,
-            num_wavelengths,
-            out,
-            max_block,
-            stack_positions,
-            flat_stacks,
-        )
     return out
 
 

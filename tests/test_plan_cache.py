@@ -4,12 +4,15 @@ Covers the compile/execute split of the solver: topology-fingerprint plan
 caching (hit on settings-only change, miss on topology / mask / model
 re-registration change), thread safety under the PR 1 scheduler, chunked
 versus unchunked numerical identity, and <= 1e-9 equivalence of the levelled
-executor against the dense backend *and* the retained PR 3 per-port cascade
-reference over every registered pack problem plus adversarial cyclic
+executor -- its full schedule and its reciprocity cover -- against the dense
+backend over every registered pack problem plus adversarial cyclic
 topologies.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from repro.engine.scheduler import TaskScheduler
 from repro.netlist import Instance, Netlist
 from repro.netlist.errors import BadComponentNameError, UndefinedModelError
 from repro.sim import CircuitSolver, CompiledCircuit, SMatrix, compile_netlist
-from repro.sim.cascade import cascade_solve
+from repro.sim.plan import execute_cascade
 from repro.sim.registry import ModelInfo, ModelRegistry, default_registry
 
 EQUIVALENCE_ATOL = 1e-9
@@ -282,8 +285,10 @@ class TestWavelengthBlocks:
         monkeypatch.setattr(plan_module, "_MIRROR_BLOCK", 3)
         solver = CircuitSolver()
         blocked = solver.evaluate(netlist, grid, backend="cascade")
-        groups = solver.compile(netlist, grid).groups
-        assert all(plan_module._auto_block(group, grid.size) < grid.size for group in groups)
+        compiled = solver.compile(netlist, grid)
+        for schedule in (compiled.schedule, compiled.cover_schedule):
+            if schedule is not None:
+                assert plan_module._auto_block(schedule, grid.size) < grid.size
         assert _max_abs_diff(whole, blocked) <= 1e-12
 
     @pytest.mark.parametrize("backend", ["dense", "cascade"])
@@ -298,9 +303,7 @@ class TestWavelengthBlocks:
 
 class TestLevelledExecutorEquivalence:
     @pytest.mark.parametrize("problem", _registered_pack_problems())
-    def test_matches_dense_and_pr3_cascade_on_every_pack_problem(
-        self, problem, wavelengths, solver
-    ):
+    def test_matches_dense_on_every_pack_problem(self, problem, wavelengths, solver):
         netlist = problem.golden_netlist()
         dense = solver.evaluate(
             netlist, wavelengths, port_spec=problem.port_spec, backend="dense"
@@ -310,18 +313,12 @@ class TestLevelledExecutorEquivalence:
         )
         assert _max_abs_diff(dense, compiled_result) <= EQUIVALENCE_ATOL
 
-        # The retained PR 3 per-port reference implementation.
+        # The full schedule too: on reciprocal circuits the solver runs the
+        # reciprocity cover whenever the plan has one.
         compiled = solver.compile(netlist, wavelengths, port_spec=problem.port_spec)
         matrices = _instance_matrices(netlist, wavelengths, solver.registry)
-        reference = cascade_solve(
-            matrices,
-            list(compiled.spans),
-            compiled.owner,
-            compiled.partner,
-            compiled.injection_ports,
-            wavelengths.size,
-        )
-        assert _max_abs_diff(reference, compiled_result.data) <= EQUIVALENCE_ATOL
+        full = execute_cascade(compiled, matrices, wavelengths.size)
+        assert _max_abs_diff(dense, full) <= EQUIVALENCE_ATOL
 
     def test_asymmetric_device_disables_reciprocity_cover(self, wavelengths):
         # A non-reciprocal (isolator-like) device: the cover must not apply,
@@ -362,9 +359,10 @@ class TestLevelledExecutorEquivalence:
         assert _max_abs_diff(dense, cascade) <= EQUIVALENCE_ATOL
 
     def test_all_isolated_external_instances_compile(self, wavelengths, solver):
-        # Large enough to trigger column grouping, but every external port
-        # sits on an isolated instance: all single-column groups have empty
-        # schedules and must still stack/compile cleanly.
+        # Every external port sits on an isolated instance, beside a
+        # 140-waveguide chain no injection reaches: the schedule keeps only
+        # the external rows, has no level steps, and must still compile
+        # and match dense.
         instances = {
             "extA": Instance("waveguide", {"length": 5.0}),
             "extB": Instance("waveguide", {"length": 6.0}),
@@ -446,6 +444,35 @@ class TestPlanSpill:
         result = warm.evaluate(netlist, wavelengths, backend="cascade")
         assert _max_abs_diff(result, expected) <= 1e-12
         assert warm.plan_cache_stats().disk_hits == 0
+
+    def test_spill_of_the_older_plan_layout_is_recompiled(self, wavelengths, tmp_path):
+        # Plans used to spill as plan-<fingerprint>.pkl with one schedule
+        # per reachability column group.  The fingerprint still matches,
+        # so only the layout tag in the spill name keeps such a file from
+        # reaching the executor.
+        from repro.bench import get_problem
+
+        netlist = get_problem("clements_4x4").golden_netlist()
+        compiled = CircuitSolver().compile(netlist, wavelengths)
+        state = {
+            field.name: getattr(compiled, field.name)
+            for field in dataclasses.fields(CompiledCircuit)
+            if field.name not in ("schedule", "cover_schedule")
+        }
+        state.update(
+            groups=(compiled.schedule,),
+            cover_groups=None,
+            num_edges=compiled.schedule.num_edges,
+        )
+        older = object.__new__(CompiledCircuit)
+        older.__dict__.update(state)
+        (tmp_path / f"plan-{compiled.fingerprint}.pkl").write_bytes(pickle.dumps(older))
+
+        solver = CircuitSolver(plan_dir=tmp_path)
+        result = solver.evaluate(netlist, wavelengths)
+        assert solver.plan_cache_stats().disk_hits == 0
+        dense = CircuitSolver(backend="dense").evaluate(netlist, wavelengths)
+        assert _max_abs_diff(result, dense) <= EQUIVALENCE_ATOL
 
     def test_bad_plan_dir_rejected(self, tmp_path):
         target = tmp_path / "occupied"

@@ -6,8 +6,8 @@ devices, all-pass ring feedback clusters, and an asymmetric isolator-like
 device that disables the reciprocity cover) together with random settings
 batches, and asserts that batched execution is numerically equivalent
 (<= 1e-9) to the per-sample ``CircuitSolver.evaluate`` loop across the
-dense backend, the PR 3 per-port cascade reference (``cascade_solve``) and
-the compiled level-batched cascade.
+dense backend and the compiled level-batched cascade, with dense as the
+reference.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.netlist import Instance, Netlist
 from repro.sim import CircuitSolver, ModelInfo, SMatrix, apply_settings, default_registry
-from repro.sim.cascade import cascade_solve
 
 EQUIVALENCE_ATOL = 1e-9
 WAVELENGTHS = np.linspace(1.51, 1.59, 5)
@@ -31,7 +30,7 @@ def _registry_with_isolator():
     """The default registry plus a non-reciprocal (isolator-like) device.
 
     Its asymmetric S-matrix disables the solver's reciprocity-cover
-    schedule, so the fuzzer also exercises the general column-group path.
+    schedule, so the fuzzer also exercises the full schedule.
     """
     registry = default_registry().copy()
     base = registry.get("waveguide")
@@ -206,26 +205,8 @@ def test_batched_execution_matches_per_sample_loop_across_backends(case):
         dense = SOLVER.evaluate(derived, WAVELENGTHS, backend="dense")
         cascade = SOLVER.evaluate(derived, WAVELENGTHS, backend="cascade")
 
-        # PR 3 per-port cascade reference over the same flattened assembly.
-        compiled = SOLVER.compile(derived, WAVELENGTHS)
-        matrices = []
-        for inst in derived.instances.values():
-            ref = derived.models.get(inst.component, inst.component)
-            matrices.append(
-                REGISTRY.get(ref).evaluate(WAVELENGTHS, **inst.settings).data
-            )
-        reference = cascade_solve(
-            matrices,
-            list(compiled.spans),
-            compiled.owner,
-            compiled.partner,
-            compiled.injection_ports,
-            WAVELENGTHS.size,
-        )
-
         for result in (from_cascade, from_dense, from_auto, cascade):
             assert float(np.max(np.abs(result.data - dense.data))) <= EQUIVALENCE_ATOL
-        assert float(np.max(np.abs(reference - dense.data))) <= EQUIVALENCE_ATOL
 
 
 @given(

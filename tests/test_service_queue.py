@@ -333,6 +333,31 @@ def test_on_update_hook_sees_every_transition():
     assert seen[-1] is JobState.DONE
 
 
+def test_submit_reports_queued_and_enqueue_leaves_it_to_the_caller():
+    gate = threading.Event()
+    seen = []
+    queue = JobQueue(
+        lambda job: gate.wait(10.0),
+        workers=1,
+        on_update=lambda record: seen.append((record.job_id, record.state)),
+    )
+    blocker = queue.submit(JobSpec(**TINY))
+    deadline = time.monotonic() + 10.0
+    while queue.get(blocker).state is not JobState.RUNNING:
+        assert time.monotonic() < deadline, "the blocker never started"
+        time.sleep(0.01)
+    submitted = queue.submit(JobSpec(**TINY, base_seed=1))
+    prepared = queue.enqueue(queue.prepare(JobSpec(**TINY, base_seed=2)))
+    assert [state for job_id, state in seen if job_id == submitted] == [JobState.QUEUED]
+    assert [state for job_id, state in seen if job_id == prepared] == []
+    gate.set()
+    drain(queue)
+    assert [state for job_id, state in seen if job_id == prepared] == [
+        JobState.RUNNING,
+        JobState.DONE,
+    ]
+
+
 def test_on_update_hook_failure_is_contained():
     def hostile_hook(record):
         raise OSError("the store is down")

@@ -86,6 +86,26 @@ def test_submit_persists_job_before_acknowledging(tmp_path):
         service.close(timeout=60.0)
 
 
+def test_submit_writes_its_queued_row_once(tmp_path):
+    service = EvalService(tmp_path / "once.db", job_workers=1)
+    states = []
+    record_job = service.store.record_job
+
+    def recording(job):
+        states.append(job["state"])
+        record_job(job)
+
+    service.store.record_job = recording
+    try:
+        job_id = service.submit(JobSpec(**TINY))
+        assert service.queue.wait(job_id, timeout=60.0).state is JobState.DONE
+    finally:
+        service.close(timeout=60.0)
+    # The journal-before-acknowledge write is the only QUEUED row; the
+    # worker then records the two transitions it makes.
+    assert states == ["queued", "running", "done"]
+
+
 def test_unjournalable_submit_is_fully_rejected(tmp_path):
     service = EvalService(tmp_path / "rej.db", job_workers=1)
     release = gate_executor(service)

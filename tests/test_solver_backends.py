@@ -16,7 +16,7 @@ from repro.bench.packs import pack_names, get_pack
 from repro.engine.engine import ExecutionEngine
 from repro.netlist import Instance, Netlist
 from repro.sim import SOLVER_BACKENDS, CircuitSolver, evaluate_netlist
-from repro.sim.cascade import strongly_connected_components
+from repro.sim.plan import strongly_connected_components
 from repro.sim.circuit import default_solver
 
 EQUIVALENCE_ATOL = 1e-9
