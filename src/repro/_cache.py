@@ -84,8 +84,8 @@ class LRUCache(Generic[K, V]):
     def peek(self, key: K) -> Optional[V]:
         """Like :meth:`get` but without touching stats or recency.
 
-        For planning decisions ("would this hit?") that precede the real
-        lookup, so hit/miss counters keep meaning one probe per consumer.
+        For introspection ("is this cached?") that must not count as a
+        lookup or change which entry is evicted next.
         """
         with self._lock:
             return self._data.get(key)

@@ -28,7 +28,6 @@ from .fingerprint import (
     registry_fingerprint,
     sample_seed,
     settings_fingerprint,
-    simulation_key,
     stable_hash,
 )
 from .procpool import (
@@ -59,6 +58,5 @@ __all__ = [
     "grid_fingerprint",
     "registry_fingerprint",
     "settings_fingerprint",
-    "simulation_key",
     "sample_seed",
 ]

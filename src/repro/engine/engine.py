@@ -348,10 +348,8 @@ class ExecutionEngine:
             for members in groups.values():
                 for start in range(0, len(members), batch_size):
                     chunk = members[start : start + batch_size]
-                    # Settings dicts are passed by reference (the batch path
-                    # treats overrides as read-only): their stable object
-                    # ids let the solver's fingerprint memos hit across
-                    # repeated evaluations of the same netlists.
+                    # Settings dicts are passed by reference: the batch
+                    # path treats overrides as read-only.
                     overrides = [
                         {
                             name: inst.settings

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .._fingerprint import func_identity, settings_fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..netlist.schema import Netlist
-    from ..netlist.validation import PortSpec
     from ..sim.registry import ModelRegistry
 
 __all__ = [
@@ -38,7 +37,6 @@ __all__ = [
     "grid_fingerprint",
     "registry_fingerprint",
     "settings_fingerprint",
-    "simulation_key",
     "sample_seed",
 ]
 
@@ -87,24 +85,6 @@ def registry_fingerprint(registry: "ModelRegistry") -> str:
             )
         )
     return stable_hash(*entries)
-
-
-def simulation_key(
-    netlist: "Netlist",
-    wavelengths: np.ndarray,
-    registry: "ModelRegistry",
-    port_spec: Optional["PortSpec"] = None,
-) -> str:
-    """Content address of one ``CircuitSolver.evaluate`` call."""
-    spec_part = (
-        "none" if port_spec is None else f"{port_spec.num_inputs}x{port_spec.num_outputs}"
-    )
-    return stable_hash(
-        netlist_fingerprint(netlist),
-        grid_fingerprint(wavelengths),
-        registry_fingerprint(registry),
-        spec_part,
-    )
 
 
 def sample_seed(base_seed: int, problem_name: str, sample_index: int) -> int:

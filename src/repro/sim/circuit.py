@@ -3,7 +3,8 @@
 Given a validated netlist, the solver:
 
 1. evaluates every instance's device model over the wavelength grid (served
-   from a per-device LRU sub-cache),
+   from a per-device LRU sub-cache, looked up once per distinct device per
+   call),
 2. fetches -- or compiles and caches -- the netlist's
    :class:`~repro.sim.plan.CompiledCircuit`: the flattened port index,
    connection structure, SCC condensation and level-batched execution
@@ -16,6 +17,12 @@ Given a validated netlist, the solver:
    ``S_circuit = E.T @ (I - S @ C)^{-1} @ S @ E``
 
    where ``S`` is the block-diagonal matrix of all instance S-matrices.
+
+:meth:`CircuitSolver.evaluate`, :meth:`CircuitSolver.evaluate_batch` and
+:meth:`CircuitSolver.compile` share one body: a resolve step (1 and 2, for
+every settings sample of the call) and a solve step (3, with the samples
+fused along the wavelength axis).  ``evaluate`` and ``compile`` pass one
+sample with no overrides.
 
 Two executors evaluate that expression (:mod:`repro.sim.plan`):
 
@@ -44,12 +51,11 @@ keys deliberately exclude it, and the plan cache is shared by both).
 
 from __future__ import annotations
 
-import copy
 import os
 import pickle
 import tempfile
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -93,9 +99,8 @@ SOLVER_BACKENDS: Tuple[str, ...] = ("auto", "dense", "cascade")
 #: per-component bookkeeping only for the very smallest circuits).
 _AUTO_DENSE_MAX_PORTS = 12
 
-#: Bound on the per-instance memo dictionaries (function identities and
-#: settings fingerprints); exceeding it clears the memo, it never grows past
-#: this size.
+#: Bound on the function-identity memo; exceeding it clears the memo, it
+#: never grows past this size.
 _MEMO_MAX_ENTRIES = 8192
 
 #: Filename prefix of spilled compiled plans under ``plan_dir``.
@@ -105,7 +110,7 @@ _PLAN_PREFIX = "plan-"
 #: whenever :class:`~repro.sim.plan.CompiledCircuit`'s layout changes: a
 #: plan spilled under another layout then sits under another name, so it is
 #: recompiled instead of handed to this executor.
-_PLAN_FORMAT = "v2"
+_PLAN_FORMAT = "v3"
 
 #: Target bytes of one fused executor pass's working set (coefficient
 #: array, workspace, contribution buffer, output block).  Batched execution
@@ -115,6 +120,14 @@ _PLAN_FORMAT = "v2"
 #: batches.  Purely a performance knob -- results are identical for any
 #: passes split.
 _BATCH_FUSION_TARGET_BYTES = 16 << 20
+
+#: One sample with no settings overrides: how :meth:`CircuitSolver.evaluate`
+#: and :meth:`CircuitSolver.compile` enter the shared batched body.
+_ONE_SAMPLE: Tuple[SettingsBatch, ...] = ({},)
+
+#: Instance-cache key of one device evaluation: ``(registry ref, function
+#: identity, settings fingerprint, wavelength-grid bytes)``.
+_DeviceKey = Tuple[str, str, str, bytes]
 
 
 def _check_backend(backend: str) -> str:
@@ -140,6 +153,50 @@ class _InstanceRecord:
     mask: np.ndarray
     mask_bytes: bytes
     symmetric: bool
+
+
+@dataclass
+class _Resolved:
+    """One call's solve inputs, as :meth:`CircuitSolver._resolve` leaves them.
+
+    ``records[i][v]`` is instance ``i``'s record for its settings variant
+    ``v``, and ``variant_of_sample[i][s]`` the variant sample ``s`` uses;
+    ``groups`` pairs each topology's compiled plan with its samples.  The
+    two counters split the device variants evaluated by this call between
+    :func:`batch_evaluate_model`'s vectorised and looped paths.
+    """
+
+    records: List[List[_InstanceRecord]]
+    variant_of_sample: List[List[int]]
+    groups: List[Tuple[CompiledCircuit, List[int]]] = field(default_factory=list)
+    vectorised_evals: int = 0
+    looped_evals: int = 0
+
+    def record(self, index: int, sample: int) -> _InstanceRecord:
+        """The record instance ``index`` uses for ``sample``."""
+        return self.records[index][self.variant_of_sample[index][sample]]
+
+
+def _variant_fingerprint(
+    base: str, override: Optional[Mapping[str, object]], merge: bool
+) -> str:
+    """Settings fingerprint of one instance under one sample's override.
+
+    Composed from the instance's base fingerprint and the override's
+    fingerprint instead of serialising the merged dict: the composition is
+    injective on *content* (equal (base, override, merge) contents always
+    produce equal strings), so batched instance-cache keys are stable and
+    deduplicate across calls -- two different compositions that happen to
+    merge to the same settings merely occupy two cache entries, they can
+    never serve wrong data.
+    """
+    if override is None or (merge and not override):
+        # No override, or an empty merge: the effective settings are the
+        # instance's own.  An empty override with merge=False is NOT
+        # equivalent -- it replaces the settings with the model defaults --
+        # and must keep its own composite fingerprint.
+        return base
+    return "\x1d".join((base, settings_fingerprint(override), "m" if merge else "r"))
 
 
 class CircuitSolver:
@@ -174,11 +231,12 @@ class CircuitSolver:
     plan_dir:
         Optional directory for the disk-backed plan-cache spill: every
         compiled plan is additionally pickled (atomically, unless the file
-        already exists) to ``plan_dir/plan-v2-<fingerprint>.pkl`` (``v2``
+        already exists) to ``plan_dir/plan-v3-<fingerprint>.pkl`` (``v3``
         tags the plan layout), and a memory-tier miss tries the spill
-        before recompiling.  This is what lets later processes (a later
-        sweep, an isolated retry, a process-mode service job) reuse
-        structure work: topology fingerprints are content-derived and model
+        before recompiling; a spill that fails to load is renamed to
+        ``<spill>.corrupt`` and replaced.  This is what lets later
+        processes (a later sweep, an isolated retry, a process-mode service
+        job) reuse structure work: topology fingerprints are content-derived and model
         identities are ``module.qualname`` strings, so a plan spilled by one
         process is valid in any other process running the same code.  The
         directory is trusted (pickle is loaded from it) -- point it only at
@@ -206,8 +264,8 @@ class CircuitSolver:
                 raise ValueError(
                     f"plan_dir {str(self.plan_dir)!r} exists and is not a directory"
                 ) from exc
-        self._instance_cache: LRUCache[Tuple[str, str, str, bytes], _InstanceRecord] = (
-            LRUCache(max_entries=instance_cache_entries)
+        self._instance_cache: LRUCache[_DeviceKey, _InstanceRecord] = LRUCache(
+            max_entries=instance_cache_entries
         )
         self._plan_cache: LRUCache[str, CompiledCircuit] = LRUCache(
             max_entries=plan_cache_entries
@@ -219,26 +277,24 @@ class CircuitSolver:
         self._validated: LRUCache[Tuple[str, Optional[Tuple[int, int]]], bool] = (
             LRUCache(max_entries=max(4 * plan_cache_entries, 64))
         )
-        # Per-instance key memos (see _instance_key): function identities
-        # keyed by (ref, registry version), settings fingerprints keyed by
-        # Instance object id with an equality guard.  Guarded by a lock: the
-        # solver is shared process-wide through default_solver() and by
-        # every parallel sweep worker of one engine, and plain dicts with a
-        # clear-on-overflow policy are not safe to mutate concurrently
-        # (mirroring the PR 2 fix of the suite module's _CACHE).
+        # Function identities keyed by (ref, registry version), see
+        # _instance_key.  Guarded by a lock: the solver is shared
+        # process-wide through default_solver() and by every parallel sweep
+        # worker of one engine, and a plain dict with a clear-on-overflow
+        # policy is not safe to mutate concurrently.
         self._memo_lock = threading.Lock()
         self._func_id_memo: Dict[Tuple[str, int], str] = {}
-        self._settings_memo: Dict[int, Tuple[Dict[str, object], str]] = {}
-        # Batched-evaluation override-fingerprint memo: override mapping id
-        # -> (shallow content snapshot, fingerprint); see _override_fp.
-        self._override_fp_memo: Dict[int, Tuple[Dict[str, object], str]] = {}
         self._batch_stats = BatchStats()
         # Numerical-guardrail firings (see repro.sim.guardrails): counted
         # under the memo lock, surfaced through degradation_stats().
         self._degradations: Dict[str, int] = {"singular": 0, "nonfinite": 0}
 
     def instance_cache_stats(self) -> CacheStats:
-        """Hit/miss counters of the per-device evaluation sub-cache."""
+        """Hit/miss counters of the per-device evaluation sub-cache.
+
+        Every call counts one lookup per distinct device key: a hit when
+        the sub-cache held it, a miss when the device was evaluated.
+        """
         return self._instance_cache.stats
 
     def plan_cache_stats(self) -> CacheStats:
@@ -270,12 +326,20 @@ class CircuitSolver:
     # Plan cache: memory tier + optional disk spill
     # ------------------------------------------------------------------
     def _plan_path(self, fingerprint: str) -> Optional[Path]:
+        """Spill file of one plan under ``plan_dir`` (``None`` without one)."""
         if self.plan_dir is None:
             return None
         return self.plan_dir / f"{_PLAN_PREFIX}{_PLAN_FORMAT}-{fingerprint}.pkl"
 
     def _plan_lookup(self, fingerprint: str) -> Optional[CompiledCircuit]:
-        """Fetch a compiled plan: memory first, then the disk spill."""
+        """Fetch a compiled plan: memory first, then the disk spill.
+
+        A spill that does not unpickle to this fingerprint's plan (corrupt,
+        truncated, foreign) is quarantined like a corrupt simulation-cache
+        entry: renamed to ``<spill>.corrupt`` and counted in
+        ``disk_corrupt``, so the recompiled plan is spilled in its place
+        instead of every later process re-reading the bad file.
+        """
         compiled = self._plan_cache.get(fingerprint)
         if compiled is not None:
             return compiled
@@ -285,10 +349,18 @@ class CircuitSolver:
         try:
             with path.open("rb") as handle:
                 compiled = pickle.load(handle)
-        except Exception:  # noqa: BLE001 - corrupt/truncated spill: recompile
-            return None
+        except OSError:
+            return None  # unreadable right now (I/O trouble): recompile
+        except Exception:  # noqa: BLE001 - corrupt/truncated spill
+            compiled = None
         if not isinstance(compiled, CompiledCircuit) or compiled.fingerprint != fingerprint:
-            return None  # foreign or stale file under the expected name
+            try:
+                os.replace(path, path.with_name(path.name + ".corrupt"))
+            except OSError:
+                return None  # already quarantined (or removed) by another reader
+            with self._memo_lock:
+                self._plan_cache.stats.disk_corrupt += 1
+            return None
         with self._memo_lock:
             self._plan_cache.stats.disk_hits += 1
         self._plan_cache.put(fingerprint, compiled)
@@ -343,12 +415,9 @@ class CircuitSolver:
         """
         wavelengths = normalize_wavelengths(wavelengths)
         chosen = _check_backend(backend if backend is not None else self.backend)
-        compiled, matrices, symmetric = self._compiled(netlist, wavelengths, port_spec)
-        chosen = self._choose_backend(compiled, chosen)
-        with collect_degradations() as events:
-            data = self._execute(compiled, matrices, wavelengths.size, chosen, symmetric)
-        degraded = self._count_degradations(events)
-        return SMatrix(wavelengths, compiled.external_names, data, degraded=degraded)
+        resolved = self._resolve(netlist, _ONE_SAMPLE, wavelengths, port_spec)
+        results, _ = self._solve(resolved, wavelengths, chosen)
+        return results[0]
 
     def evaluate_batch(
         self,
@@ -383,9 +452,85 @@ class CircuitSolver:
         if not settings_batch:
             return []
         wavelengths = normalize_wavelengths(wavelengths)
-        chosen_base = _check_backend(backend if backend is not None else self.backend)
-        num_samples = len(settings_batch)
-        num_points = int(wavelengths.size)
+        chosen = _check_backend(backend if backend is not None else self.backend)
+        resolved = self._resolve(netlist, settings_batch, wavelengths, port_spec, merge)
+        out, executor_passes = self._solve(resolved, wavelengths, chosen)
+        with self._memo_lock:
+            self._batch_stats.calls += 1
+            self._batch_stats.samples += len(settings_batch)
+            self._batch_stats.executor_passes += executor_passes
+            self._batch_stats.vectorised_model_evals += resolved.vectorised_evals
+            self._batch_stats.looped_model_evals += resolved.looped_evals
+        return out
+
+    def compile(
+        self,
+        netlist: Netlist,
+        wavelengths: Optional[np.ndarray] = None,
+        *,
+        port_spec: Optional[PortSpec] = None,
+    ) -> CompiledCircuit:
+        """Compile ``netlist`` (or fetch its cached plan) without executing.
+
+        Exposes the compiled structure -- port index, condensation, level
+        schedule -- for introspection, tests and benchmarks; :meth:`evaluate`
+        reuses the exact same cached artifact.
+        """
+        wavelengths = normalize_wavelengths(wavelengths)
+        return self._resolve(netlist, _ONE_SAMPLE, wavelengths, port_spec).groups[0][0]
+
+    def cascade_plan(
+        self,
+        netlist: Netlist,
+        wavelengths: Optional[np.ndarray] = None,
+        *,
+        port_spec: Optional[PortSpec] = None,
+    ) -> CascadePlan:
+        """Return the cascade backend's evaluation plan for ``netlist``.
+
+        A thin view over :meth:`compile`: exposes the condensation structure
+        (topological component order, feedback clusters) of the shared
+        :class:`~repro.sim.plan.CompiledCircuit`, so a subsequent
+        :meth:`evaluate` on the same topology is a plan-cache hit.
+        """
+        compiled = self.compile(netlist, wavelengths, port_spec=port_spec)
+        if compiled.plan is None:
+            raise ValueError(
+                "cascade plan undefined: a port is connected to several partners"
+            )
+        return compiled.plan
+
+    # ------------------------------------------------------------------
+    # The shared body: resolve, then solve
+    # ------------------------------------------------------------------
+    def _resolve(
+        self,
+        netlist: Netlist,
+        settings_batch: Sequence[SettingsBatch],
+        wavelengths: np.ndarray,
+        port_spec: Optional[PortSpec],
+        merge: bool = True,
+    ) -> _Resolved:
+        """Resolve every sample's instance records and each topology's plan.
+
+        Per instance, the registry ref, function identity and base settings
+        fingerprint are resolved once per call (overrides never change an
+        instance's component or the models section).  Device keys are
+        deduplicated across the call -- the dozens of same-device instances
+        of a mesh or fabric share one key per settings variant -- and the
+        instance cache is looked up once per distinct key: a hit, or a miss
+        whose device is then evaluated, instance-major, each instance's
+        missing variants in one :func:`batch_evaluate_model` call.  Samples
+        are grouped by topology fingerprint, and each group's plan is
+        fetched from the plan cache or compiled.
+
+        Validation is orchestrated here so the fully warm path can skip it:
+        the fingerprint covers everything structural validation inspects
+        (and validation is settings-independent), so a netlist whose
+        ``(fingerprint, port_spec)`` validated once never re-validates.  Any
+        instance-cache miss validates first, so structural errors outrank
+        model-settings errors on content not seen before.
+        """
         grid_bytes = np.ascontiguousarray(wavelengths).tobytes()
         spec_key = (
             (port_spec.num_inputs, port_spec.num_outputs)
@@ -394,38 +539,39 @@ class CircuitSolver:
         )
         for overrides in settings_batch:
             check_override_names(netlist, overrides)
-
-        # Resolve per-instance (ref, function identity) once -- overrides can
-        # never change an instance's component or the models section.
         try:
             meta = [
-                (name, inst, *self._instance_key(netlist, inst))
+                (
+                    name,
+                    inst,
+                    *self._instance_key(netlist, inst),
+                    settings_fingerprint(inst.settings),
+                )
                 for name, inst in netlist.instances.items()
             ]
         except (UnknownModelError, TypeError):
             if self.validate:
+                # Raise the classified error (UndefinedModelError for an
+                # unknown ref, InstancesModelsConfusedError for a non-string
+                # models value that is not even hashable) instead of the raw
+                # KeyError/TypeError.
                 validate_netlist(netlist, self.registry, port_spec)
             raise
 
-        # Per instance: the distinct settings variants of the batch and each
-        # sample's variant index.  Cache keys are deduplicated *globally* --
-        # the dozens of same-device instances of a mesh or fabric share one
-        # key per settings variant -- so the instance cache is probed once
-        # per unique key per call (evaluate's one probe per consumer, with
-        # the repeated consumers collapsed).
-        all_hit = True
-        probed: Dict[Tuple[str, str, str, bytes], Optional[_InstanceRecord]] = {}
-        variant_keys: List[List[Tuple[str, str, str, bytes]]] = []
+        # Per instance: the distinct settings variants of the call and each
+        # sample's variant index.
+        found: Dict[_DeviceKey, Optional[_InstanceRecord]] = {}
+        variant_keys: List[List[_DeviceKey]] = []
         variant_overrides: List[List[Optional[Mapping[str, object]]]] = []
         variant_of_sample: List[List[int]] = []
-        for name, inst, ref, func_id in meta:
-            keys: List[Tuple[str, str, str, bytes]] = []
+        for name, inst, ref, func_id, base_fp in meta:
+            keys: List[_DeviceKey] = []
             overrides_list: List[Optional[Mapping[str, object]]] = []
             index_of_fp: Dict[str, int] = {}
             sample_map: List[int] = []
             for overrides in settings_batch:
                 override = overrides.get(name) if overrides else None
-                fingerprint = self._merged_settings_fp(inst, override, merge)
+                fingerprint = _variant_fingerprint(base_fp, override, merge)
                 index = index_of_fp.get(fingerprint)
                 if index is None:
                     index = len(keys)
@@ -433,41 +579,28 @@ class CircuitSolver:
                     key = (ref, func_id, fingerprint, grid_bytes)
                     keys.append(key)
                     overrides_list.append(override)
-                    if key not in probed:
-                        probed[key] = self._instance_cache.peek(key)
-                        if probed[key] is None:
-                            all_hit = False
+                    if key not in found:
+                        found[key] = self._instance_cache.get(key)
                 sample_map.append(index)
             variant_keys.append(keys)
             variant_overrides.append(overrides_list)
             variant_of_sample.append(sample_map)
 
         validated = False
-        if self.validate and not all_hit:
-            # Structural validation is settings-independent, so validating
-            # the base netlist covers every sample of the batch.
+        if self.validate and any(record is None for record in found.values()):
+            # Unknown content: validate before evaluating device models.
             validate_netlist(netlist, self.registry, port_spec)
             validated = True
 
-        # Evaluate every missing settings variant, instance-major; variants
-        # already resolved (by the cache or by an earlier same-key instance
-        # of this call) are reused directly.
-        resolved: Dict[Tuple[str, str, str, bytes], _InstanceRecord] = {}
-        records_by_variant: List[List[_InstanceRecord]] = []
-        vectorised_evals = 0
-        looped_evals = 0
-        for (name, inst, ref, func_id), keys, overrides_list in zip(
+        resolved = _Resolved(records=[], variant_of_sample=variant_of_sample)
+        for (name, inst, ref, _, _), keys, overrides_list in zip(
             meta, variant_keys, variant_overrides
         ):
-            missing = [
-                index
-                for index, key in enumerate(keys)
-                if key not in resolved and probed.get(key) is None
-            ]
+            missing = [index for index, key in enumerate(keys) if found[key] is None]
             if missing:
                 info = self.registry.get(ref)
                 variants = [
-                    self._merged_one(inst, overrides_list[index], merge)
+                    merge_settings(inst.settings, overrides_list[index], merge)
                     for index in missing
                 ]
                 try:
@@ -478,47 +611,28 @@ class CircuitSolver:
                     # Surface the first failing variant with the same
                     # classified error a per-sample evaluation would raise.
                     failing = variants[0]
-                    for settings in variants:
-                        try:
-                            info.evaluate(wavelengths, **settings)
-                        except (TypeError, ValueError):
-                            failing = settings
-                            break
+                    if len(variants) > 1:
+                        for settings in variants:
+                            try:
+                                info.evaluate(wavelengths, **settings)
+                            except (TypeError, ValueError):
+                                failing = settings
+                                break
                     raise OtherSyntaxError(
                         f"instance {name!r} (model {ref!r}) rejected its settings "
                         f"{failing!r}: {exc}"
                     ) from exc
                 if vectorised:
-                    vectorised_evals += len(missing)
+                    resolved.vectorised_evals += len(missing)
                 else:
-                    looped_evals += len(missing)
+                    resolved.looped_evals += len(missing)
                 for index, smatrix in zip(missing, smatrices):
-                    resolved[keys[index]] = self._record_from_smatrix(
+                    found[keys[index]] = self._record_from_smatrix(
                         smatrix, keys[index]
                     )
-            variant_records: List[_InstanceRecord] = []
-            for index, key in enumerate(keys):
-                record = resolved.get(key)
-                if record is None:
-                    record = self._instance_cache.get(key)
-                if record is None:  # evicted between put and get (tiny caches)
-                    record = self._evaluate_instance(
-                        name,
-                        Instance(
-                            inst.component,
-                            self._merged_one(inst, overrides_list[index], merge),
-                        ),
-                        ref,
-                        key,
-                        wavelengths,
-                    )
-                resolved[key] = record
-                variant_records.append(record)
-            records_by_variant.append(variant_records)
+            resolved.records.append([found[key] for key in keys])
 
-        def record_of(index: int, sample: int) -> _InstanceRecord:
-            """The cached record instance ``index`` uses for ``sample``."""
-            return records_by_variant[index][variant_of_sample[index][sample]]
+        record = resolved.record
 
         def sample_fingerprint(sample: int) -> str:
             """Topology fingerprint of one sample (its masks are the only
@@ -531,10 +645,10 @@ class CircuitSolver:
                         inst.component,
                         ref,
                         func_id,
-                        record_of(index, sample).smatrix.ports,
-                        record_of(index, sample).mask_bytes,
+                        record(index, sample).smatrix.ports,
+                        record(index, sample).mask_bytes,
                     )
-                    for index, (name, inst, ref, func_id) in enumerate(meta)
+                    for index, (name, inst, ref, func_id, _) in enumerate(meta)
                 ),
             )
 
@@ -545,21 +659,18 @@ class CircuitSolver:
         # shares one structural mask -- needs no per-sample work at all.
         groups: Dict[str, List[int]] = {}
         masks_uniform = all(
-            all(
-                record.mask_bytes == variants[0].mask_bytes
-                for record in variants[1:]
-            )
-            for variants in records_by_variant
+            all(entry.mask_bytes == variants[0].mask_bytes for entry in variants[1:])
+            for variants in resolved.records
         )
         if masks_uniform:
-            groups[sample_fingerprint(0)] = list(range(num_samples))
+            groups[sample_fingerprint(0)] = list(range(len(settings_batch)))
         else:
             # The fingerprint only depends on a sample through its mask
             # signature, so it is hashed once per distinct signature.
             fingerprint_of_signature: Dict[Tuple[bytes, ...], str] = {}
-            for sample in range(num_samples):
+            for sample in range(len(settings_batch)):
                 signature = tuple(
-                    record_of(index, sample).mask_bytes for index in range(len(meta))
+                    record(index, sample).mask_bytes for index in range(len(meta))
                 )
                 fingerprint = fingerprint_of_signature.get(signature)
                 if fingerprint is None:
@@ -574,12 +685,6 @@ class CircuitSolver:
                     validated = True
                 self._validated.put((fingerprint, spec_key), True)
 
-        # One pass over the (deduplicated) records decides symmetry for the
-        # common all-symmetric case; only mixed batches need per-group work.
-        all_symmetric = all(record.symmetric for record in resolved.values())
-
-        out: List[Optional[SMatrix]] = [None] * num_samples
-        executor_passes = 0
         for fingerprint, sample_ids in groups.items():
             compiled = self._plan_lookup(fingerprint)
             if compiled is None:
@@ -587,19 +692,41 @@ class CircuitSolver:
                 compiled = compile_netlist(
                     netlist,
                     {
-                        name: record_of(index, first).smatrix
-                        for index, (name, _, _, _) in enumerate(meta)
+                        name: record(index, first).smatrix
+                        for index, (name, _, _, _, _) in enumerate(meta)
                     },
-                    masks=[record_of(index, first).mask for index in range(len(meta))],
+                    masks=[record(index, first).mask for index in range(len(meta))],
                     fingerprint=fingerprint,
-                    instance_refs=tuple(ref for _, _, ref, _ in meta),
-                    func_identities=tuple(func_id for _, _, _, func_id in meta),
                 )
                 self._plan_store(fingerprint, compiled)
-            chosen = self._choose_backend(compiled, chosen_base)
+            resolved.groups.append((compiled, sample_ids))
+        return resolved
+
+    def _solve(
+        self, resolved: _Resolved, wavelengths: np.ndarray, backend: str
+    ) -> Tuple[List[SMatrix], int]:
+        """Run each group's plan in fused executor passes.
+
+        Returns the results in sample order and the number of executor
+        passes run.  The cascade executor takes its instance stacks from
+        one deduplicated copy pass (:func:`fuse_sample_stacks`), sharing
+        rows across the same-device instances of meshes and fabrics.
+        """
+        num_points = int(wavelengths.size)
+        num_instances = len(resolved.records)
+        record = resolved.record
+        # One pass over the records decides symmetry for the common
+        # all-symmetric case; only mixed calls need per-group work.
+        all_symmetric = all(
+            entry.symmetric for variants in resolved.records for entry in variants
+        )
+        out: Dict[int, SMatrix] = {}
+        executor_passes = 0
+        for compiled, sample_ids in resolved.groups:
+            chosen = self._choose_backend(compiled, backend)
             symmetric = all_symmetric or all(
-                record_of(index, sample).symmetric
-                for index in range(len(meta))
+                record(index, sample).symmetric
+                for index in range(num_instances)
                 for sample in sample_ids
             )
             per_pass = self._samples_per_pass(compiled, num_points, symmetric)
@@ -607,15 +734,12 @@ class CircuitSolver:
                 pass_ids = sample_ids[start : start + per_pass]
                 executor_passes += 1
                 sample_matrices = [
-                    [record_of(index, sample).smatrix.data for index in range(len(meta))]
+                    [record(index, sample).smatrix.data for index in range(num_instances)]
                     for sample in pass_ids
                 ]
                 fused_points = len(pass_ids) * num_points
                 with collect_degradations() as events:
-                    if chosen == "cascade" and compiled.stack_members:
-                        # One deduplicated copy pass: fuse straight into the
-                        # executor's stacks, sharing rows across the
-                        # same-device instances of meshes and fabrics.
+                    if chosen == "cascade":
                         # Blocks are capped at one sample's grid width: the
                         # per-sample block size is what the executor's
                         # cache-residency targets were tuned for, and letting
@@ -634,12 +758,10 @@ class CircuitSolver:
                             stack_positions=stack_positions,
                         )
                     else:
-                        data = self._execute(
+                        data = execute_dense(
                             compiled,
                             fuse_sample_matrices(sample_matrices, num_points),
                             fused_points,
-                            chosen,
-                            symmetric,
                         )
                 # A fused pass solves every sample in one system, so a
                 # guardrail firing is attributed to all of the pass's samples.
@@ -648,24 +770,16 @@ class CircuitSolver:
                     len(pass_ids), num_points, compiled.num_external, compiled.num_external
                 )
                 for position, sample in enumerate(pass_ids):
-                    # Copy each sample out of the fused pass buffer: a
+                    # Copy each sample out of a multi-sample pass buffer: a
                     # caller (or a cache) retaining one sample must not pin
                     # the whole pass's output.
                     out[sample] = SMatrix(
                         wavelengths,
                         compiled.external_names,
-                        data[position].copy(),
+                        data[position] if len(pass_ids) == 1 else data[position].copy(),
                         degraded=degraded,
                     )
-
-        with self._memo_lock:
-            self._batch_stats.calls += 1
-            self._batch_stats.samples += num_samples
-            self._batch_stats.executor_passes += executor_passes
-            self._batch_stats.vectorised_model_evals += vectorised_evals
-            self._batch_stats.looped_model_evals += looped_evals
-        assert all(smatrix is not None for smatrix in out)
-        return out  # type: ignore[return-value]
+        return [out[sample] for sample in range(len(out))], executor_passes
 
     def _samples_per_pass(
         self, compiled: CompiledCircuit, num_points: int, symmetric: bool
@@ -690,47 +804,6 @@ class CircuitSolver:
         per_sample_bytes = 16 * num_points * max(1, cells_per_wavelength)
         return max(1, _BATCH_FUSION_TARGET_BYTES // per_sample_bytes)
 
-    def compile(
-        self,
-        netlist: Netlist,
-        wavelengths: Optional[np.ndarray] = None,
-        *,
-        port_spec: Optional[PortSpec] = None,
-    ) -> CompiledCircuit:
-        """Compile ``netlist`` (or fetch its cached plan) without executing.
-
-        Exposes the compiled structure -- port index, condensation, level
-        schedule -- for introspection, tests and benchmarks; :meth:`evaluate`
-        reuses the exact same cached artifact.
-        """
-        wavelengths = normalize_wavelengths(wavelengths)
-        compiled, _, _ = self._compiled(netlist, wavelengths, port_spec)
-        return compiled
-
-    def cascade_plan(
-        self,
-        netlist: Netlist,
-        wavelengths: Optional[np.ndarray] = None,
-        *,
-        port_spec: Optional[PortSpec] = None,
-    ) -> CascadePlan:
-        """Return the cascade backend's evaluation plan for ``netlist``.
-
-        A thin view over :meth:`compile`: exposes the condensation structure
-        (topological component order, feedback clusters) of the shared
-        :class:`~repro.sim.plan.CompiledCircuit`, so a subsequent
-        :meth:`evaluate` on the same topology is a plan-cache hit.
-        """
-        compiled = self.compile(netlist, wavelengths, port_spec=port_spec)
-        if compiled.plan is None:
-            raise ValueError(
-                "cascade plan undefined: a port is connected to several partners"
-            )
-        return compiled.plan
-
-    # ------------------------------------------------------------------
-    # Internal helpers
-    # ------------------------------------------------------------------
     def _choose_backend(self, compiled: CompiledCircuit, chosen: str) -> str:
         """Resolve ``auto`` and the multi-partner fallback for one plan."""
         if chosen == "auto":
@@ -745,124 +818,6 @@ class CircuitSolver:
             # netlist; fall back to the general dense formulation.
             chosen = "dense"
         return chosen
-
-    def _execute(
-        self,
-        compiled: CompiledCircuit,
-        matrices: List[np.ndarray],
-        num_wavelengths: int,
-        chosen: str,
-        symmetric: bool,
-    ) -> np.ndarray:
-        """Run the chosen executor over the whole wavelength axis.
-
-        The cascade executor sizes its own wavelength blocks for cache
-        residency.
-        """
-        if chosen == "cascade":
-            return execute_cascade(compiled, matrices, num_wavelengths, symmetric=symmetric)
-        return execute_dense(compiled, matrices, num_wavelengths)
-
-    def _compiled(
-        self,
-        netlist: Netlist,
-        wavelengths: np.ndarray,
-        port_spec: Optional[PortSpec] = None,
-    ) -> Tuple[CompiledCircuit, List[np.ndarray], bool]:
-        """Resolve the netlist's compiled plan and its instance matrix data.
-
-        Evaluates (or fetches) every instance's S-matrix, fingerprints the
-        topology, and serves the structure work from the plan cache; a miss
-        compiles and caches.  The returned matrices are in the compiled
-        plan's ``instance_names`` order -- by construction also the netlist's
-        instance iteration order, which the fingerprint pins.  The final
-        flag reports whether every instance matrix is exactly symmetric
-        (reciprocal), which gates the cover executor.
-
-        Validation is orchestrated here so the fully warm path can skip it:
-        the fingerprint covers everything structural validation inspects, so
-        a netlist whose ``(fingerprint, port_spec)`` validated once never
-        re-validates.  Any instance-cache miss falls back to validate-first
-        order, preserving the error-classification precedence (structural
-        errors before model-settings errors) on netlists not seen before.
-        """
-        grid_bytes = np.ascontiguousarray(wavelengths).tobytes()
-        validate_needed = self.validate
-        spec_key = (
-            (port_spec.num_inputs, port_spec.num_outputs)
-            if port_spec is not None
-            else None
-        )
-
-        # Pass 1: resolve per-instance keys and peek at the instance cache
-        # (stats-neutral -- the real lookups happen in pass 2).
-        entries: List[Tuple[str, Instance, str, str, Tuple[str, str, str, bytes]]] = []
-        all_hit = True
-        try:
-            for name, inst in netlist.instances.items():
-                ref, func_id = self._instance_key(netlist, inst)
-                key = (ref, func_id, self._settings_fp(inst), grid_bytes)
-                if self._instance_cache.peek(key) is None:
-                    all_hit = False
-                entries.append((name, inst, ref, func_id, key))
-        except (UnknownModelError, TypeError):
-            if validate_needed:
-                # Raise the classified error (UndefinedModelError for an
-                # unknown ref, InstancesModelsConfusedError for a non-string
-                # models value that is not even hashable) instead of the raw
-                # KeyError/TypeError.
-                validate_netlist(netlist, self.registry, port_spec)
-            raise
-
-        validated = False
-        if validate_needed and not all_hit:
-            # Unknown content: validate before evaluating device models so
-            # structural errors outrank settings errors, as always.
-            validate_netlist(netlist, self.registry, port_spec)
-            validated = True
-
-        names: List[str] = []
-        refs: List[str] = []
-        func_ids: List[str] = []
-        records: List[_InstanceRecord] = []
-        symmetric = True
-        for name, inst, ref, func_id, key in entries:
-            record = self._instance_cache.get(key)
-            if record is None:
-                record = self._evaluate_instance(name, inst, ref, key, wavelengths)
-            names.append(name)
-            refs.append(ref)
-            func_ids.append(func_id)
-            records.append(record)
-            symmetric = symmetric and record.symmetric
-
-        fingerprint = topology_fingerprint(
-            netlist,
-            (
-                (name, inst.component, ref, func_id, record.smatrix.ports, record.mask_bytes)
-                for (name, inst, ref, func_id, _), record in zip(entries, records)
-            ),
-        )
-        if validate_needed and not validated:
-            # Fully warm content: skip re-validation when this exact
-            # structure (and port spec) already validated once.
-            if self._validated.get((fingerprint, spec_key)) is None:
-                validate_netlist(netlist, self.registry, port_spec)
-        if validate_needed:
-            self._validated.put((fingerprint, spec_key), True)
-
-        compiled = self._plan_lookup(fingerprint)
-        if compiled is None:
-            compiled = compile_netlist(
-                netlist,
-                {name: record.smatrix for name, record in zip(names, records)},
-                masks=[record.mask for record in records],
-                fingerprint=fingerprint,
-                instance_refs=tuple(refs),
-                func_identities=tuple(func_ids),
-            )
-            self._plan_store(fingerprint, compiled)
-        return compiled, [record.smatrix.data for record in records], symmetric
 
     def _instance_key(self, netlist: Netlist, inst: Instance) -> Tuple[str, str]:
         """Resolve one instance's ``(registry ref, function identity)``.
@@ -885,120 +840,7 @@ class CircuitSolver:
                 self._func_id_memo[memo_key] = func_id
         return ref, func_id
 
-    def _settings_fp(self, inst: Instance) -> str:
-        """Memoised :func:`settings_fingerprint` of one instance.
-
-        Keyed by the :class:`Instance` object's id with a value-equality
-        guard: the fingerprint is recomputed whenever the stored settings
-        snapshot no longer equals the instance's current settings, so both
-        in-place mutation and id reuse after garbage collection are safe
-        (the guard compares *content*, and the fingerprint is a pure
-        function of content).
-        """
-        memo = self._settings_memo
-        entry = memo.get(id(inst))  # lock-free read (see _instance_key)
-        if entry is not None:
-            try:
-                if bool(entry[0] == inst.settings):
-                    return entry[1]
-            except (TypeError, ValueError):
-                # Settings containing numpy arrays (or other objects whose
-                # equality is non-boolean) just skip the memo.
-                pass
-        fingerprint = settings_fingerprint(inst.settings)
-        snapshot = copy.deepcopy(inst.settings)
-        with self._memo_lock:
-            if len(memo) >= _MEMO_MAX_ENTRIES:
-                memo.clear()
-            memo[id(inst)] = (snapshot, fingerprint)
-        return fingerprint
-
-    def _merged_one(
-        self,
-        inst: Instance,
-        override: Optional[Mapping[str, object]],
-        merge: bool,
-    ) -> Dict[str, object]:
-        """One sample's effective settings for one instance."""
-        return merge_settings(inst.settings, override, merge)
-
-    def _merged_settings_fp(
-        self,
-        inst: Instance,
-        override: Optional[Mapping[str, object]],
-        merge: bool,
-    ) -> str:
-        """Compositional settings fingerprint of one (instance, override) pair.
-
-        Composed from the instance's memoised base fingerprint and the
-        override mapping's memoised fingerprint instead of serialising the
-        merged dict: the composition is injective on *content* (equal
-        (base, override, merge) contents always produce equal strings), so
-        batched instance-cache keys are stable and deduplicate across calls
-        -- two different compositions that happen to merge to the same
-        settings merely occupy two cache entries, they can never serve
-        wrong data.
-        """
-        if override is None or (merge and not override):
-            # No override, or an empty merge: the effective settings are the
-            # instance's own.  An empty override with merge=False is NOT
-            # equivalent -- it replaces the settings with the model
-            # defaults -- and must keep its own composite fingerprint.
-            return self._settings_fp(inst)
-        return "\x1d".join(
-            (self._settings_fp(inst), self._override_fp(override), "m" if merge else "r")
-        )
-
-    def _override_fp(self, override: Mapping[str, object]) -> str:
-        """Memoised fingerprint of one override mapping.
-
-        Keyed by the mapping's object id with a value-equality guard.  Only
-        mappings whose values are all immutable scalars are memoised -- a
-        shallow snapshot then fully captures the content, so in-place
-        mutation and id reuse are both detected by the guard.
-        """
-        memo = self._override_fp_memo
-        entry = memo.get(id(override))  # lock-free read (see _instance_key)
-        if entry is not None:
-            try:
-                if bool(entry[0] == override):
-                    return entry[1]
-            except (TypeError, ValueError):
-                pass  # non-boolean equality (numpy values): skip the memo
-        fingerprint = settings_fingerprint(override)
-        if all(
-            value is None or isinstance(value, (str, int, float, bool))
-            for value in override.values()
-        ):
-            snapshot = dict(override)
-            with self._memo_lock:
-                if len(memo) >= _MEMO_MAX_ENTRIES:
-                    memo.clear()
-                memo[id(override)] = (snapshot, fingerprint)
-        return fingerprint
-
-    def _evaluate_instance(
-        self,
-        name: str,
-        inst: Instance,
-        ref: str,
-        key: Tuple[str, str, str, bytes],
-        wavelengths: np.ndarray,
-    ) -> _InstanceRecord:
-        """Evaluate one instance's device model and store it in the sub-cache."""
-        info = self.registry.get(ref)
-        try:
-            smatrix = info.evaluate(wavelengths, **inst.settings)
-        except (TypeError, ValueError) as exc:
-            raise OtherSyntaxError(
-                f"instance {name!r} (model {ref!r}) rejected its settings "
-                f"{inst.settings!r}: {exc}"
-            ) from exc
-        return self._record_from_smatrix(smatrix, key)
-
-    def _record_from_smatrix(
-        self, smatrix: SMatrix, key: Tuple[str, str, str, bytes]
-    ) -> _InstanceRecord:
+    def _record_from_smatrix(self, smatrix: SMatrix, key: _DeviceKey) -> _InstanceRecord:
         """Derive the cached record (mask, symmetry) of one device evaluation."""
         mask = structural_masks([smatrix.data])[0]
         record = _InstanceRecord(

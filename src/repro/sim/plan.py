@@ -9,8 +9,8 @@ S-matrix values.  This module pays that work exactly once per topology:
 
 ``compile_netlist``
     Captures everything wavelength- and settings-independent in a
-    :class:`CompiledCircuit`: the flattened port index (spans / owner /
-    partner arrays), the connection structure, the SCC condensation of the
+    :class:`CompiledCircuit`: the flattened port index (spans / owner
+    arrays), the connection structure, the SCC condensation of the
     port-level signal-flow graph (:class:`CascadePlan`), and a
     **level-batched schedule** over every external column with precomputed
     gather/scatter index arrays.
@@ -59,6 +59,7 @@ import numpy as np
 
 from ..netlist.errors import WrongPortError
 from ..netlist.schema import Netlist, format_endpoint, parse_endpoint
+from .batch import fuse_sample_stacks
 from .guardrails import _record_degradation, collect_degradations, solve_with_fallback
 from .sparams import SMatrix
 
@@ -375,33 +376,28 @@ class CompiledCircuit:
     order, same resolved models (registry ref + function identity + port
     names), same structural masks, same connections and external ports.
     Execution then only needs the concrete per-instance S-matrix data (in
-    :attr:`instance_names` order) and the wavelength count.
+    netlist instance order, the order of :attr:`spans`) and the wavelength
+    count.
 
     Attributes
     ----------
     fingerprint:
         The topology fingerprint this plan was compiled under (the plan-cache
         key).
-    instance_names / instance_refs / func_identities:
-        Per-instance name, resolved registry reference and model-function
-        identity, memoised here so repeated evaluations do not recompute
-        them (see ``CircuitSolver``).
-    spans / owner / partner:
-        ``(start, size)`` of each instance's contiguous port range, the
-        owning instance of every flattened port, and every port's connected
-        partner (``-1`` = dangling).  ``partner`` is ``None`` when a port has
-        several partners (unvalidated netlists), in which case only the dense
-        executor applies.
+    spans / owner:
+        ``(start, size)`` of each instance's contiguous port range and the
+        owning instance of every flattened port.
     sources:
         Connection structure of the dense assembly: per column ``j`` the
         ports ``k`` with ``C[k, j] = 1``.
-    external_names / injection_ports / injection_instances / injection_locals:
+    external_names / injection_ports:
         External port names and, per external column, the flattened instance
-        port behind it plus its ``(instance, local column)`` address.
+        port behind it.
     plan:
         The cascade backend's :class:`CascadePlan` (components in
-        topological order, feedback clusters); ``None`` when ``partner`` is
-        ``None``.
+        topological order, feedback clusters); ``None`` when a port has
+        several partners (unvalidated netlists), in which case only the
+        dense executor applies.
     schedule:
         The level-batched execution schedule over every external column;
         ``None`` when the cascade executor does not apply.
@@ -422,17 +418,11 @@ class CompiledCircuit:
     """
 
     fingerprint: str
-    instance_names: Tuple[str, ...]
-    instance_refs: Tuple[str, ...]
-    func_identities: Tuple[str, ...]
     spans: Tuple[Tuple[int, int], ...]
     owner: np.ndarray
-    partner: Optional[np.ndarray]
     sources: Tuple[Tuple[int, Tuple[int, ...]], ...]
     external_names: Tuple[str, ...]
     injection_ports: np.ndarray
-    injection_instances: np.ndarray
-    injection_locals: np.ndarray
     plan: Optional[CascadePlan]
     schedule: Optional[_Schedule]
     cover_schedule: Optional[_Schedule]
@@ -960,8 +950,6 @@ def compile_netlist(
     *,
     masks: Optional[Sequence[np.ndarray]] = None,
     fingerprint: str = "",
-    instance_refs: Tuple[str, ...] = (),
-    func_identities: Tuple[str, ...] = (),
 ) -> CompiledCircuit:
     """Compile a netlist's structure into a reusable :class:`CompiledCircuit`.
 
@@ -975,10 +963,8 @@ def compile_netlist(
     """
     index: Dict[Tuple[str, str], int] = {}
     spans: List[Tuple[int, int]] = []
-    names: List[str] = []
     start = 0
     for name, smatrix in instance_matrices.items():
-        names.append(name)
         size = smatrix.num_ports
         for offset, port in enumerate(smatrix.ports):
             index[(name, port)] = start + offset
@@ -1012,7 +998,7 @@ def compile_netlist(
         partner[column] = ports[0]
 
     if masks is None:
-        masks = structural_masks([instance_matrices[name].data for name in names])
+        masks = structural_masks([smatrix.data for smatrix in instance_matrices.values()])
 
     plan: Optional[CascadePlan] = None
     schedule: Optional[_Schedule] = None
@@ -1036,19 +1022,13 @@ def compile_netlist(
 
     return CompiledCircuit(
         fingerprint=fingerprint,
-        instance_names=tuple(names),
-        instance_refs=tuple(instance_refs),
-        func_identities=tuple(func_identities),
         spans=tuple(spans),
         owner=owner,
-        partner=partner,
         sources=tuple(
             (column, tuple(ports)) for column, ports in sorted(sources.items())
         ),
         external_names=external_names,
         injection_ports=injection_ports,
-        injection_instances=injection_instances,
-        injection_locals=injection_locals,
         plan=plan,
         schedule=schedule,
         cover_schedule=cover_schedule,
@@ -1077,14 +1057,13 @@ def _execute_schedule(
     num_wavelengths: int,
     out: np.ndarray,
     max_block: Optional[int],
-    stack_positions: Optional[Sequence[np.ndarray]] = None,
+    stack_positions: Sequence[np.ndarray],
 ) -> None:
     """Run one level schedule, writing its columns of ``out``.
 
-    ``stack_positions`` optionally remaps each coefficient gather's member
-    positions into rows of a deduplicated stack (see
-    :func:`repro.sim.batch.fuse_sample_stacks`); ``None`` means the stacks
-    are member-aligned, as :func:`build_stacks` produces them.
+    ``stack_positions`` remaps each coefficient gather's member positions
+    into rows of the deduplicated stacks (see
+    :func:`repro.sim.batch.fuse_sample_stacks`).
     """
     num_cols = int(schedule.columns.size)
     block = _auto_block(schedule, num_wavelengths)
@@ -1100,13 +1079,11 @@ def _execute_schedule(
     if schedule.num_edges:
         coef = np.empty((schedule.num_edges, num_wavelengths), dtype=complex)
         for gather in schedule.coef_gathers:
-            pos = (
-                gather.pos
-                if stack_positions is None
-                else stack_positions[gather.stack][gather.pos]
-            )
             coef[gather.positions] = stacks[gather.stack][
-                pos, :, gather.m_rows, gather.m_cols
+                stack_positions[gather.stack][gather.pos],
+                :,
+                gather.m_rows,
+                gather.m_cols,
             ]
         # One reusable contribution buffer sized for the largest level.
         buffer = np.empty((schedule.max_push_edges, block, num_cols), dtype=complex)
@@ -1182,18 +1159,6 @@ def _execute_schedule(
         out[lo:hi, :, schedule.columns] = ws[schedule.out_rows, :width].transpose(1, 0, 2)
 
 
-def build_stacks(
-    compiled: CompiledCircuit, matrices: Sequence[np.ndarray]
-) -> List[np.ndarray]:
-    """Stack same-size instance matrices for the batched coefficient gathers."""
-    return [
-        matrices[int(members[0])][None]
-        if members.size == 1
-        else np.stack([matrices[int(i)] for i in members])
-        for members in compiled.stack_members
-    ]
-
-
 def execute_cascade(
     compiled: CompiledCircuit,
     matrices: Sequence[np.ndarray],
@@ -1206,9 +1171,12 @@ def execute_cascade(
     """Level-batched evaluation of a compiled circuit.
 
     ``matrices`` holds each instance's ``(W, n, n)`` S-matrix data in
-    :attr:`CompiledCircuit.instance_names` order.  Returns the external
-    response of shape ``(W, E, E)``, identical (to round-off) to the dense
-    backend's ``E.T @ (I - S C)^{-1} @ S @ E``.
+    netlist instance order (the order of :attr:`CompiledCircuit.spans`).
+    Returns the external response of shape ``(W, E, E)``, identical (to
+    round-off) to the dense backend's ``E.T @ (I - S C)^{-1} @ S @ E``.
+    ``stacks`` and ``stack_positions`` are the deduplicated per-port-count
+    instance stacks :func:`repro.sim.batch.fuse_sample_stacks` returns with
+    ``matrices``; when omitted they are built from ``matrices``.
 
     The schedule runs over wavelength blocks of at most ``max_block``
     points (default: sized so the workspace stays cache-resident); the
@@ -1225,8 +1193,10 @@ def execute_cascade(
             "compiled circuit does not support the cascade executor "
             "(a port is connected to several partners)"
         )
-    if stacks is None:
-        stacks = build_stacks(compiled, matrices)
+    if stacks is None or stack_positions is None:
+        matrices, stacks, stack_positions = fuse_sample_stacks(
+            compiled.stack_members, [matrices], num_wavelengths
+        )
     mirror = None if schedule is compiled.schedule else compiled.cover_mirror
     num_external = compiled.num_external
     # The cover never writes the (dropped x dropped) block: it is

@@ -29,6 +29,7 @@ class TestDocstringCoverage:
                 "90",
                 str(REPO_ROOT / "src" / "repro" / "bench"),
                 str(REPO_ROOT / "src" / "repro" / "harness"),
+                str(REPO_ROOT / "src" / "repro" / "sim"),
             ]
         )
         out = capsys.readouterr().out

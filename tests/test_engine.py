@@ -260,10 +260,37 @@ class TestInstanceSubCache:
         )
         solver.evaluate(netlist, wavelengths)
         assert len(calls) == 2  # two distinct (ref, settings) pairs, not three
-        assert solver.instance_cache_stats().hits == 1
+        # One lookup per distinct device key and call: both keys miss.
+        stats = solver.instance_cache_stats()
+        assert (stats.hits, stats.misses) == (0, 2)
 
         solver.evaluate(netlist, wavelengths)
         assert len(calls) == 2  # the sub-cache persists across evaluate() calls
+        stats = solver.instance_cache_stats()
+        assert (stats.hits, stats.misses) == (2, 2)
+
+    def test_batched_call_counts_one_lookup_per_distinct_device(self, wavelengths):
+        solver = CircuitSolver()
+        netlist = Netlist(
+            instances={
+                "wgA": Instance("waveguide", {"length": 25.0}),
+                "wgB": Instance("waveguide", {"length": 25.0}),
+                "wgC": Instance("waveguide", {"length": 50.0}),
+            },
+            connections={"wgA,O1": "wgB,I1", "wgB,O1": "wgC,I1"},
+            ports={"I1": "wgA,I1", "O1": "wgC,O1"},
+            models={"waveguide": "waveguide"},
+        )
+        # Three samples over three distinct devices: the shared 25 um
+        # waveguide, wgC's base setting and wgC's one override.
+        batch = [{}, {"wgC": {"length": 75.0}}, {"wgC": {"length": 75.0}}]
+        solver.evaluate_batch(netlist, batch, wavelengths)
+        stats = solver.instance_cache_stats()
+        assert (stats.hits, stats.misses, stats.stores) == (0, 3, 3)
+
+        solver.evaluate(netlist, wavelengths)
+        stats = solver.instance_cache_stats()
+        assert (stats.hits, stats.misses, stats.stores) == (2, 3, 3)
 
     def test_sub_cache_can_be_disabled(self, wavelengths):
         solver = CircuitSolver(instance_cache_entries=0)

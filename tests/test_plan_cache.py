@@ -152,7 +152,6 @@ class TestPlanCacheKeying:
         )
         other = solver.compile(_ring_netlist(), wavelengths)
         assert other.fingerprint != base.fingerprint
-        assert "replacement_waveguide" in other.func_identities[1]
 
     def test_plan_cache_can_be_disabled(self, wavelengths):
         solver = CircuitSolver(plan_cache_entries=0)
@@ -173,26 +172,6 @@ class TestPlanCacheKeying:
 
 
 class TestInstanceKeyMemoisation:
-    def test_settings_fingerprint_memoised_across_calls(self, wavelengths, monkeypatch):
-        import repro.sim.circuit as circuit_module
-
-        calls = []
-        original = circuit_module.settings_fingerprint
-
-        def counting(settings):
-            calls.append(settings)
-            return original(settings)
-
-        monkeypatch.setattr(circuit_module, "settings_fingerprint", counting)
-        solver = CircuitSolver()
-        netlist = _mzi_netlist()
-        solver.evaluate(netlist, wavelengths)
-        first = len(calls)
-        assert first == netlist.num_instances()
-        solver.evaluate(netlist, wavelengths)
-        # Same Instance objects: fingerprints come from the memo.
-        assert len(calls) == first
-
     def test_array_valued_settings_do_not_break_the_memo(self, wavelengths):
         # numpy-array settings make dict equality non-boolean; the memo must
         # skip, not crash, and the model's own error must surface each time.
@@ -444,6 +423,30 @@ class TestPlanSpill:
         result = warm.evaluate(netlist, wavelengths, backend="cascade")
         assert _max_abs_diff(result, expected) <= 1e-12
         assert warm.plan_cache_stats().disk_hits == 0
+
+    def test_corrupt_spill_is_quarantined_and_rewritten(self, wavelengths, tmp_path):
+        # The solver that fails to load a spill moves it aside and spills
+        # its fresh plan, so the next fresh solver loads instead of
+        # recompiling.
+        from repro.bench import get_problem
+
+        netlist = get_problem("clements_4x4").golden_netlist()
+        fingerprint = CircuitSolver().compile(netlist, wavelengths).fingerprint
+        spill = CircuitSolver(plan_dir=tmp_path)._plan_path(fingerprint)
+        spill.write_bytes(b"not a pickle")
+
+        healer = CircuitSolver(plan_dir=tmp_path)
+        healer.evaluate(netlist, wavelengths)
+        stats = healer.plan_cache_stats()
+        assert (stats.disk_hits, stats.disk_corrupt) == (0, 1)
+        assert spill.with_name(spill.name + ".corrupt").read_bytes() == b"not a pickle"
+
+        later = CircuitSolver(plan_dir=tmp_path)
+        result = later.evaluate(netlist, wavelengths)
+        stats = later.plan_cache_stats()
+        assert (stats.disk_hits, stats.disk_corrupt) == (1, 0)
+        dense = CircuitSolver(backend="dense").evaluate(netlist, wavelengths)
+        assert _max_abs_diff(result, dense) <= EQUIVALENCE_ATOL
 
     def test_spill_of_the_older_plan_layout_is_recompiled(self, wavelengths, tmp_path):
         # Plans used to spill as plan-<fingerprint>.pkl with one schedule
