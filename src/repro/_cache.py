@@ -81,15 +81,6 @@ class LRUCache(Generic[K, V]):
             self.stats.hits += 1
             return self._data[key]
 
-    def peek(self, key: K) -> Optional[V]:
-        """Like :meth:`get` but without touching stats or recency.
-
-        For introspection ("is this cached?") that must not count as a
-        lookup or change which entry is evicted next.
-        """
-        with self._lock:
-            return self._data.get(key)
-
     def put(self, key: K, value: V) -> None:
         """Insert ``value``, evicting the least recently used entry if full."""
         if self.max_entries <= 0:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from ..constants import normalize_wavelengths
 from ..faults import fault_point, fault_stats
 from ..netlist.schema import Netlist
 from ..netlist.validation import PortSpec
-from ..sim.batch import SettingsBatch, apply_settings, structural_key
+from ..sim.batch import SettingsBatch, apply_settings
 from ..sim.circuit import CircuitSolver
 from ..sim.registry import ModelRegistry
 from ..sim.sparams import SMatrix
@@ -46,7 +46,7 @@ __all__ = [
 
 @dataclass
 class EngineBatchStats:
-    """Counters of the engine's batched-evaluation entry points.
+    """Counters of :meth:`ExecutionEngine.evaluate_batch`.
 
     ``cache_hits`` counts samples served straight from the content-addressed
     simulation cache -- batch-aware keys are computed per *derived sample
@@ -226,7 +226,6 @@ class ExecutionEngine:
         wavelengths: Optional[np.ndarray] = None,
         *,
         port_spec: Optional[PortSpec] = None,
-        merge: bool = True,
     ) -> List[SMatrix]:
         """Evaluate ``S`` settings samples of one netlist, batching the misses.
 
@@ -240,7 +239,7 @@ class ExecutionEngine:
         """
         wavelengths = normalize_wavelengths(wavelengths)
         keys = [
-            self.simulation_key(apply_settings(netlist, overrides, merge), wavelengths, port_spec)
+            self.simulation_key(apply_settings(netlist, overrides), wavelengths, port_spec)
             for overrides in settings_batch
         ]
         results: List[Optional[SMatrix]] = [self.cache.get(key) for key in keys]
@@ -256,123 +255,12 @@ class ExecutionEngine:
                 [settings_batch[index] for index in misses.values()],
                 wavelengths,
                 port_spec=port_spec,
-                merge=merge,
             )
             fresh = dict(zip(misses, solved))
             for key, smatrix in fresh.items():
                 self.cache.put(key, smatrix)
             results = [fresh.get(key, result) for key, result in zip(keys, results)]
         self._count_batch(len(settings_batch), hits)
-        return results  # type: ignore[return-value]
-
-    def evaluate_many(
-        self,
-        netlists: Sequence[Netlist],
-        wavelengths: Optional[np.ndarray] = None,
-        *,
-        batch_size: int,
-        port_specs: Optional[Sequence[Optional[PortSpec]]] = None,
-        return_exceptions: bool = False,
-    ) -> List[Union[SMatrix, Exception]]:
-        """Evaluate many (possibly unrelated) netlists, batching where possible.
-
-        Netlists are grouped by settings-stripped structure (same instances,
-        connections, ports and models -- see
-        :func:`repro.sim.batch.structural_key`) and port spec; each group is
-        re-expressed as one base netlist plus per-sample settings and
-        dispatched through the fused batch path in chunks of ``batch_size``
-        (values <= 1 fall back to per-item solves).  Per-item cache keys are
-        unchanged, so results interoperate with individually evaluated
-        netlists.  As in :meth:`evaluate`, each cache miss visits the
-        ``solver.evaluate`` fault point once, with its key, before anything
-        is solved.
-
-        With ``return_exceptions=True`` a failing item contributes its
-        exception (the same classified error :meth:`evaluate` would raise)
-        instead of aborting the whole call; a group whose fused evaluation
-        fails is retried item by item so one bad sample never poisons its
-        group.
-        """
-        wavelengths = normalize_wavelengths(wavelengths)
-        specs: List[Optional[PortSpec]] = (
-            list(port_specs) if port_specs is not None else [None] * len(netlists)
-        )
-        if len(specs) != len(netlists):
-            raise ValueError(
-                f"port_specs length {len(specs)} does not match {len(netlists)} netlists"
-            )
-        keys = [
-            self.simulation_key(netlist, wavelengths, spec)
-            for netlist, spec in zip(netlists, specs)
-        ]
-        results: List[Optional[Union[SMatrix, Exception]]] = [self.cache.get(key) for key in keys]
-        hits = sum(result is not None for result in results)
-
-        def solve_item(index: int) -> None:
-            """Per-item fallback replicating :meth:`evaluate` semantics."""
-            try:
-                smatrix = self.solver.evaluate(
-                    netlists[index], wavelengths, port_spec=specs[index]
-                )
-            except Exception as error:  # noqa: BLE001 - classified by the caller
-                if not return_exceptions:
-                    raise
-                results[index] = error
-                return
-            self.cache.put(keys[index], smatrix)
-            results[index] = smatrix
-
-        misses = []
-        for index in range(len(netlists)):
-            if results[index] is not None:
-                continue
-            try:
-                fault_point("solver.evaluate", key=keys[index])
-            except Exception as error:  # noqa: BLE001 - the item's own result
-                if not return_exceptions:
-                    raise
-                results[index] = error
-                continue
-            misses.append(index)
-        if batch_size <= 1:
-            for index in misses:
-                solve_item(index)
-        else:
-            groups: Dict[Tuple[str, Optional[Tuple[int, int]]], List[int]] = {}
-            for index in misses:
-                spec = specs[index]
-                spec_key = (spec.num_inputs, spec.num_outputs) if spec is not None else None
-                groups.setdefault(
-                    (structural_key(netlists[index]), spec_key), []
-                ).append(index)
-            for members in groups.values():
-                for start in range(0, len(members), batch_size):
-                    chunk = members[start : start + batch_size]
-                    # Settings dicts are passed by reference: the batch
-                    # path treats overrides as read-only.
-                    overrides = [
-                        {
-                            name: inst.settings
-                            for name, inst in netlists[index].instances.items()
-                        }
-                        for index in chunk
-                    ]
-                    try:
-                        solved = self.solver.evaluate_batch(
-                            netlists[chunk[0]],
-                            overrides,
-                            wavelengths,
-                            port_spec=specs[chunk[0]],
-                            merge=False,
-                        )
-                    except Exception:  # noqa: BLE001 - isolate the failing item
-                        for index in chunk:
-                            solve_item(index)
-                        continue
-                    for index, smatrix in zip(chunk, solved):
-                        results[index] = smatrix
-                        self.cache.put(keys[index], smatrix)
-        self._count_batch(len(netlists), hits)
         return results  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
@@ -386,7 +274,7 @@ class ExecutionEngine:
     # Introspection
     # ------------------------------------------------------------------
     def batch_stats(self) -> EngineBatchStats:
-        """Counters of the engine's batched entry points."""
+        """Counters of :meth:`evaluate_batch`."""
         return self._batch_stats
 
     def stats(self) -> Dict[str, object]:

@@ -18,9 +18,7 @@ stays picklable under both ``fork`` and ``spawn`` start methods:
     Runs once per worker process and builds whatever live state the units
     need (engine, caches, clients).
 ``runner_ref(context, task) -> result``
-    Runs one task (``per_task=True``), or ``runner_ref(context, tasks) ->
-    results`` for a whole shard at once (``per_task=False`` -- used when the
-    shard should be fused, e.g. the batched evaluation path).
+    Runs one task; a shard runs its tasks one after another.
 ``stats_ref(context) -> dict``
     Optional cumulative counters snapshot of one worker, taken after each
     shard; the parent keeps each worker process's latest snapshot, so
@@ -168,7 +166,6 @@ def _capture_failure(exc: BaseException) -> UnitFailure:
 def _worker_run_shard(
     runner_ref: str,
     tasks: List[Any],
-    per_task: bool,
     stats_ref: Optional[str],
 ) -> Tuple[List[Any], Optional[Tuple[str, int, Dict[str, object]]]]:
     """Run one shard of tasks; each slot is a result or a UnitFailure.
@@ -179,25 +176,12 @@ def _worker_run_shard(
     _WORKER_SHARDS += 1
     runner = resolve_ref(runner_ref)
     results: List[Any] = []
-    if per_task:
-        for task in tasks:
-            try:
-                fault_point("procpool.unit", key=repr(task))
-                results.append(runner(_WORKER_CONTEXT, task))
-            except Exception as exc:  # noqa: BLE001 - isolated per unit
-                results.append(_capture_failure(exc))
-    else:
+    for task in tasks:
         try:
-            fault_point("procpool.unit", key=repr(tasks[:1]))
-            values = list(runner(_WORKER_CONTEXT, list(tasks)))
-            if len(values) != len(tasks):
-                raise RuntimeError(
-                    f"shard runner returned {len(values)} results for {len(tasks)} tasks"
-                )
-            results = values
-        except Exception as exc:  # noqa: BLE001 - isolated per shard
-            failure = _capture_failure(exc)
-            results = [failure] * len(tasks)
+            fault_point("procpool.unit", key=repr(task))
+            results.append(runner(_WORKER_CONTEXT, task))
+        except Exception as exc:  # noqa: BLE001 - isolated per unit
+            results.append(_capture_failure(exc))
     stats = None
     if stats_ref is not None:
         try:
@@ -315,7 +299,6 @@ class ProcessScheduler:
         runner_ref: str,
         tasks: Sequence[Any],
         *,
-        per_task: bool = True,
         stats_ref: Optional[str] = None,
         on_result: Optional[Callable[[int, Any], None]] = None,
         bounds: Optional[Sequence[Tuple[int, int]]] = None,
@@ -355,9 +338,7 @@ class ProcessScheduler:
             future_spans = {}
             for lo, hi in bounds:
                 try:
-                    future = pool.submit(
-                        _worker_run_shard, runner_ref, tasks[lo:hi], per_task, stats_ref
-                    )
+                    future = pool.submit(_worker_run_shard, runner_ref, tasks[lo:hi], stats_ref)
                 except BrokenProcessPool:
                     retry_spans.append((lo, hi))
                     continue
@@ -391,7 +372,6 @@ class ProcessScheduler:
                 retry_spans,
                 runner_ref,
                 tasks,
-                per_task,
                 stats_ref,
                 results,
                 latest,
@@ -441,7 +421,6 @@ class ProcessScheduler:
         spans: List[Tuple[int, int]],
         runner_ref: str,
         tasks: List[Any],
-        per_task: bool,
         stats_ref: Optional[str],
         results: List[Any],
         latest: Dict[str, Tuple[int, Dict[str, object]]],
@@ -470,7 +449,7 @@ class ProcessScheduler:
                         pool = self._pool(mp_context, 1)
                     try:
                         future = pool.submit(
-                            _worker_run_shard, runner_ref, [tasks[index]], per_task, stats_ref
+                            _worker_run_shard, runner_ref, [tasks[index]], stats_ref
                         )
                         shard_results, stats = future.result(timeout=self.unit_timeout)
                     except FuturesTimeoutError:

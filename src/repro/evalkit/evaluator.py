@@ -15,7 +15,9 @@ For every sample of every problem the evaluator:
 Steps 3-5 run once per distinct draft: an evaluator memoises each verdict by
 problem, registry state and response text, so a resubmitted draft -- by
 another sample, feedback round, model or restriction setting -- is served
-from the memo.
+from the memo.  :meth:`Evaluator.run_samples` runs every trajectory:
+each problem's trajectories in lockstep, every draft judged on the calling
+thread.
 """
 
 from __future__ import annotations
@@ -75,12 +77,6 @@ class EvaluationConfig:
         debugging, memory-hungry for full sweeps).
     base_seed:
         Global seed mixed into each sample's generation seed.
-    batch_size:
-        Lockstep dispatch: when > 1, :meth:`Evaluator.run_samples` advances
-        its trajectories one feedback iteration at a time and fuses up to
-        this many structure-sharing drafts per solver call; ``1`` (the
-        default) runs each trajectory on its own.  Purely a performance
-        knob: results are identical for any batch size.
     """
 
     samples_per_problem: int = DEFAULT_SAMPLES_PER_PROBLEM
@@ -90,7 +86,6 @@ class EvaluationConfig:
     include_restrictions: bool = False
     keep_responses: bool = False
     base_seed: int = 0
-    batch_size: int = 1
 
 
 #: Capacity of an evaluator's verdict memo; a default sweep judges about
@@ -257,6 +252,9 @@ class Evaluator:
 
         Each distinct draft is judged once: the verdict memo serves repeats
         of a text whose verdict raised nothing or a classified netlist error.
+        The key is not claimed while a draft is judged, so two threads
+        calling this at once with one text may both judge it;
+        :meth:`run_samples` judges on its calling thread and never does.
         """
         key = self._verdict_key(problem, response_text)
         if key is not None:
@@ -275,69 +273,6 @@ class Evaluator:
         if memoise and key is not None:
             self._verdicts.put(key, outcome)
         return outcome
-
-    def evaluate_responses(
-        self, items: Sequence[Tuple[Problem, str]]
-    ) -> List[AttemptOutcome]:
-        """Check many raw responses at once, batching compatible simulations.
-
-        Semantics per item are identical to :meth:`evaluate_response`; the
-        simulations of responses that parse and validate are dispatched
-        through :meth:`ExecutionEngine.evaluate_many`, which fuses
-        structure-sharing candidates (samples that differ only in instance
-        settings -- the common case across pass@k drafts) into shared
-        executor passes of at most ``config.batch_size`` samples.
-        Drafts judged by an earlier call are served from the verdict memo;
-        a draft repeated within this call is judged once, and each repeat
-        takes the outcome of its first occurrence.
-        """
-        outcomes: List[Optional[AttemptOutcome]] = [None] * len(items)
-        keys = [self._verdict_key(problem, text) for problem, text in items]
-        first_of: Dict[Tuple[object, ...], int] = {}
-        repeats: List[Tuple[int, int]] = []
-        pending: List[int] = []
-        netlists = []
-        for index, (problem, response_text) in enumerate(items):
-            key = keys[index]
-            if key is not None:
-                memoised = self._verdicts.get(key)
-                if memoised is not None:
-                    outcomes[index] = memoised
-                    continue
-                if key in first_of:
-                    repeats.append((index, first_of[key]))
-                    continue
-                first_of[key] = index
-            try:
-                netlist = self._parse_and_validate(problem, response_text)
-            except Exception as error:  # noqa: BLE001 - classified below
-                outcomes[index], memoise = _failure(error)
-                if memoise and key is not None:
-                    self._verdicts.put(key, outcomes[index])
-                continue
-            pending.append(index)
-            netlists.append(netlist)
-
-        if pending:
-            simulated = self.engine.evaluate_many(
-                netlists,
-                self.golden_store.wavelengths,
-                batch_size=self.config.batch_size,
-                port_specs=[items[index][0].port_spec for index in pending],
-                return_exceptions=True,
-            )
-            for index, result in zip(pending, simulated):
-                if isinstance(result, Exception):
-                    outcome, memoise = _failure(result)
-                else:
-                    outcome, memoise = self._simulated_verdict(items[index][0], result), True
-                outcomes[index] = outcome
-                if memoise and keys[index] is not None:
-                    self._verdicts.put(keys[index], outcome)
-        for index, first in repeats:
-            outcomes[index] = outcomes[first]
-        assert all(outcome is not None for outcome in outcomes)
-        return outcomes  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
     # Feedback loop
@@ -407,14 +342,12 @@ class Evaluator:
         *,
         prompt_config: Optional[PromptConfig] = None,
     ) -> SampleResult:
-        """Run the full feedback trajectory for one sample of one problem."""
-        trajectory = self._start(client, problem, sample_index, prompt_config)
-        more = True
-        while more:
-            response_text = trajectory.draft()
-            outcome = self.evaluate_response(problem, response_text)
-            more = self._advance(trajectory, response_text, outcome)
-        return trajectory.sample
+        """Run the full feedback trajectory for one sample of one problem.
+
+        The one-unit call of :meth:`run_samples`.
+        """
+        (sample,) = self.run_samples([(client, problem, sample_index, prompt_config)])
+        return sample
 
     def run_samples(
         self,
@@ -424,45 +357,40 @@ class Evaluator:
     ) -> List[SampleResult]:
         """Run many ``(client, problem, sample_index, prompt_config)`` trajectories.
 
-        With ``config.batch_size > 1`` the trajectories advance in
-        lockstep, one feedback iteration at a time: the iteration's
-        generations run on the engine's worker pool, then every draft is
-        judged in one :meth:`evaluate_responses` call, so structurally
-        identical drafts across samples, problems, clients and prompt
-        configs fuse into shared batched executor passes.  Otherwise each
-        unit runs through :meth:`run_sample` on the engine's pool.
+        The units are grouped by problem: groups in order of first
+        appearance, units in their given order inside a group.  A group's
+        trajectories start when the group begins, so one problem's
+        conversations are held at a time, and advance in lockstep, one
+        feedback iteration at a time: the iteration's drafts run on the
+        engine's worker pool, then each draft is judged by
+        :meth:`evaluate_response` on the calling thread, where
+        ``on_done(index, sample)`` fires as each trajectory finishes.
 
         Each trajectory's messages and seed are a pure function of its own
-        history, so both drivers return the same results, in unit order.
-        ``on_done(index, sample)`` fires as each trajectory finishes -- on
-        the pool's threads for the per-unit driver.
+        history, so every unit's result is the one it gets run alone; the
+        results come back in unit order.
         """
-        if self.config.batch_size <= 1:
-
-            def run_unit(index: int) -> SampleResult:
-                client, problem, sample_index, prompt_config = units[index]
-                sample = self.run_sample(client, problem, sample_index, prompt_config=prompt_config)
-                if on_done is not None:
-                    on_done(index, sample)
-                return sample
-
-            return self.engine.map(run_unit, range(len(units)))
-
-        trajectories = [self._start(*unit) for unit in units]
-        active = list(range(len(trajectories)))
-        while active:
-            responses = self.engine.map(lambda index: trajectories[index].draft(), active)
-            outcomes = self.evaluate_responses(
-                [(trajectories[index].problem, text) for index, text in zip(active, responses)]
-            )
-            still_active = []
-            for index, response_text, outcome in zip(active, responses, outcomes):
-                if self._advance(trajectories[index], response_text, outcome):
-                    still_active.append(index)
-                elif on_done is not None:
-                    on_done(index, trajectories[index].sample)
-            active = still_active
-        return [trajectory.sample for trajectory in trajectories]
+        groups: Dict[Tuple[str, str], List[int]] = {}
+        for index, (_, problem, _, _) in enumerate(units):
+            groups.setdefault((problem.pack, problem.name), []).append(index)
+        samples: List[SampleResult] = [None] * len(units)  # type: ignore[list-item]
+        for members in groups.values():
+            trajectories = {index: self._start(*units[index]) for index in members}
+            active = members
+            while active:
+                drafts = self.engine.map(lambda index: trajectories[index].draft(), active)
+                still_active = []
+                for index, response_text in zip(active, drafts):
+                    trajectory = trajectories[index]
+                    outcome = self.evaluate_response(trajectory.problem, response_text)
+                    if self._advance(trajectory, response_text, outcome):
+                        still_active.append(index)
+                        continue
+                    samples[index] = trajectory.sample
+                    if on_done is not None:
+                        on_done(index, trajectory.sample)
+                active = still_active
+        return samples
 
     def run_suite(
         self,
@@ -475,8 +403,8 @@ class Evaluator:
 
         The nested problem/sample loops are flattened into independent work
         units and run by :meth:`run_samples`; results are folded back in
-        ``(problem, sample)`` order, so any worker count or batch size
-        produces the same report as the sequential loop.
+        ``(problem, sample)`` order, so any worker count produces the same
+        report as the sequential loop.
         """
         problems = list(problems) if problems is not None else list(all_problems())
         packs = {problem.pack for problem in problems}

@@ -138,11 +138,11 @@ class SweepJournal:
     fingerprint:
         The sweep's semantic fingerprint (see :func:`sweep_fingerprint`).
 
-    Thread-safe: trajectory completions from scheduler threads (thread
-    mode) or the shard-merge callback (process mode) append under one lock,
-    each line flushed -- and fsynced best-effort -- before the lock drops.
-    Lockstep trajectories (``batch_size > 1``) are journaled as each one
-    finishes, not when the whole lockstep call returns.
+    A sweep journals each trajectory as it finishes: on the calling thread
+    as :meth:`~repro.evalkit.evaluator.Evaluator.run_samples` completes it
+    (thread tier), or from the shard-merge callback (process tier).
+    Appends are thread-safe, under one lock, each line flushed -- and
+    fsynced best-effort -- before the lock drops.
     """
 
     def __init__(self, directory: Path | str, fingerprint: str) -> None:

@@ -97,9 +97,9 @@ class SweepSpec:
     identity, hashed by :func:`~repro.harness.journal.sweep_fingerprint`
     for the sweep journal and the results store alike.  The seven semantic
     fields are the sample count, feedback budget, wavelength grid, base
-    seed, problem selection, pack and pack parameters; the others (batch
-    size, execution tier, retry budget, watchdog) change how fast or how
-    robustly a sweep runs, never what it reports.
+    seed, problem selection, pack and pack parameters; the others (execution
+    tier, retry budget, watchdog) change how fast or how robustly a sweep
+    runs, never what it reports.
 
     ``pack`` selects the problem pack the sweep enumerates (default: the
     paper's ``core`` suite) and ``pack_params`` overrides the pack's
@@ -147,16 +147,6 @@ class SweepSpec:
         parse=_parse_pack_params,
         action="append",
         metavar="KEY=VALUE",
-    )
-    batch_size: int = _flagged(
-        1,
-        "--batch-size",
-        "fuse up to this many structure-sharing candidate netlists into "
-        "one solver executor pass (trajectories then advance in lockstep "
-        "per feedback iteration); 1 (default) evaluates sweep work per "
-        "sample; reports are identical for any batch size",
-        type=int,
-        metavar="SAMPLES",
     )
     execution_mode: str = _flagged(
         "thread",
@@ -311,7 +301,6 @@ class SweepConfig(SweepSpec):
             num_wavelengths=self.num_wavelengths,
             include_restrictions=include_restrictions,
             base_seed=self.base_seed,
-            batch_size=self.batch_size,
         )
 
     def select_problems(self) -> List[Problem]:
@@ -518,19 +507,6 @@ def _run_sweep_unit(context: Dict[str, object], unit: Tuple[bool, int, int, int]
     )
 
 
-def _run_sweep_shard(context: Dict[str, object], units: List[Tuple[bool, int, int, int]]):
-    """Worker shard runner for ``batch_size > 1``: the shard's units in lockstep.
-
-    One lockstep call spans every restriction setting of the shard, since
-    each unit carries its own prompt config.  Each trajectory is a pure
-    function of its own history, so any sharding yields the same per-unit
-    results.
-    """
-    return context["evaluator"].run_samples(  # type: ignore[union-attr]
-        [_evaluator_unit(context, unit) for unit in units]
-    )
-
-
 def _sweep_worker_stats(context: Dict[str, object]) -> Dict[str, object]:
     """Worker stats snapshot, merged in the parent across all workers."""
     return context["engine"].stats()  # type: ignore[union-attr]
@@ -647,13 +623,9 @@ def _map_units_process(
     shards = min(scheduler.processes, len(units)) * scheduler.shards_per_worker
     order, bounds = _problem_shards(units, problems, span=-(-len(units) // max(1, shards)))
     reordered = [units[position] for position in order]
-    per_task = config.batch_size <= 1
     raw, stats_list = scheduler.map(
-        "repro.harness.runner:_run_sweep_unit"
-        if per_task
-        else "repro.harness.runner:_run_sweep_shard",
+        "repro.harness.runner:_run_sweep_unit",
         reordered,
-        per_task=per_task,
         stats_ref="repro.harness.runner:_sweep_worker_stats",
         on_result=None if on_result is None else lambda i, outcome: on_result(order[i], outcome),
         bounds=bounds,
@@ -715,14 +687,15 @@ def run_sweep(
 
     The four nested loops of the paper's evaluation -- model, restriction
     setting, problem, sample -- are flattened into independent work units,
-    run by :meth:`Evaluator.run_samples` on the thread tier or sharded across
-    worker processes on the process tier.  Each unit's generation seed is
-    derived from ``(base_seed, problem, sample)`` alone, and results are
-    folded back in loop order, so the returned reports are byte-identical for
-    any worker count, batch size or tier.  Each freshly computed trajectory
-    visits the ``sweep.unit`` fault point as it finishes and is then
-    journaled (with ``journal_dir``); a resumed run reruns only the units its
-    journal lacks.
+    run by :meth:`Evaluator.run_samples` on the thread tier (one problem's
+    trajectories in lockstep at a time, their drafts on the engine's pool)
+    or one trajectory per task on the process tier, whose shards each hold
+    one problem.  Each unit's generation seed is derived from ``(base_seed,
+    problem, sample)`` alone, and results are folded back in loop order, so
+    the returned reports are byte-identical for any worker count or tier.
+    Each freshly computed trajectory visits the ``sweep.unit`` fault point
+    as it finishes and is then journaled (with ``journal_dir``); a resumed
+    run reruns only the units its journal lacks.
 
     ``engine`` and ``golden_store`` let a caller keep simulations and golden
     responses warm across sweeps (the evaluation service does); the golden

@@ -23,7 +23,7 @@ __all__ = ["JOB_KINDS", "JobSpec"]
 #: Fields older specs carried that no longer exist; stored ``spec_json`` rows
 #: still hold them, so :meth:`JobSpec.from_dict` drops them.  None was
 #: semantic, so dropping them changes no fingerprint.
-RETIRED_FIELDS: Tuple[str, ...] = ("solver_backend",)
+RETIRED_FIELDS: Tuple[str, ...] = ("solver_backend", "batch_size")
 
 #: Recognised job kinds: ``"sweep"`` evaluates every requested model under
 #: every requested restriction setting; ``"evaluate"`` is the single-model,
@@ -119,9 +119,9 @@ class JobSpec(SweepSpec):
         :func:`~repro.harness.journal.sweep_fingerprint` of the spec, its
         models and its restriction settings: only the fields declared
         semantic participate.  Two submissions of the same evaluation share
-        a fingerprint whatever their kind, batch size, execution tier or
-        retry budget -- none of them changes a report -- which is what lets
-        the store deduplicate them.
+        a fingerprint whatever their kind, execution tier or retry budget --
+        none of them changes a report -- which is what lets the store
+        deduplicate them.
         """
         return sweep_fingerprint(self, self.models, self.restrictions)
 

@@ -193,11 +193,12 @@ def _migrate_v2_to_v3(conn: sqlite3.Connection) -> None:
     """v2 -> v3: re-key every run and job row on the semantic fingerprint.
 
     v2 fingerprints hashed every spec field but the retry knobs, so specs
-    differing only in, say, ``batch_size`` never deduped.  Each row's
+    differing only in, say, ``execution_mode`` never deduped.  Each row's
     ``spec_fingerprint`` is recomputed from its stored spec with
-    :meth:`JobSpec.fingerprint`; run ids stay as stored.  A spec today's
-    field checks reject keeps its v2 fingerprint rather than blocking the
-    upgrade.
+    :meth:`JobSpec.fingerprint`; run ids stay as stored.  Stored specs keep
+    the fields retired since (``solver_backend``, ``batch_size``), which
+    :meth:`JobSpec.from_dict` drops.  A spec today's field checks reject
+    keeps its v2 fingerprint rather than blocking the upgrade.
     """
     for table, key in (("runs", "run_id"), ("jobs", "job_id")):
         for row_id, spec_json in conn.execute(f"SELECT {key}, spec_json FROM {table}").fetchall():

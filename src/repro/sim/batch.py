@@ -39,7 +39,6 @@ property-based differential suite enforces.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -59,11 +58,10 @@ __all__ = [
     "batch_evaluate_model",
     "fuse_sample_matrices",
     "fuse_sample_stacks",
-    "structural_key",
 ]
 
 #: One sample's settings overrides: per instance name, the settings to merge
-#: into (or substitute for) that instance's base settings.
+#: into that instance's base settings.
 SettingsBatch = Mapping[str, Mapping[str, object]]
 
 #: Scalar types a varying parameter may have for the vectorised model path
@@ -134,49 +132,38 @@ def check_override_names(netlist: Netlist, overrides: Optional[SettingsBatch]) -
 
 
 def merge_settings(
-    base: Mapping[str, object],
-    override: Optional[Mapping[str, object]],
-    merge: bool = True,
+    base: Mapping[str, object], override: Optional[Mapping[str, object]]
 ) -> Dict[str, object]:
-    """One instance's effective settings under an optional override.
+    """One instance's effective settings: ``override`` merged into ``base``.
 
-    With ``merge=True`` the override is merged *into* the base settings;
-    with ``merge=False`` a present override *replaces* them entirely (an
-    empty replacing override means the model defaults).  This is the single
-    definition of the override semantics -- per-sample derivation, batched
-    execution and the engine's batch-aware cache keys all share it.
+    The single definition of the override semantics -- per-sample
+    derivation, batched execution and the engine's batch-aware cache keys
+    all share it -- so a Monte-Carlo draw lists only the parameters it
+    perturbs.
     """
     if override is None:
         return dict(base)
-    if merge:
-        return {**base, **override}
-    return dict(override)
+    return {**base, **override}
 
 
 def merged_instance_settings(
-    netlist: Netlist, overrides: Optional[SettingsBatch], merge: bool = True
+    netlist: Netlist, overrides: Optional[SettingsBatch]
 ) -> Dict[str, Dict[str, object]]:
     """Resolve one sample's effective settings for every instance.
 
-    With ``merge=True`` (the Monte-Carlo-friendly default) each override
-    mapping is merged *into* the instance's base settings, so a draw only
-    lists the parameters it perturbs.  With ``merge=False`` an override
-    *replaces* the instance's settings entirely (the representation
-    :meth:`ExecutionEngine.evaluate_many` uses, where every sample carries
-    complete settings).  Overriding an unknown instance name raises
+    Each override mapping is merged into the instance's base settings
+    (:func:`merge_settings`).  Overriding an unknown instance name raises
     ``KeyError`` so a typo in a sweep configuration fails loudly.
     """
     overrides = overrides or {}
     check_override_names(netlist, overrides)
     return {
-        name: merge_settings(inst.settings, overrides.get(name), merge)
+        name: merge_settings(inst.settings, overrides.get(name))
         for name, inst in netlist.instances.items()
     }
 
 
-def apply_settings(
-    netlist: Netlist, overrides: Optional[SettingsBatch], merge: bool = True
-) -> Netlist:
+def apply_settings(netlist: Netlist, overrides: Optional[SettingsBatch]) -> Netlist:
     """Derive one sample's concrete netlist from a base plus overrides.
 
     This is the netlist the per-sample loop would evaluate -- batched
@@ -185,7 +172,7 @@ def apply_settings(
     content fingerprint so they remain interchangeable with per-sample cache
     entries.
     """
-    settings = merged_instance_settings(netlist, overrides, merge)
+    settings = merged_instance_settings(netlist, overrides)
     return Netlist(
         instances={
             name: Instance(inst.component, settings[name])
@@ -194,28 +181,6 @@ def apply_settings(
         connections=dict(netlist.connections),
         ports=dict(netlist.ports),
         models=dict(netlist.models),
-    )
-
-
-def structural_key(netlist: Netlist) -> str:
-    """Settings-stripped content key of a netlist's structure.
-
-    Two netlists with equal keys have the same instances (names, order,
-    components), connections, external ports and ``models`` section -- they
-    differ at most in instance settings, which is exactly the precondition
-    for representing them as one base netlist plus per-sample overrides.
-    Insertion order is deliberately preserved (it defines the flattened port
-    index and the result's port order).
-    """
-    return json.dumps(
-        {
-            "instances": {name: inst.component for name, inst in netlist.instances.items()},
-            "connections": dict(netlist.connections),
-            "ports": dict(netlist.ports),
-            "models": dict(netlist.models),
-        },
-        sort_keys=False,
-        default=repr,
     )
 
 

@@ -177,26 +177,21 @@ class _Resolved:
         return self.records[index][self.variant_of_sample[index][sample]]
 
 
-def _variant_fingerprint(
-    base: str, override: Optional[Mapping[str, object]], merge: bool
-) -> str:
+def _variant_fingerprint(base: str, override: Optional[Mapping[str, object]]) -> str:
     """Settings fingerprint of one instance under one sample's override.
 
     Composed from the instance's base fingerprint and the override's
     fingerprint instead of serialising the merged dict: the composition is
-    injective on *content* (equal (base, override, merge) contents always
-    produce equal strings), so batched instance-cache keys are stable and
+    injective on *content* (equal (base, override) contents always produce
+    equal strings), so batched instance-cache keys are stable and
     deduplicate across calls -- two different compositions that happen to
     merge to the same settings merely occupy two cache entries, they can
-    never serve wrong data.
+    never serve wrong data.  An absent or empty override leaves the
+    instance's own settings, hence its base fingerprint.
     """
-    if override is None or (merge and not override):
-        # No override, or an empty merge: the effective settings are the
-        # instance's own.  An empty override with merge=False is NOT
-        # equivalent -- it replaces the settings with the model defaults --
-        # and must keep its own composite fingerprint.
+    if not override:
         return base
-    return "\x1d".join((base, settings_fingerprint(override), "m" if merge else "r"))
+    return "\x1d".join((base, settings_fingerprint(override), "m"))
 
 
 class CircuitSolver:
@@ -427,13 +422,12 @@ class CircuitSolver:
         *,
         port_spec: Optional[PortSpec] = None,
         backend: Optional[str] = None,
-        merge: bool = True,
     ) -> List[SMatrix]:
         """Evaluate ``S`` settings samples of one netlist in fused executor passes.
 
         ``settings_batch`` holds one mapping per sample: instance name to the
-        settings overrides of that sample (merged into the instance's base
-        settings by default; ``merge=False`` substitutes them wholesale).
+        settings overrides of that sample, merged into the instance's base
+        settings.
         Device models are evaluated once per *distinct* settings variant --
         vectorised through array parameters where the model supports them,
         loop-and-stack otherwise -- and samples are grouped by topology
@@ -453,7 +447,7 @@ class CircuitSolver:
             return []
         wavelengths = normalize_wavelengths(wavelengths)
         chosen = _check_backend(backend if backend is not None else self.backend)
-        resolved = self._resolve(netlist, settings_batch, wavelengths, port_spec, merge)
+        resolved = self._resolve(netlist, settings_batch, wavelengths, port_spec)
         out, executor_passes = self._solve(resolved, wavelengths, chosen)
         with self._memo_lock:
             self._batch_stats.calls += 1
@@ -509,7 +503,6 @@ class CircuitSolver:
         settings_batch: Sequence[SettingsBatch],
         wavelengths: np.ndarray,
         port_spec: Optional[PortSpec],
-        merge: bool = True,
     ) -> _Resolved:
         """Resolve every sample's instance records and each topology's plan.
 
@@ -571,7 +564,7 @@ class CircuitSolver:
             sample_map: List[int] = []
             for overrides in settings_batch:
                 override = overrides.get(name) if overrides else None
-                fingerprint = _variant_fingerprint(base_fp, override, merge)
+                fingerprint = _variant_fingerprint(base_fp, override)
                 index = index_of_fp.get(fingerprint)
                 if index is None:
                     index = len(keys)
@@ -600,7 +593,7 @@ class CircuitSolver:
             if missing:
                 info = self.registry.get(ref)
                 variants = [
-                    merge_settings(inst.settings, overrides_list[index], merge)
+                    merge_settings(inst.settings, overrides_list[index])
                     for index in missing
                 ]
                 try:

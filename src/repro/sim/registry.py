@@ -9,6 +9,7 @@ truth for both the simulator and the generated API document.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
 
@@ -24,6 +25,21 @@ ModelFunc = Callable[..., SMatrix]
 
 class UnknownModelError(KeyError):
     """Raised when a netlist references a model that is not registered."""
+
+
+#: Types of a real-number parameter default; a ``bool`` default is not one.
+_REAL = (int, float, np.integer, np.floating)
+
+
+def _nonfinite(value: object) -> bool:
+    """Whether a numeric setting's value is ``None`` or holds a NaN or infinity."""
+    if value is None:
+        return True
+    if isinstance(value, (float, np.floating)):
+        return not math.isfinite(value)
+    if isinstance(value, np.ndarray) and value.dtype.kind in "fc":
+        return not bool(np.isfinite(value).all())
+    return False
 
 
 @dataclass(frozen=True)
@@ -57,13 +73,27 @@ class ModelInfo:
         return tuple(self.input_ports) + tuple(self.output_ports)
 
     def evaluate(self, wavelengths: np.ndarray, **settings: object) -> SMatrix:
-        """Evaluate the model, checking that only known parameters are passed."""
+        """Evaluate the model, checking the passed settings first.
+
+        Only known parameters may be passed (``TypeError`` otherwise), and a
+        parameter whose default is a real number rejects ``None`` and any
+        value holding a NaN or infinity (``ValueError``, naming it): JSON
+        drafts may spell ``NaN``, ``Infinity``, ``null`` or ``1e999``, and
+        a model would turn them into a non-finite response.  Array values
+        (the batched path's stacked variants) are checked entry by entry.
+        """
         unknown = sorted(set(settings) - set(self.parameters))
         if unknown:
             raise TypeError(
                 f"model {self.name!r} got unexpected settings {unknown}; "
                 f"allowed parameters: {sorted(self.parameters)}"
             )
+        for name, value in settings.items():
+            default = self.parameters[name]
+            if isinstance(default, _REAL) and not isinstance(default, bool) and _nonfinite(value):
+                raise ValueError(
+                    f"model {self.name!r} setting {name!r} must be a finite number, got {value!r}"
+                )
         return self.func(wavelengths, **settings)
 
     def api_doc_entry(self) -> str:

@@ -5,24 +5,19 @@ per-sample loop over every problem of every registered pack, topology-group
 splitting on mask changes, error classification), the engine's batch-aware
 cache keys (batched results hit -- and seed -- per-sample entries), the
 plan-cache/batch interaction (no duplicate or spurious plan entries, batch
-hit rates in ``stats()``), direct ``LRUCache.peek`` unit tests, the
-``default_solver`` concurrency regression, and the sweep/CLI plumbing of
-``--batch-size`` (byte-identical reports).
+hit rates in ``stats()``) and the ``default_solver`` concurrency
+regression.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 
 import numpy as np
 import pytest
 
-from repro._cache import LRUCache
 from repro.bench.packs import get_pack, pack_names
 from repro.engine import ExecutionEngine, TaskScheduler
-from repro.harness.cli import build_parser
-from repro.harness.runner import SweepConfig, run_sweep
 from repro.netlist import Instance, Netlist
 from repro.netlist.errors import OtherSyntaxError
 from repro.sim import (
@@ -32,7 +27,7 @@ from repro.sim import (
     default_registry,
     evaluate_netlist,
 )
-from repro.sim.batch import fuse_sample_matrices, merged_instance_settings, structural_key
+from repro.sim.batch import fuse_sample_matrices, merged_instance_settings
 from repro.sim.circuit import default_solver
 
 EQUIVALENCE_ATOL = 1e-9
@@ -105,12 +100,6 @@ class TestApplySettings:
         derived = apply_settings(_ring_netlist(), {"loop": {"loss_db_cm": 1.0}})
         assert derived.instances["loop"].settings == {"length": 31.4, "loss_db_cm": 1.0}
 
-    def test_replace_substitutes_wholesale(self):
-        derived = apply_settings(
-            _ring_netlist(), {"loop": {"loss_db_cm": 1.0}}, merge=False
-        )
-        assert derived.instances["loop"].settings == {"loss_db_cm": 1.0}
-
     def test_unknown_instance_raises(self):
         with pytest.raises(KeyError, match="unknown instance"):
             apply_settings(_ring_netlist(), {"nope": {"coupling": 0.5}})
@@ -127,29 +116,6 @@ class TestApplySettings:
         merged = merged_instance_settings(_ring_netlist(), {"cp": {"coupling": 0.7}})
         assert set(merged) == {"cp", "loop"}
         assert merged["cp"] == {"coupling": 0.7}
-
-
-class TestStructuralKey:
-    def test_settings_do_not_change_the_key(self):
-        a = _ring_netlist()
-        b = apply_settings(a, {"cp": {"coupling": 0.9}, "loop": {"length": 1.0}})
-        assert structural_key(a) == structural_key(b)
-
-    def test_rewiring_changes_the_key(self):
-        a = _ring_netlist()
-        b = _ring_netlist()
-        b.connections = {"cp,O2": "loop,I1"}
-        assert structural_key(a) != structural_key(b)
-
-    def test_instance_order_matters(self):
-        a = _ring_netlist()
-        b = Netlist(
-            instances=dict(reversed(list(_ring_netlist().instances.items()))),
-            connections=dict(a.connections),
-            ports=dict(a.ports),
-            models=dict(a.models),
-        )
-        assert structural_key(a) != structural_key(b)
 
 
 class TestBatchEvaluateModel:
@@ -320,31 +286,6 @@ class TestSolverEvaluateBatch:
                 _ring_netlist(), [{"ghost": {"coupling": 0.5}}], wavelengths
             )
 
-    def test_empty_replace_override_means_model_defaults(self, wavelengths):
-        # Regression: with merge=False an EMPTY override replaces the
-        # instance's settings with the model defaults -- it must neither be
-        # served the base-settings matrix nor poison the shared instance
-        # cache under the base-settings key.
-        solver = CircuitSolver()
-        netlist = Netlist(
-            instances={"wg": Instance("waveguide", {"length": 77.0})},
-            ports={"I1": "wg,I1", "O1": "wg,O1"},
-            models={"waveguide": "waveguide"},
-        )
-        batch = [{"wg": {"length": 77.0}}, {"wg": {}}]
-        results = solver.evaluate_batch(netlist, batch, wavelengths, merge=False)
-        defaults = Netlist(
-            instances={"wg": Instance("waveguide")},
-            ports=dict(netlist.ports),
-            models=dict(netlist.models),
-        )
-        reference = CircuitSolver()
-        assert _max_abs_diff(results[0], reference.evaluate(netlist, wavelengths)) <= EQUIVALENCE_ATOL
-        assert _max_abs_diff(results[1], reference.evaluate(defaults, wavelengths)) <= EQUIVALENCE_ATOL
-        # The shared solver must still serve the base netlist correctly.
-        after = solver.evaluate(netlist, wavelengths)
-        assert _max_abs_diff(after, reference.evaluate(netlist, wavelengths)) <= EQUIVALENCE_ATOL
-
     def test_results_own_their_data(self, wavelengths):
         # Returned S-matrices must not be views pinning the whole fused
         # batch buffer (a cached single sample would otherwise keep the
@@ -389,7 +330,7 @@ class TestSolverEvaluateBatch:
 
 
 # ----------------------------------------------------------------------
-# Engine: batch-aware cache keys, evaluate_many, stats
+# Engine: batch-aware cache keys, stats
 # ----------------------------------------------------------------------
 class TestEngineBatch:
     def test_batched_results_seed_per_sample_cache_entries(self, wavelengths):
@@ -421,49 +362,6 @@ class TestEngineBatch:
         results = engine.evaluate_batch(netlist, [overrides, overrides], wavelengths)
         assert np.array_equal(results[0].data, results[1].data)
         assert engine.solver.batch_stats().samples == 1  # deduplicated
-
-    def test_evaluate_many_groups_structure_sharing_netlists(self, wavelengths):
-        engine = ExecutionEngine()
-        ring = _ring_netlist()
-        shifter = _shifter_netlist()
-        netlists = [
-            apply_settings(ring, {"cp": {"coupling": 0.1}}),
-            apply_settings(shifter, {"ps": {"phase": 0.1}}),
-            apply_settings(ring, {"cp": {"coupling": 0.2}}),
-            apply_settings(shifter, {"ps": {"phase": 0.2}}),
-        ]
-        results = engine.evaluate_many(netlists, wavelengths, batch_size=8)
-        assert engine.solver.batch_stats().calls == 2  # one per structure group
-        for netlist, result in zip(netlists, results):
-            direct = CircuitSolver().evaluate(netlist, wavelengths)
-            assert _max_abs_diff(result, direct) <= EQUIVALENCE_ATOL
-
-    def test_evaluate_many_isolates_failures(self, wavelengths):
-        engine = ExecutionEngine()
-        good = apply_settings(_ring_netlist(), {"cp": {"coupling": 0.2}})
-        bad = apply_settings(_ring_netlist(), {"cp": {"coupling": 9.0}})
-        results = engine.evaluate_many(
-            [good, bad, good], wavelengths, batch_size=8, return_exceptions=True
-        )
-        assert not isinstance(results[0], Exception)
-        assert isinstance(results[1], OtherSyntaxError)
-        assert not isinstance(results[2], Exception)
-
-    def test_evaluate_many_raises_without_return_exceptions(self, wavelengths):
-        engine = ExecutionEngine()
-        bad = apply_settings(_ring_netlist(), {"cp": {"coupling": 9.0}})
-        with pytest.raises(OtherSyntaxError):
-            engine.evaluate_many([bad], wavelengths, batch_size=8)
-
-    def test_evaluate_many_per_item_path_matches_batched_path(self, wavelengths):
-        netlists = [
-            apply_settings(_ring_netlist(), {"cp": {"coupling": 0.1 * (k + 1)}})
-            for k in range(3)
-        ]
-        batched = ExecutionEngine().evaluate_many(netlists, wavelengths, batch_size=4)
-        per_item = ExecutionEngine().evaluate_many(netlists, wavelengths, batch_size=1)
-        for a, b in zip(batched, per_item):
-            assert _max_abs_diff(a, b) <= EQUIVALENCE_ATOL
 
     def test_stats_report_batch_hit_rates(self, wavelengths):
         engine = ExecutionEngine()
@@ -516,46 +414,7 @@ class TestPlanCacheBatchInteraction:
             )
         assert solver.plan_cache_stats().evictions == 0
         # The ring's plan is still served from the cache.
-        assert solver._plan_cache.peek(ring_fingerprint) is not None
-
-
-# ----------------------------------------------------------------------
-# LRUCache.peek (satellite)
-# ----------------------------------------------------------------------
-class TestLRUCachePeek:
-    def test_peek_returns_value_without_touching_stats(self):
-        cache = LRUCache(max_entries=4)
-        cache.put("a", 1)
-        lookups_before = cache.stats.lookups
-        assert cache.peek("a") == 1
-        assert cache.peek("missing") is None
-        assert cache.stats.lookups == lookups_before
-        assert cache.stats.hits == 0
-        assert cache.stats.misses == 0
-
-    def test_peek_does_not_refresh_recency(self):
-        cache = LRUCache(max_entries=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.peek("a")  # must NOT move "a" to the back
-        cache.put("c", 3)
-        assert cache.peek("a") is None  # "a" was still least recently used
-        assert cache.peek("b") == 2
-        assert cache.peek("c") == 3
-
-    def test_get_refreshes_recency_unlike_peek(self):
-        cache = LRUCache(max_entries=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1  # refreshes "a"
-        cache.put("c", 3)
-        assert cache.peek("b") is None  # "b" evicted instead
-        assert cache.peek("a") == 1
-
-    def test_peek_on_disabled_cache(self):
-        cache = LRUCache(max_entries=0)
-        cache.put("a", 1)
-        assert cache.peek("a") is None
+        assert solver._plan_cache.get(ring_fingerprint) is not None
 
 
 # ----------------------------------------------------------------------
@@ -636,35 +495,9 @@ class TestDefaultSolverConcurrency:
 
 
 # ----------------------------------------------------------------------
-# Sweep / CLI plumbing
+# Engine construction
 # ----------------------------------------------------------------------
 class TestBatchPlumbing:
-    def test_sweep_config_threads_batch_size(self):
-        config = SweepConfig(batch_size=6)
-        assert config.evaluation_config(include_restrictions=False).batch_size == 6
-
-    def test_cli_accepts_batch_size(self):
-        args = build_parser().parse_args(["sweep", "--batch-size", "8"])
-        assert args.batch_size == 8
-
-    def test_cli_default_batch_size_is_one(self):
-        args = build_parser().parse_args(["sweep"])
-        assert args.batch_size == 1
-
-    def test_batched_sweep_reports_are_identical(self):
-        base_config = SweepConfig(
-            samples_per_problem=2, num_wavelengths=11, problems=("mzi_ps",)
-        )
-        batched_config = SweepConfig(
-            samples_per_problem=2, num_wavelengths=11, problems=("mzi_ps",), batch_size=4
-        )
-        # One lockstep call spans both restriction settings' prompt configs.
-        base = run_sweep(base_config, restriction_settings=(False, True))
-        batched = run_sweep(batched_config, restriction_settings=(False, True))
-        assert json.dumps(base.to_dict(), sort_keys=True) == json.dumps(
-            batched.to_dict(), sort_keys=True
-        )
-
     def test_registry_override_still_supported(self, wavelengths):
         registry = default_registry()
         engine = ExecutionEngine(registry=registry)

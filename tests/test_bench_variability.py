@@ -233,7 +233,6 @@ class TestSweepIntegration:
             num_wavelengths=11,
             pack="variability",
             pack_params={"corners": 1},
-            batch_size=4,
         )
         sweep = run_sweep(
             config, profiles=["GPT-4o"], restriction_settings=(False,)

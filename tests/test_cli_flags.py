@@ -39,7 +39,6 @@ def reference_sweep_config(args: argparse.Namespace) -> SweepConfig:
         cache_dir=args.cache_dir,
         pack=args.pack,
         pack_params=_parse_pack_params(args.pack_param),
-        batch_size=args.batch_size,
         execution_mode=args.execution_mode,
         processes=args.processes,
         retry_attempts=args.retry_attempts,
@@ -66,7 +65,6 @@ def reference_spec_from_args(args: argparse.Namespace) -> JobSpec:
         "problems": tuple(args.problems) if args.problems else None,
         "pack": args.pack,
         "pack_params": _parse_pack_params(args.pack_param),
-        "batch_size": args.batch_size,
         "execution_mode": args.execution_mode,
         "processes": args.processes,
         "retry_attempts": args.retry_attempts,
@@ -82,20 +80,18 @@ def reference_spec_from_args(args: argparse.Namespace) -> JobSpec:
 CI_HARNESS_INVOCATIONS = [
     "sweep --samples 2 --wavelengths 11 --workers 1 --output identity_sequential.json",
     "sweep --samples 2 --wavelengths 11 --workers 2 --output identity_threads.json",
-    "sweep --samples 2 --wavelengths 11 --batch-size 4 --output identity_batched.json",
     "sweep --samples 2 --wavelengths 11 --execution-mode process --processes 2 "
     "--output identity_process.json",
     "sweep --problems mzi_ps --samples 2 --wavelengths 11 --workers 2 --cache-dir .simcache",
     "sweep --pack wdm-links --pack-param channels=[2] --samples 1 --wavelengths 11 "
     "--workers 2 --cache-dir .simcache",
-    "sweep --pack variability --pack-param corners=1 --samples 2 --wavelengths 11 --batch-size 4",
+    "sweep --pack variability --pack-param corners=1 --samples 2 --wavelengths 11",
     "sweep --problems mzi_ps clements_4x4 --samples 2 --wavelengths 11 "
     "--execution-mode process --processes 2 --cache-dir .simcache",
     "sweep --problems mzi_ps --samples 2 --wavelengths 11 --journal-dir .journal --resume",
-    "sweep --problems mzi_ps --samples 2 --wavelengths 11 --batch-size 4 "
-    "--journal-dir .journal-batched --resume --output kill_resume_resumed.json",
-    "sweep --problems mzi_ps --samples 2 --wavelengths 11 --batch-size 4 "
-    "--output kill_resume_uninterrupted.json",
+    "sweep --problems mzi_ps --samples 2 --wavelengths 11 "
+    "--journal-dir .journal --resume --output kill_resume_resumed.json",
+    "sweep --problems mzi_ps --samples 2 --wavelengths 11 --output kill_resume_uninterrupted.json",
 ]
 
 #: The ``jobs submit`` invocation of ``.github/workflows/ci.yml``.
@@ -108,7 +104,7 @@ CI_SUBMIT_INVOCATIONS = [
 HARNESS_ALL_FLAGS = (
     "sweep --samples 3 --feedback 2 --wavelengths 7 --seed 9 --problems mzi_ps nls "
     "--pack wdm-links --pack-param channels=[2,4] --pack-param spacing=0.2 "
-    "--batch-size 4 --execution-mode process --processes 3 "
+    "--execution-mode process --processes 3 "
     "--retry-attempts 5 --retry-backoff 0.5 --unit-timeout 30 --workers 2 "
     "--cache-dir cache --journal-dir journal --resume"
 )
@@ -118,7 +114,7 @@ SUBMIT_ALL_FLAGS = (
     "jobs --port 7341 submit --kind evaluate --models GPT-4 --restrictions with "
     "--samples 3 --feedback 2 --wavelengths 7 --seed 9 --problems mzi_ps nls "
     "--pack wdm-links --pack-param channels=[2,4] --pack-param spacing=0.2 "
-    "--batch-size 4 --execution-mode process --processes 3 "
+    "--execution-mode process --processes 3 "
     "--retry-attempts 5 --retry-backoff 0.5 --unit-timeout 30 "
     "--priority 2 --dedupe --idempotent --wait"
 )
@@ -132,7 +128,6 @@ SPEC_VALUES = dict(
     problems=("mzi_ps", "nls"),
     pack="wdm-links",
     pack_params={"channels": [2, 4], "spacing": 0.2},
-    batch_size=4,
     execution_mode="process",
     processes=3,
     retry_attempts=5,
@@ -174,7 +169,7 @@ def test_default_invocations_keep_the_flag_defaults():
     # The namespaces the hand-declared parsers produced with no sweep flags.
     sweep_defaults = {
         "samples": 5, "feedback": 3, "wavelengths": 41, "seed": 0, "problems": None,
-        "pack": "core", "pack_param": None, "batch_size": 1,
+        "pack": "core", "pack_param": None,
         "execution_mode": "thread", "processes": 0, "retry_attempts": 2,
         "retry_backoff": 0.1, "unit_timeout": None,
     }
@@ -236,6 +231,7 @@ RETIRED_FLAGS = [
     ["--solver-backend", "dense"],
     ["--plan-cache-entries", "7"],
     ["--wavelength-chunk", "5"],
+    ["--batch-size", "4"],
 ]
 
 

@@ -1,12 +1,14 @@
 """Tests for the evaluation loop (Fig. 1): syntax check, functional check, feedback."""
 
 import gc
+import threading
 from collections import Counter
 
 import pytest
 
 from repro.bench import GoldenStore, get_problem
-from repro.engine import ExecutionEngine
+from repro.bench.packs import get_pack
+from repro.engine import EngineConfig, ExecutionEngine
 from repro.evalkit import EvaluationConfig, Evaluator
 from repro.harness.runner import SweepConfig, run_sweep
 from repro.llm import EchoDesigner, PerfectDesigner, SimulatedDesigner, format_response
@@ -67,18 +69,57 @@ class TestEvaluateResponse:
         outcome = evaluator.evaluate_response(mzi_ps_problem, "I cannot help with that.")
         assert outcome.error.category is ErrorCategory.OTHER_SYNTAX
 
-    def test_nan_setting_is_functional_error(self, evaluator):
-        # json.loads accepts NaN, the draft validates and simulates, and its
-        # NaN spectra must fail the comparison with the golden response.
+    def test_nan_setting_is_other_syntax(self, evaluator):
+        # json.loads accepts NaN and the draft validates, but the device
+        # model rejects the setting before simulating it.
         problem = get_problem("clements_4x4")
         netlist = problem.golden_netlist()
         netlist.instances["mzi1"].settings["theta"] = float("nan")
         assert '"theta": NaN' in netlist.to_json()
         outcome = evaluator.evaluate_response(problem, format_response("a", netlist.to_json()))
-        assert outcome.syntax_ok and outcome.nonfinite
-        assert not outcome.functional_ok
-        assert outcome.error.category is ErrorCategory.FUNCTIONAL
-        assert "inf" in outcome.error.detail
+        assert not outcome.syntax_ok and not outcome.nonfinite
+        assert outcome.error.category is ErrorCategory.OTHER_SYNTAX
+        assert "'theta' must be a finite number" in outcome.error.detail
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "null", "1e999"])
+    def test_non_finite_json_settings_are_other_syntax(self, evaluator, token):
+        problem = get_problem("wdm_mux")
+        netlist = problem.golden_netlist()
+        netlist.instances["ring1"].settings["radius"] = 12345.5
+        text = netlist.to_json().replace("12345.5", token)
+        assert f'"radius": {token}' in text
+        outcome = evaluator.evaluate_response(problem, format_response("a", text))
+        assert not outcome.syntax_ok
+        assert outcome.error.category is ErrorCategory.OTHER_SYNTAX
+        assert "instance 'ring1'" in outcome.error.detail
+        assert "'radius' must be a finite number" in outcome.error.detail
+
+    def test_every_numeric_setting_of_every_core_golden_rejects_non_finite_values(
+        self, evaluator
+    ):
+        registry = evaluator.registry
+        checked = 0
+        for problem in get_pack("core").build_problems():
+            golden = problem.golden_netlist()
+            for name, inst in golden.instances.items():
+                info = registry.get(golden.models[inst.component])
+                for key in inst.settings:
+                    default = info.parameters[key]
+                    if isinstance(default, bool) or not isinstance(default, (int, float)):
+                        continue
+                    for bad in (None, float("nan"), float("inf")):
+                        netlist = problem.golden_netlist()
+                        netlist.instances[name].settings[key] = bad
+                        outcome = evaluator.evaluate_response(
+                            problem, format_response("a", netlist.to_json())
+                        )
+                        assert outcome.error.category is ErrorCategory.OTHER_SYNTAX, (
+                            problem.name, name, key, bad
+                        )
+                        assert f"instance {name!r}" in outcome.error.detail
+                        assert f"setting {key!r} must be a finite number" in outcome.error.detail
+                    checked += 1
+        assert checked == 32
 
 
 class TestStoredErrors:
@@ -93,7 +134,6 @@ class TestStoredErrors:
             (mzi_ps_problem, format_response("a", f"```json\n{truncated}}}\n```")),
         ]
         outcomes = [evaluator.evaluate_response(*item) for item in items]
-        outcomes += evaluator.evaluate_responses(items)
         assert outcomes[0].error.__cause__ is not None
         for outcome in outcomes:
             link = outcome.error
@@ -164,6 +204,31 @@ class TestFeedbackLoop:
         evaluator = Evaluator(config, golden_store=golden_store)
         sample = evaluator.run_sample(FeedbackAwareDesigner(), mzi_ps_problem, 0)
         assert sample.first_pass_iteration("functional") == 1
+
+    def test_run_samples_runs_each_problem_in_lockstep_and_matches_one_unit_runs(
+        self, golden_store
+    ):
+        config = EvaluationConfig(num_wavelengths=TEST_NUM_WAVELENGTHS)
+        designer = SimulatedDesigner("GPT-4o")
+        problems = [get_problem(name) for name in ("mzi_ps", "nls", "clements_4x4")]
+        # Problems interleaved: run_samples groups them, first appearance first.
+        units = [(designer, problems[i % 3], i // 3, None) for i in range(9)]
+        evaluator = Evaluator(config, engine=ExecutionEngine(EngineConfig(workers=2)))
+        finished = []
+        samples = evaluator.run_samples(
+            units, on_done=lambda index, _: finished.append((index, threading.get_ident()))
+        )
+        # Every trajectory is reported once, on the calling thread, and a
+        # problem's trajectories all finish before the next problem starts.
+        assert sorted(index for index, _ in finished) == list(range(9))
+        assert {thread for _, thread in finished} == {threading.get_ident()}
+        assert [units[index][1].name for index, _ in finished] == [
+            name for name in ("mzi_ps", "nls", "clements_4x4") for _ in range(3)
+        ]
+        alone = Evaluator(config, golden_store=golden_store)
+        for unit, sample in zip(units, samples):
+            assert sample == alone.run_sample(*unit[:3])
+        assert any(len(sample.attempts) > 1 for sample in samples)
 
     def test_run_suite_subset(self, evaluator, suite):
         report = evaluator.run_suite(PerfectDesigner(), suite[:3])

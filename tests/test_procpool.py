@@ -4,8 +4,8 @@ Covers the generic :class:`~repro.engine.procpool.ProcessScheduler` (order
 preservation, caller-given shard bounds, failure isolation, worker-crash
 containment, stats merging) and the harness integration: shards hold whole
 problems, costliest first, and process-sharded sweeps must be byte-identical
-to sequential ones across every registered problem pack, in both per-unit
-and batched (``batch_size > 1``) dispatch, with the sequential cache counts.
+to sequential ones across every registered problem pack, with the sequential
+cache counts.
 """
 
 from __future__ import annotations
@@ -76,10 +76,6 @@ def _square_task(context, task):
     return context["offset"] + task * task
 
 
-def _square_shard(context, tasks):
-    return [context["offset"] + task * task for task in tasks]
-
-
 def _flaky_task(context, task):
     if task == "boom":
         raise ValueError("poisoned unit")
@@ -118,15 +114,6 @@ def test_scheduler_preserves_task_order():
     assert stats == []
 
 
-def test_scheduler_shard_runner_mode():
-    scheduler = ProcessScheduler(OFFSET_SPEC, processes=2)
-    tasks = list(range(11))
-    results, _ = scheduler.map(
-        "test_procpool:_square_shard", tasks, per_task=False
-    )
-    assert results == [100 + task * task for task in tasks]
-
-
 def test_scheduler_collects_worker_stats():
     scheduler = ProcessScheduler(OFFSET_SPEC, processes=2)
     results, stats = scheduler.map(
@@ -157,9 +144,8 @@ def test_scheduler_runs_caller_bounds():
     tasks = list(range(9))
     seen = []
     results, stats = scheduler.map(
-        "test_procpool:_square_shard",
+        "test_procpool:_square_task",
         tasks,
-        per_task=False,
         stats_ref="test_procpool:_context_stats",
         bounds=[(0, 5), (5, 6), (6, 9)],
         on_result=lambda index, value: seen.append(index),
@@ -429,16 +415,6 @@ def test_process_sweep_is_byte_identical_per_pack(pack):
     assert _canonical(process) == _canonical(sequential)
     assert process.engine_stats is not None
     assert process.engine_stats["simulation_cache"]["misses"] > 0
-
-
-def test_process_sweep_batched_dispatch_is_byte_identical():
-    # Each shard's lockstep call spans both restriction settings.
-    sequential = run_sweep(_sweep_config("core"), restriction_settings=(False, True))
-    batched = run_sweep(
-        _sweep_config("core", execution_mode="process", processes=2, batch_size=4),
-        restriction_settings=(False, True),
-    )
-    assert _canonical(batched) == _canonical(sequential)
 
 
 def test_process_sweep_counts_the_sequential_cache_traffic():

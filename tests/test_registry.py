@@ -7,6 +7,11 @@ from repro.sim.models import waveguide
 from repro.sim.registry import ModelInfo, ModelRegistry, UnknownModelError, default_registry
 
 
+#: Values a real-number setting must reject: JSON's ``null``, ``NaN``,
+#: ``Infinity`` and ``-Infinity`` (``1e999`` parses to ``inf``).
+NONFINITE_VALUES = [None, float("nan"), float("inf"), -float("inf")]
+
+
 @pytest.fixture(scope="module")
 def registry():
     return default_registry()
@@ -62,6 +67,23 @@ class TestDefaultRegistry:
         info = registry.get("waveguide")
         with pytest.raises(TypeError, match="unexpected settings"):
             info.evaluate(wavelengths, bogus=1.0)
+
+    @pytest.mark.parametrize("bad", NONFINITE_VALUES, ids=repr)
+    def test_every_real_parameter_rejects_none_and_nonfinite_values(self, registry, wavelengths, bad):
+        checked = 0
+        for info in registry:
+            for name, default in info.parameters.items():
+                if isinstance(default, bool) or not isinstance(default, (int, float)):
+                    continue
+                with pytest.raises(ValueError, match=f"setting '{name}' must be a finite number"):
+                    info.evaluate(wavelengths, **{name: bad})
+                # An array stack (the batched path's variants) holding one
+                # non-finite entry is rejected too.
+                if bad is not None:
+                    with pytest.raises(ValueError, match=f"'{name}'"):
+                        info.evaluate(wavelengths, **{name: np.array([default, bad])})
+                checked += 1
+        assert checked > 40
 
     def test_names_sorted(self, registry):
         assert list(registry.names()) == sorted(registry.names())

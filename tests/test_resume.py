@@ -68,7 +68,6 @@ def test_fingerprint_ignores_performance_and_robustness_knobs(tmp_path):
     fingerprint = sweep_fingerprint(base, ("GPT-4o",), (False,))
     for variant in (
         replace(base, workers=4),
-        replace(base, batch_size=8),
         replace(base, execution_mode="process", processes=2),
         replace(base, retry_attempts=5, retry_backoff=0.7),
         replace(base, unit_timeout=12.0),
@@ -231,14 +230,6 @@ def test_resume_serves_every_unit_from_the_journal(tmp_path):
     assert resumed == golden
 
 
-def test_journaled_batched_run_is_byte_identical(tmp_path):
-    golden = _report(SweepConfig(**BASE))
-    batched = SweepConfig(**BASE, batch_size=4, journal_dir=str(tmp_path))
-    assert _report(batched) == golden
-    with inject(FaultRule("sweep.unit", kind="kill")):
-        assert _report(replace(batched, resume=True)) == golden
-
-
 def test_without_resume_a_stale_journal_is_discarded(tmp_path):
     _report(SweepConfig(**BASE, journal_dir=str(tmp_path)))
     journal_path = next(tmp_path.glob("sweep-*.jsonl"))
@@ -284,16 +275,14 @@ from repro.llm.simulated import SimulatedDesigner
 
 config = SweepConfig(
     samples_per_problem=3, max_feedback_iterations=1, num_wavelengths={nwl},
-    problems=("mzi_ps",), batch_size={batch_size}, journal_dir={journal_dir!r},
-    resume=True,
+    problems=("mzi_ps",), journal_dir={journal_dir!r}, resume=True,
 )
 run_model(SimulatedDesigner("GPT-4o"), include_restrictions=False, config=config)
 raise SystemExit("the injected kill never fired")
 """
 
 
-@pytest.mark.parametrize("batch_size", [1, 4])
-def test_killed_run_resumes_byte_identically(tmp_path, batch_size):
+def test_killed_run_resumes_byte_identically(tmp_path):
     golden = _report(SweepConfig(**BASE))
     env = dict(os.environ)
     env["REPRO_FAULTS"] = "sweep.unit=kill+1"
@@ -305,7 +294,6 @@ def test_killed_run_resumes_byte_identically(tmp_path, batch_size):
             _KILL_CHILD.format(
                 src=SRC,
                 nwl=TEST_NUM_WAVELENGTHS,
-                batch_size=batch_size,
                 journal_dir=str(tmp_path),
             ),
         ],
@@ -316,11 +304,9 @@ def test_killed_run_resumes_byte_identically(tmp_path, batch_size):
     )
     assert child.returncode == 73, child.stdout + child.stderr
     # Exactly one unit checkpointed: lockstep trajectories are journaled as
-    # each one finishes, not when the whole lockstep call returns.
+    # each one finishes, not when the problem's lockstep group ends.
     assert len(_journal_lines(tmp_path)) == 1
-    resumed_config = SweepConfig(
-        **BASE, batch_size=batch_size, journal_dir=str(tmp_path), resume=True
-    )
+    resumed_config = SweepConfig(**BASE, journal_dir=str(tmp_path), resume=True)
     assert _report(resumed_config) == golden
     assert len(_journal_lines(tmp_path)) == BASE["samples_per_problem"]
     # A second resume finds a complete journal and recomputes nothing.

@@ -396,7 +396,7 @@ def test_spec_json_roundtrip():
         pack="wdm-links",
         pack_params={"channels": [2]},
         problems=("wdm_mux_2ch",),
-        batch_size=4,
+        retry_attempts=3,
     )
     assert JobSpec.from_dict(spec.to_dict()) == spec
 

@@ -381,8 +381,9 @@ def test_failed_job_keeps_error_text(tmp_path):
 # Schema migration
 # ======================================================================
 def legacy_payload(spec: JobSpec) -> dict:
-    """``spec`` as stored before the solver backend was retired from it."""
-    return {**spec.to_dict(), "solver_backend": "auto"}
+    """``spec`` as stored before the solver backend and the batch size were
+    retired from it."""
+    return {**spec.to_dict(), "solver_backend": "auto", "batch_size": 1}
 
 
 def legacy_json(spec: JobSpec) -> str:
@@ -483,7 +484,7 @@ def test_v2_database_rekeys_on_the_semantic_fingerprint_and_still_dedupes(tmp_pa
     ], "run ids stay as stored; the fingerprint column is recomputed"
     assert store.load_job("job-legacy")["spec_fingerprint"] == SPEC.fingerprint()
     with EvalService(path, job_workers=1) as service:
-        job_id = service.submit(replace(SPEC, batch_size=4), dedupe=True)
+        job_id = service.submit(replace(SPEC, retry_attempts=3), dedupe=True)
         record = service.wait(job_id, timeout=60.0)
     assert record.deduplicated is True
     assert record.run_id == run_id
@@ -799,13 +800,12 @@ def test_exhausted_write_faults_propagate(tmp_path):
 #: Specs describing the same evaluation as ``SPEC``: they differ only in
 #: fields that are not semantic, so their reports equal ``SPEC``'s.
 SAME_EVALUATION = (
-    replace(SPEC, batch_size=4),
     replace(SPEC, execution_mode="process", processes=2),
     replace(SPEC, kind="evaluate"),
 )
 
 
-@pytest.mark.parametrize("variant", SAME_EVALUATION, ids=["batch_size", "process_tier", "kind"])
+@pytest.mark.parametrize("variant", SAME_EVALUATION, ids=["process_tier", "kind"])
 def test_execution_settings_share_the_spec_fingerprint(variant):
     assert variant.fingerprint() == SPEC.fingerprint()
 

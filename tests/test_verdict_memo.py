@@ -22,12 +22,14 @@ from typing import List, Set
 import numpy as np
 import pytest
 
+import repro.evalkit.evaluator as evaluator_module
 from repro.bench.packs import get_pack
 from repro.bench.suite import get_problem
 from repro.engine.engine import ExecutionEngine
 from repro.evalkit.classify import as_picbench_error
 from repro.evalkit.evaluator import AttemptOutcome, EvaluationConfig, Evaluator
 from repro.faults import FaultInjected, FaultRule, inject
+from repro.harness.runner import SweepConfig, run_sweep
 from repro.llm import format_response
 from repro.llm.base import assistant, system, user
 from repro.llm.mutations import SYNTAX_MUTATORS, apply_functional_mutation, apply_syntax_mutation
@@ -180,11 +182,8 @@ def verdict(outcome: AttemptOutcome):
     )
 
 
-def make_evaluator(batch_size: int = 1) -> Evaluator:
-    return Evaluator(
-        EvaluationConfig(num_wavelengths=TEST_NUM_WAVELENGTHS, batch_size=batch_size),
-        engine=ExecutionEngine(),
-    )
+def make_evaluator() -> Evaluator:
+    return Evaluator(EvaluationConfig(num_wavelengths=TEST_NUM_WAVELENGTHS), engine=ExecutionEngine())
 
 
 def _wrapped(result) -> str:
@@ -239,20 +238,27 @@ def test_memo_hits_equal_fresh_verdicts(problem):
         # Every draft here raises nothing or a classified error: a hit.
         assert evaluator.evaluate_response(problem, text) is first
 
-    # The batched path gives the same verdicts, and a later call is served from the memo.
-    batched = make_evaluator(batch_size=4)
-    outcomes = batched.evaluate_responses([(problem, text) for text in responses])
-    assert [verdict(outcome) for outcome in outcomes] == expected
-    hits = batched._verdicts.stats.hits
-    again = batched.evaluate_responses([(problem, text) for text in responses + responses])
-    assert [verdict(outcome) for outcome in again] == expected + expected
-    assert batched._verdicts.stats.hits - hits == len(again)
+
+class _FixedDrafts:
+    """A designer that answers every turn of sample ``seed`` with ``drafts[seed % n]``."""
+
+    name = "fixed"
+
+    def __init__(self, drafts: List[str]) -> None:
+        self.drafts = drafts
+
+    def complete(self, messages, seed=None) -> str:
+        return self.drafts[seed % len(self.drafts)]
 
 
-def test_a_draft_repeated_within_one_batched_call_is_judged_once(monkeypatch):
-    evaluator = make_evaluator(batch_size=4)
+def test_a_draft_repeated_across_lockstep_trajectories_is_judged_once(monkeypatch):
+    evaluator = make_evaluator()
     problem = get_problem("mzi_ps")
     texts = [format_response("a", problem.golden_json), "not a netlist"]
+    designer = _FixedDrafts(texts)
+    units = [(designer, problem, index, None) for index in range(6)]
+    seeds = [evaluator._start(*unit).seed for unit in units]
+    assert {seed % 2 for seed in seeds} == {0, 1}, "both drafts are drawn"
     judged: List[str] = []
     parse_and_validate = evaluator._parse_and_validate
 
@@ -261,12 +267,15 @@ def test_a_draft_repeated_within_one_batched_call_is_judged_once(monkeypatch):
         return parse_and_validate(problem, text)
 
     monkeypatch.setattr(evaluator, "_parse_and_validate", counting)
-    outcomes = evaluator.evaluate_responses([(problem, text) for text in texts * 3])
+    samples = evaluator.run_samples(units)
     assert sorted(judged) == sorted(texts)
-    assert outcomes[0] is outcomes[2] is outcomes[4]
-    assert outcomes[1] is outcomes[3] is outcomes[5]
     expected = [verdict(reference_evaluate_response(evaluator, problem, text)) for text in texts]
-    assert [verdict(outcome) for outcome in outcomes] == expected * 3
+    for seed, sample in zip(seeds, samples):
+        judged_as = {
+            (attempt.syntax_ok, attempt.functional_ok, attempt.error_category, attempt.error_detail)
+            for attempt in sample.attempts
+        }
+        assert judged_as == {expected[seed % 2][:4]}
 
 
 def test_memo_is_keyed_by_problem_and_text():
@@ -289,30 +298,38 @@ def test_memo_is_keyed_by_problem_and_text():
 # ----------------------------------------------------------------------
 # (b) Faults and crashes are never memoised
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize(
-    "batched, batch_size",
-    [(False, 1), (True, 1), (True, 4)],
-    ids=["evaluate_response", "evaluate_responses-batch1", "evaluate_responses-batch4"],
-)
-def test_an_injected_solver_fault_is_never_memoised(batched, batch_size):
-    evaluator = make_evaluator(batch_size=batch_size)
+def test_an_injected_solver_fault_is_never_memoised():
+    evaluator = make_evaluator()
     problem = get_problem("mzi_ps")
     text = format_response("a", problem.golden_json)
-
-    def judge() -> AttemptOutcome:
-        if batched:
-            (outcome,) = evaluator.evaluate_responses([(problem, text)])
-            return outcome
-        return evaluator.evaluate_response(problem, text)
-
     with inject(FaultRule(point="solver.evaluate", kind="raise")):
-        faulted = judge()
+        faulted = evaluator.evaluate_response(problem, text)
         assert not faulted.syntax_ok and "FaultInjected" in faulted.error.detail
-        assert judge() is not faulted
+        assert evaluator.evaluate_response(problem, text) is not faulted
     assert evaluator._verdicts.stats.stores == 0
-    healed = judge()
+    healed = evaluator.evaluate_response(problem, text)
     assert healed.syntax_ok and healed.functional_ok
-    assert judge() is healed
+    assert evaluator.evaluate_response(problem, text) is healed
+
+
+def test_lockstep_trajectories_hit_by_a_solver_fault_are_not_memoised():
+    evaluator = make_evaluator()
+    problem = get_problem("mzi_ps")
+    designer = _FixedDrafts([format_response("a", problem.golden_json)])
+    units = [(designer, problem, index, None) for index in range(3)]
+    with inject(FaultRule(point="solver.evaluate", kind="raise")):
+        faulted = evaluator.run_samples(units)
+    # The golden draft failed every attempt of every trajectory, and each
+    # attempt judged it afresh: the fault never reached the memo.
+    assert all(not attempt.syntax_ok for sample in faulted for attempt in sample.attempts)
+    assert all(
+        "FaultInjected" in attempt.error_detail for sample in faulted for attempt in sample.attempts
+    )
+    assert evaluator._verdicts.stats.stores == 0
+    healed = evaluator.run_samples(units)
+    assert [len(sample.attempts) for sample in healed] == [1, 1, 1]
+    assert all(sample.attempts[0].passed for sample in healed)
+    assert evaluator._verdicts.stats.stores == 1
 
 
 @pytest.mark.parametrize(
@@ -395,12 +412,8 @@ def test_a_shared_evaluator_under_eight_threads():
         order = list(range(len(items)))
         random.Random(order_seed).shuffle(order)
         found = [None] * len(items)
-        if order_seed % 2:
-            for position, outcome in zip(order, evaluator.evaluate_responses([items[i] for i in order])):
-                found[position] = verdict(outcome)
-        else:
-            for position in order:
-                found[position] = verdict(evaluator.evaluate_response(*items[position]))
+        for position in order:
+            found[position] = verdict(evaluator.evaluate_response(*items[position]))
         return found
 
     interval = sys.getswitchinterval()
@@ -414,6 +427,34 @@ def test_a_shared_evaluator_under_eight_threads():
             assert all(result == expected for result in results)
     finally:
         sys.setswitchinterval(interval)
+
+
+def _sweep_work(monkeypatch, workers: int):
+    """Drafts parsed and simulation- and plan-cache misses of one default sweep on 11 points."""
+    parsed: List[None] = []
+    parse = evaluator_module.parse_netlist_text
+
+    def counting(*args, **kwargs):
+        parsed.append(None)
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(evaluator_module, "parse_netlist_text", counting)
+    config = SweepConfig(num_wavelengths=TEST_NUM_WAVELENGTHS, workers=workers)
+    engine = ExecutionEngine(config.engine_config())
+    try:
+        run_sweep(config, engine=engine)
+    finally:
+        monkeypatch.undo()
+    stats = engine.stats()
+    return len(parsed), stats["simulation_cache"]["misses"], stats["plan_cache"]["misses"]
+
+
+def test_a_two_thread_sweep_does_the_sequential_sweeps_work(monkeypatch):
+    # Drafts run on the pool, but every draft is judged on the sweep's
+    # calling thread: no two threads ever judge, simulate or compile one
+    # draft at once.
+    sequential = _sweep_work(monkeypatch, workers=1)
+    assert _sweep_work(monkeypatch, workers=2) == sequential
 
 
 # ----------------------------------------------------------------------
