@@ -2,11 +2,11 @@
 
 Covers the solver's ``evaluate_batch`` (<= 1e-9 equivalence with the
 per-sample loop over every problem of every registered pack, topology-group
-splitting on mask changes, error classification), the engine's batch-aware
-cache keys (batched results hit -- and seed -- per-sample entries), the
-plan-cache/batch interaction (no duplicate or spurious plan entries, batch
-hit rates in ``stats()``) and the ``default_solver`` concurrency
-regression.
+splitting on mask changes, error classification, non-finite settings, empty
+overrides), the engine's batch-aware cache keys (batched results hit -- and
+seed -- per-sample entries), the plan-cache/batch interaction (no duplicate
+or spurious plan entries, batch hit rates in ``stats()``) and the
+``default_solver`` concurrency regression.
 """
 
 from __future__ import annotations
@@ -159,6 +159,15 @@ class TestBatchEvaluateModel:
         with pytest.raises(ValueError, match="coupling"):
             batch_evaluate_model(info, wavelengths, [{"coupling": 0.5}, {"coupling": 3.0}])
 
+    def test_non_finite_variant_raises_like_scalar_path(self, wavelengths, registry):
+        # The stacked array holds the NaN, so the vectorised attempt is
+        # rejected and the scalar loop names the offending setting.
+        info = registry.get("phase_shifter")
+        with pytest.raises(ValueError, match="'phase' must be a finite number"):
+            batch_evaluate_model(
+                info, wavelengths, [{"phase": 0.5}, {"phase": float("nan")}, {"phase": 0.7}]
+            )
+
     def test_array_collapsing_model_falls_back(self, wavelengths):
         # Regression: a model that silently collapses an array parameter to
         # one scalar (no exception, right output shape) must be caught by
@@ -279,6 +288,53 @@ class TestSolverEvaluateBatch:
                 [{"cp": {"coupling": 0.5}}, {"cp": {"coupling": 7.0}}],
                 wavelengths,
             )
+
+    def test_non_finite_settings_raise_classified_error(self, wavelengths):
+        solver = CircuitSolver()
+        netlist = _ring_netlist()
+        with pytest.raises(OtherSyntaxError, match="'length' must be a finite number"):
+            solver.evaluate_batch(
+                netlist,
+                [{"loop": {"length": 30.0}}, {"loop": {"length": float("inf")}}],
+                wavelengths,
+            )
+        # The rejected batch leaves the shared solver serving valid samples.
+        valid = {"loop": {"length": 30.0}}
+        (result,) = solver.evaluate_batch(netlist, [valid], wavelengths)
+        loop = CircuitSolver().evaluate(apply_settings(netlist, valid), wavelengths)
+        assert _max_abs_diff(result, loop) <= EQUIVALENCE_ATOL
+
+    def test_empty_override_keeps_the_instance_settings(self, wavelengths):
+        # Overrides merge into the instance's settings, so an empty override
+        # (for one instance or for the whole sample) is the base netlist: it
+        # must be neither the model defaults nor a stale shared-cache entry.
+        solver = CircuitSolver()
+        netlist = Netlist(
+            instances={"wg": Instance("waveguide", {"length": 77.0})},
+            ports={"I1": "wg,I1", "O1": "wg,O1"},
+            models={"waveguide": "waveguide"},
+        )
+        results = solver.evaluate_batch(
+            netlist, [{"wg": {"length": 12.0}}, {"wg": {}}, {}], wavelengths
+        )
+        reference = CircuitSolver()
+        shorter = apply_settings(netlist, {"wg": {"length": 12.0}})
+        assert _max_abs_diff(results[0], reference.evaluate(shorter, wavelengths)) <= (
+            EQUIVALENCE_ATOL
+        )
+        base = reference.evaluate(netlist, wavelengths)
+        assert _max_abs_diff(results[1], base) <= EQUIVALENCE_ATOL
+        assert _max_abs_diff(results[2], base) <= EQUIVALENCE_ATOL
+        defaults = Netlist(
+            instances={"wg": Instance("waveguide")},
+            ports=dict(netlist.ports),
+            models=dict(netlist.models),
+        )
+        assert _max_abs_diff(results[1], reference.evaluate(defaults, wavelengths)) > (
+            EQUIVALENCE_ATOL
+        )
+        # The shared solver still serves the base netlist correctly.
+        assert _max_abs_diff(solver.evaluate(netlist, wavelengths), base) <= EQUIVALENCE_ATOL
 
     def test_unknown_override_instance_raises(self, wavelengths):
         with pytest.raises(KeyError, match="unknown instance"):

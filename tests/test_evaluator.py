@@ -3,10 +3,11 @@
 import gc
 import threading
 from collections import Counter
+from itertools import groupby
 
 import pytest
 
-from repro.bench import GoldenStore, get_problem
+from repro.bench import GoldenStore, find_problem_by_description, get_problem
 from repro.bench.packs import get_pack
 from repro.engine import EngineConfig, ExecutionEngine
 from repro.evalkit import EvaluationConfig, Evaluator
@@ -267,6 +268,177 @@ class TestFeedbackLoop:
         evaluator = Evaluator(config, golden_store=golden_store)
         sample = evaluator.run_sample(PerfectDesigner(), mzi_ps_problem, 0)
         assert sample.attempts[0].response_text is not None
+
+
+class _LoggingDesigner:
+    """Logs every call as ``(problem, feedback iteration, system prompt, thread)``.
+
+    Answers with the golden netlist from feedback iteration ``passes_at`` on
+    (never when ``None``) and with a non-netlist before it; a call about the
+    problem named ``fails_on`` raises.  Several designers may share one log.
+    """
+
+    def __init__(self, log, passes_at=None, fails_on=None, name="Logging"):
+        self.log = log
+        self.passes_at = passes_at
+        self.fails_on = fails_on
+        self.name = name
+
+    def complete(self, messages, *, seed=None):
+        problem = find_problem_by_description(messages[1].content)
+        iteration = sum(message.role == "assistant" for message in messages)
+        self.log.append((problem.name, iteration, messages[0].content, threading.get_ident()))
+        if problem.name == self.fails_on:
+            raise RuntimeError(f"designer unavailable for {problem.name}")
+        if self.passes_at is not None and iteration >= self.passes_at:
+            return format_response("golden", problem.golden_json)
+        return "not a netlist"
+
+
+class TestRunSamples:
+    """The one trajectory driver: each problem's trajectories in lockstep."""
+
+    @staticmethod
+    def _evaluator(golden_store, workers=2):
+        config = EvaluationConfig(
+            max_feedback_iterations=2, num_wavelengths=TEST_NUM_WAVELENGTHS
+        )
+        return Evaluator(
+            config,
+            golden_store=golden_store,
+            engine=ExecutionEngine(EngineConfig(workers=workers)),
+        )
+
+    def test_a_problems_trajectories_start_only_when_its_group_begins(self, golden_store):
+        log = []
+        designer = _LoggingDesigner(log)
+        names = ("nls", "mzi_ps", "clements_4x4")
+        units = [(designer, get_problem(names[i % 3]), i // 3, None) for i in range(6)]
+        samples = self._evaluator(golden_store).run_samples(units)
+        # Interleaved units run problem by problem, in order of first
+        # appearance: each problem's 2 x 3 drafts before the next one's first.
+        assert [entry[0] for entry in log] == [name for name in names for _ in range(6)]
+        assert [len(sample.attempts) for sample in samples] == [3] * 6
+
+    def test_a_group_advances_one_feedback_iteration_at_a_time(
+        self, golden_store, mzi_ps_problem
+    ):
+        log = []
+        units = [
+            (_LoggingDesigner(log, passes_at=passes_at), mzi_ps_problem, index, None)
+            for index, passes_at in enumerate((None, 0, 1, None))
+        ]
+        samples = self._evaluator(golden_store).run_samples(units)
+        # Every active trajectory drafts iteration k before any drafts k + 1,
+        # and a finished trajectory drafts no more.
+        assert [entry[1] for entry in log] == [0] * 4 + [1] * 3 + [2] * 2
+        assert [len(sample.attempts) for sample in samples] == [3, 1, 2, 3]
+        assert [sample.attempts[-1].passed for sample in samples] == [False, True, True, False]
+
+    def test_units_keep_their_given_order_inside_a_group(self, golden_store):
+        placed = (("mzi_ps", 2), ("nls", 0), ("mzi_ps", 0), ("nls", 1), ("mzi_ps", 1))
+        units = [(PerfectDesigner(), get_problem(name), index, None) for name, index in placed]
+        finished = []
+        samples = self._evaluator(golden_store).run_samples(
+            units, on_done=lambda index, _: finished.append(index)
+        )
+        # All five pass at once: each group reports in given order, and the
+        # results come back in unit order.
+        assert finished == [0, 2, 4, 1, 3]
+        assert [(sample.problem, sample.sample_index) for sample in samples] == list(placed)
+
+    def test_drafts_run_on_the_pool_and_are_judged_on_the_calling_thread(
+        self, golden_store, mzi_ps_problem, monkeypatch
+    ):
+        evaluator = self._evaluator(golden_store)
+        judge = evaluator.evaluate_response
+        judged = []
+
+        def judging(problem, response_text):
+            judged.append(threading.get_ident())
+            return judge(problem, response_text)
+
+        monkeypatch.setattr(evaluator, "evaluate_response", judging)
+        log = []
+        designer = _LoggingDesigner(log)
+        evaluator.run_samples([(designer, mzi_ps_problem, index, None) for index in range(4)])
+        caller = threading.get_ident()
+        assert judged == [caller] * 12
+        assert len(log) == 12 and caller not in {entry[3] for entry in log}
+
+    def test_on_done_fires_as_each_trajectory_finishes(self, golden_store, mzi_ps_problem):
+        log = []
+        units = [
+            (_LoggingDesigner(log), mzi_ps_problem, 0, None),
+            (_LoggingDesigner(log, passes_at=0), mzi_ps_problem, 1, None),
+        ]
+        reported = []
+        self._evaluator(golden_store).run_samples(
+            units,
+            on_done=lambda index, sample: reported.append((index, len(log), len(sample.attempts))),
+        )
+        # The second unit passes at once and is reported after the first
+        # iteration's two drafts, while the first unit still has two to go.
+        assert reported == [(1, 2, 1), (0, 4, 3)]
+
+    def test_a_designer_error_propagates_after_the_finished_groups_are_reported(
+        self, golden_store
+    ):
+        log = []
+        designer = _LoggingDesigner(log, passes_at=0, fails_on="nls")
+        placed = (("mzi_ps", 0), ("nls", 0), ("mzi_ps", 1))
+        units = [(designer, get_problem(name), index, None) for name, index in placed]
+        reported = []
+        with pytest.raises(RuntimeError, match="designer unavailable for nls"):
+            self._evaluator(golden_store).run_samples(
+                units, on_done=lambda index, _: reported.append(index)
+            )
+        # The mzi_ps group finished and was reported before nls began.
+        assert reported == [0, 2]
+        assert [entry[0] for entry in log] == ["mzi_ps", "mzi_ps", "nls"]
+
+    def test_no_units_run_no_trajectories(self, golden_store):
+        def never(index, sample):
+            raise AssertionError("on_done fired without a unit")
+
+        assert self._evaluator(golden_store).run_samples([], on_done=never) == []
+
+    def test_run_sample_passes_its_prompt_config_to_the_designer(
+        self, golden_store, mzi_ps_problem
+    ):
+        evaluator = self._evaluator(golden_store, workers=1)
+        log = []
+        designer = _LoggingDesigner(log, passes_at=0)
+        restricted = PromptConfig(include_restrictions=True)
+        evaluator.run_sample(designer, mzi_ps_problem, 0)
+        evaluator.run_sample(designer, mzi_ps_problem, 0, prompt_config=restricted)
+        assert [entry[2] for entry in log] == [
+            build_system_prompt(evaluator.registry, PromptConfig(include_restrictions=False)),
+            build_system_prompt(evaluator.registry, restricted),
+        ]
+        assert log[0][2] != log[1][2]
+
+    def test_a_sweep_runs_every_client_and_setting_of_a_problem_in_one_group(self):
+        log = []
+        clients = [
+            _LoggingDesigner(log, passes_at=1, name="Late"),
+            _LoggingDesigner(log, passes_at=0, name="Early"),
+        ]
+        config = SweepConfig(
+            samples_per_problem=2,
+            max_feedback_iterations=1,
+            num_wavelengths=TEST_NUM_WAVELENGTHS,
+            problems=("mzi_ps", "nls"),
+            workers=2,
+        )
+        result = run_sweep(config, clients=clients, restriction_settings=(False, True))
+        # The sweep's units are restriction-major, yet one problem's 2 x 2 x 2
+        # trajectories (12 drafts) all run before the other problem's first.
+        groups = [(name, len(list(calls))) for name, calls in groupby(e[0] for e in log)]
+        assert sorted(groups) == [("mzi_ps", 12), ("nls", 12)]
+        first = groups[0][0]
+        assert len({entry[2] for entry in log if entry[0] == first}) == 2
+        assert len(result.reports) == 4
 
 
 class TestRegistryDefault:

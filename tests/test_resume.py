@@ -22,7 +22,7 @@ from repro.engine.engine import EngineConfig
 from repro.evalkit.outcome import AttemptRecord, SampleResult
 from repro.faults import FaultRule, clear_plan, inject
 from repro.harness.journal import SweepJournal, sweep_fingerprint, unit_key
-from repro.harness.runner import SweepConfig, SweepSpec, run_model
+from repro.harness.runner import SweepConfig, SweepSpec, run_model, run_sweep
 from repro.service.spec import JobSpec
 from repro.llm.simulated import SimulatedDesigner
 from repro.netlist.errors import ErrorCategory
@@ -264,6 +264,34 @@ def test_thread_mode_resumes_a_process_mode_journal(tmp_path):
         assert _report(replace(journaled, resume=True)) == golden
 
 
+def test_resume_reruns_only_the_trajectories_its_journal_lacks(tmp_path):
+    """Trajectories missing from the middle of two problems' groups are
+    recomputed, and only they; each is journaled as it finishes again."""
+    config = SweepConfig(**{**BASE, "problems": ("mzi_ps", "clements_4x4", "nls")})
+    golden = _report(config)
+    journaled = replace(config, journal_dir=str(tmp_path))
+    assert _report(journaled) == golden
+    lines = _journal_lines(tmp_path)
+    assert len(lines) == 9
+    dropped = (1, 4, 5)
+    kept = [line for index, line in enumerate(lines) if index not in dropped]
+    (path,) = tmp_path.glob("sweep-*.jsonl")
+    path.write_text("".join(line + "\n" for line in kept), encoding="utf-8")
+    fresh = []
+    result = run_sweep(
+        replace(journaled, resume=True),
+        clients=[SimulatedDesigner("GPT-4o")],
+        restriction_settings=(False,),
+        on_unit=lambda: fresh.append(None),
+    )
+    report = result.report("GPT-4o", with_restrictions=False)
+    assert json.dumps(report.to_dict(), sort_keys=True) == golden
+    assert len(fresh) == len(dropped)
+    # Every trajectory's history is its own, so the recomputed ones finish
+    # in the order they first did and journal the same bytes.
+    assert _journal_lines(tmp_path) == kept + [lines[index] for index in dropped]
+
+
 # ----------------------------------------------------------------------
 # Kill and resume (subprocess: the injected kill is a real process death)
 # ----------------------------------------------------------------------
@@ -275,14 +303,15 @@ from repro.llm.simulated import SimulatedDesigner
 
 config = SweepConfig(
     samples_per_problem=3, max_feedback_iterations=1, num_wavelengths={nwl},
-    problems=("mzi_ps",), journal_dir={journal_dir!r}, resume=True,
+    problems=("mzi_ps",), workers={workers}, journal_dir={journal_dir!r}, resume=True,
 )
 run_model(SimulatedDesigner("GPT-4o"), include_restrictions=False, config=config)
 raise SystemExit("the injected kill never fired")
 """
 
 
-def test_killed_run_resumes_byte_identically(tmp_path):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_killed_run_resumes_byte_identically(tmp_path, workers):
     golden = _report(SweepConfig(**BASE))
     env = dict(os.environ)
     env["REPRO_FAULTS"] = "sweep.unit=kill+1"
@@ -294,6 +323,7 @@ def test_killed_run_resumes_byte_identically(tmp_path):
             _KILL_CHILD.format(
                 src=SRC,
                 nwl=TEST_NUM_WAVELENGTHS,
+                workers=workers,
                 journal_dir=str(tmp_path),
             ),
         ],
@@ -303,8 +333,8 @@ def test_killed_run_resumes_byte_identically(tmp_path):
         timeout=120,
     )
     assert child.returncode == 73, child.stdout + child.stderr
-    # Exactly one unit checkpointed: lockstep trajectories are journaled as
-    # each one finishes, not when the problem's lockstep group ends.
+    # Exactly one unit checkpointed, on one thread or two: a finished
+    # trajectory is journaled before the next one visits ``sweep.unit``.
     assert len(_journal_lines(tmp_path)) == 1
     resumed_config = SweepConfig(**BASE, journal_dir=str(tmp_path), resume=True)
     assert _report(resumed_config) == golden
