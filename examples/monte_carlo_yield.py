@@ -69,10 +69,10 @@ def main() -> int:
     )
     print(f"corner 0 bus coupling: {batches[0]['cpBus']['coupling']}")
 
-    # ... and the engine's stats show the batching at work.
-    stats = engine.stats()
-    print(f"fused executor passes: {stats['solver_batch']['executor_passes']}")
-    print(f"batch fusion rate:     {stats['batch_fusion_rate']:.1%}")
+    # ... and the solver's batch counters show the batching at work.
+    batch = engine.solver.batch_stats()
+    print(f"fused executor passes: {batch.executor_passes}")
+    print(f"batch fusion rate:     {batch.fusion_rate:.1%}")
 
     assert result.draws == DRAWS
     assert 0.0 <= result.yield_fraction <= 1.0

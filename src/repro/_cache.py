@@ -92,8 +92,3 @@ class LRUCache(Generic[K, V]):
             while len(self._data) > self.max_entries:
                 self._data.popitem(last=False)
                 self.stats.evictions += 1
-
-    def clear(self) -> None:
-        """Drop every entry (the stats counters are kept)."""
-        with self._lock:
-            self._data.clear()

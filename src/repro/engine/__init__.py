@@ -18,9 +18,10 @@ higher layers depend on it, never the other way around.
 
 from .cache import CacheStats, LRUCache, SimulationCache
 from .engine import (
-    EngineBatchStats,
     EngineConfig,
     ExecutionEngine,
+    stats_delta,
+    sum_stats,
 )
 from .fingerprint import (
     grid_fingerprint,
@@ -34,7 +35,6 @@ from .procpool import (
     ProcessScheduler,
     UnitFailure,
     WorkerSpec,
-    aggregate_engine_stats,
     resolve_processes,
 )
 from .scheduler import TaskScheduler, resolve_workers
@@ -43,13 +43,13 @@ __all__ = [
     "CacheStats",
     "LRUCache",
     "SimulationCache",
-    "EngineBatchStats",
     "EngineConfig",
     "ExecutionEngine",
+    "stats_delta",
+    "sum_stats",
     "ProcessScheduler",
     "UnitFailure",
     "WorkerSpec",
-    "aggregate_engine_stats",
     "resolve_processes",
     "TaskScheduler",
     "resolve_workers",

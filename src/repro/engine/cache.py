@@ -75,6 +75,7 @@ class SimulationCache:
         cache_dir: Optional[Path | str] = None,
         retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
+        """Create the memory tier, and the disk directory when one is given."""
         self._memory: LRUCache[str, SMatrix] = LRUCache(max_entries=max_entries)
         self._stats_lock = threading.Lock()
         self._retry_policy = retry_policy or _DEFAULT_IO_RETRY
@@ -107,6 +108,7 @@ class SimulationCache:
 
     # ------------------------------------------------------------------
     def _disk_path(self, key: str) -> Optional[Path]:
+        """Where ``key``'s ``.npz`` entry lives, or ``None`` without a disk tier."""
         if self.cache_dir is None:
             return None
         return self.cache_dir / f"{self._DISK_PREFIX}{key}.npz"
@@ -180,6 +182,7 @@ class SimulationCache:
         return smatrix
 
     def _count_disk_retry(self, attempt: int, error: Exception) -> None:
+        """``retry_call`` hook: count one retried disk read or write."""
         with self._stats_lock:
             self.stats.disk_retries += 1
 
@@ -245,7 +248,3 @@ class SimulationCache:
                 except OSError:
                     pass
             raise
-
-    def clear_memory(self) -> None:
-        """Drop the memory tier (disk entries, if any, remain valid)."""
-        self._memory.clear()

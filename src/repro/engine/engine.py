@@ -18,7 +18,6 @@ settings, sequential or parallel alike.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, TypeVar
@@ -38,39 +37,11 @@ from .fingerprint import grid_fingerprint, netlist_fingerprint, registry_fingerp
 from .scheduler import TaskScheduler
 
 __all__ = [
-    "EngineBatchStats",
     "EngineConfig",
     "ExecutionEngine",
     "stats_delta",
+    "sum_stats",
 ]
-
-@dataclass
-class EngineBatchStats:
-    """Counters of :meth:`ExecutionEngine.evaluate_batch`.
-
-    ``cache_hits`` counts samples served straight from the content-addressed
-    simulation cache -- batch-aware keys are computed per *derived sample
-    netlist*, so batched and per-sample evaluations share one entry space
-    and hit each other's results.
-    """
-
-    calls: int = 0
-    samples: int = 0
-    cache_hits: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of batched samples served from the simulation cache."""
-        return self.cache_hits / self.samples if self.samples else 0.0
-
-    def as_dict(self) -> Dict[str, object]:
-        """Plain-dict snapshot (for logs and benchmark tables)."""
-        return {
-            "calls": self.calls,
-            "samples": self.samples,
-            "cache_hits": self.cache_hits,
-            "hit_rate": self.hit_rate,
-        }
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -125,6 +96,11 @@ class ExecutionEngine:
         registry: Optional[ModelRegistry] = None,
         solver: Optional[CircuitSolver] = None,
     ) -> None:
+        """Build the engine's solver, cache and scheduler from ``config``.
+
+        ``solver`` replaces the default ``auto`` solver over ``registry``
+        (which is then ignored).
+        """
         self.config = config if config is not None else EngineConfig()
         self.solver = (
             solver
@@ -135,8 +111,6 @@ class ExecutionEngine:
         self.scheduler = TaskScheduler(workers=self.config.workers)
         self._registry_fp = registry_fingerprint(self.solver.registry)
         self._registry_fp_version = self.solver.registry.version
-        self._batch_stats = EngineBatchStats()
-        self._batch_stats_lock = threading.Lock()
 
     def _registry_fingerprint(self) -> str:
         """The registry fingerprint, memoised on the registry's mutation counter.
@@ -154,11 +128,6 @@ class ExecutionEngine:
     def registry(self) -> ModelRegistry:
         """The model registry every simulation of this engine resolves against."""
         return self.solver.registry
-
-    @property
-    def workers(self) -> int:
-        """Effective worker count of the scheduler."""
-        return self.scheduler.workers
 
     # ------------------------------------------------------------------
     # Cache-backed simulation
@@ -212,13 +181,6 @@ class ExecutionEngine:
     # ------------------------------------------------------------------
     # Batched simulation
     # ------------------------------------------------------------------
-    def _count_batch(self, samples: int, hits: int) -> None:
-        """Count one batched call of ``samples`` samples, ``hits`` of them cached."""
-        with self._batch_stats_lock:
-            self._batch_stats.calls += 1
-            self._batch_stats.samples += samples
-            self._batch_stats.cache_hits += hits
-
     def evaluate_batch(
         self,
         netlist: Netlist,
@@ -243,7 +205,6 @@ class ExecutionEngine:
             for overrides in settings_batch
         ]
         results: List[Optional[SMatrix]] = [self.cache.get(key) for key in keys]
-        hits = sum(result is not None for result in results)
         # One solve per distinct missing key: identical samples share it.
         misses: Dict[str, int] = {}
         for index, key in enumerate(keys):
@@ -260,7 +221,6 @@ class ExecutionEngine:
             for key, smatrix in fresh.items():
                 self.cache.put(key, smatrix)
             results = [fresh.get(key, result) for key, result in zip(keys, results)]
-        self._count_batch(len(settings_batch), hits)
         return results  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
@@ -273,68 +233,54 @@ class ExecutionEngine:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def batch_stats(self) -> EngineBatchStats:
-        """Counters of :meth:`evaluate_batch`."""
-        return self._batch_stats
-
     def stats(self) -> Dict[str, object]:
-        """Snapshot of the engine's cache behaviour (for logs and benchmarks)."""
-        solver_stats = self.solver.instance_cache_stats()
-        plan_stats = self.solver.plan_cache_stats()
-        solver_batch = self.solver.batch_stats()
+        """Snapshot of the engine's counters: a tree of integers, no rates.
+
+        A reader derives a rate from the counters it needs (hits over hits
+        plus misses); :func:`stats_delta` and :func:`sum_stats` subtract and
+        add snapshots leaf by leaf.
+        """
         return {
-            "workers": self.workers,
             "simulation_cache": self.cache.stats.as_dict(),
-            "simulation_hit_rate": self.cache.stats.hit_rate,
-            "instance_cache": solver_stats.as_dict(),
-            "instance_hit_rate": solver_stats.hit_rate,
-            "plan_cache": plan_stats.as_dict(),
-            "plan_hit_rate": plan_stats.hit_rate,
-            "batch": self._batch_stats.as_dict(),
-            "batch_hit_rate": self._batch_stats.hit_rate,
-            "solver_batch": solver_batch.as_dict(),
-            "batch_fusion_rate": solver_batch.fusion_rate,
+            "instance_cache": self.solver.instance_cache_stats().as_dict(),
+            "plan_cache": self.solver.plan_cache_stats().as_dict(),
+            "solver_batch": self.solver.batch_stats().as_dict(),
             "solver_degradations": self.solver.degradation_stats(),
             "cache_nonfinite_rejected": self.cache.nonfinite_rejected,
             "faults": fault_stats(),
         }
 
 
-def stats_delta(
-    before: Dict[str, object], after: Dict[str, object]
-) -> Dict[str, object]:
-    """What one slice of work added to an engine's :meth:`~ExecutionEngine.stats`.
+def stats_delta(before: Dict[str, object], after: Dict[str, object]) -> Dict[str, object]:
+    """What one slice of work added to a stats snapshot, leaf by leaf.
 
     Long-running services share one engine across many jobs, so absolute
     counters conflate every job that ever ran; the delta of two snapshots
-    isolates a single job's cache behaviour (e.g. "did job 2 get warm
-    plan-cache hits?").  Numeric leaves are subtracted recursively; rate
-    leaves (``*rate*`` keys) are recomputed from the sibling hit/miss
-    deltas where possible and dropped otherwise (a rate of deltas is not
-    the delta of rates); non-numeric leaves keep their ``after`` value.
+    isolates a single job's (or a process shard's) cache behaviour.  Every
+    leaf of ``after`` is an integer counter, absent leaves of ``before``
+    count as zero, and a leaf only in ``before`` is dropped.
     """
-    delta: Dict[str, object] = {}
-    for key, after_value in after.items():
-        before_value = before.get(key)
-        if isinstance(after_value, dict):
-            delta[key] = stats_delta(
-                before_value if isinstance(before_value, dict) else {}, after_value
-            )
-        elif (
-            isinstance(after_value, bool)
-            or not isinstance(after_value, (int, float))
-            or key == "workers"
-        ):
-            # Configuration leaves are not counters: keep the current value.
-            delta[key] = after_value
-        elif "rate" in key:
-            continue  # recomputed below when the numerators are present
-        else:
-            base = before_value if isinstance(before_value, (int, float)) else 0
-            delta[key] = after_value - base
-    for key, value in delta.items():
-        if isinstance(value, dict) and "hits" in value and "misses" in value:
-            hits, misses = value["hits"], value["misses"]
-            total = (hits or 0) + (misses or 0)  # type: ignore[operator]
-            value["hit_rate"] = (hits or 0) / total if total else 0.0  # type: ignore[operator]
-    return delta
+    return {
+        key: (
+            stats_delta(before.get(key, {}), value)  # type: ignore[arg-type]
+            if isinstance(value, dict)
+            else value - before.get(key, 0)  # type: ignore[operator]
+        )
+        for key, value in after.items()
+    }
+
+
+def sum_stats(snapshots: Iterable[Dict[str, object]]) -> Dict[str, object]:
+    """The leaf-by-leaf sum of stats snapshots (``{}`` for none).
+
+    Summing the deltas of several engines reads like one engine that did
+    all of their work: the process tier adds its shards' deltas this way.
+    """
+    total: Dict[str, object] = {}
+    for snapshot in snapshots:
+        for key, value in snapshot.items():
+            if isinstance(value, dict):
+                total[key] = sum_stats([total.get(key, {}), value])  # type: ignore[list-item]
+            else:
+                total[key] = total.get(key, 0) + value  # type: ignore[operator]
+    return total

@@ -20,9 +20,10 @@ stays picklable under both ``fork`` and ``spawn`` start methods:
 ``runner_ref(context, task) -> result``
     Runs one task; a shard runs its tasks one after another.
 ``stats_ref(context) -> dict``
-    Optional cumulative counters snapshot of one worker, taken after each
-    shard; the parent keeps each worker process's latest snapshot, so
-    :func:`aggregate_engine_stats` counts every worker once.
+    Optional counters snapshot of one worker (integer leaves, nested in
+    dicts), taken before and after each shard; the shard returns the
+    :func:`~repro.engine.engine.stats_delta` of the two, and the parent
+    adds the deltas up with :func:`~repro.engine.engine.sum_stats`.
 
 Failure isolation: an exception inside a unit is captured and returned as a
 :class:`UnitFailure` for that unit only.  A worker *crash* (segfault,
@@ -34,8 +35,8 @@ other unit's result survives.  An optional per-unit timeout arms a watchdog:
 a shard that stops making progress for ``unit_timeout`` seconds per
 remaining unit is declared hung, its worker processes are terminated, and
 its units go through the same single-unit retry path.  Retry / crash /
-timeout counters are exposed on :attr:`ProcessScheduler.counters` and merged
-into the sweep's engine stats.
+timeout counters are exposed on :attr:`ProcessScheduler.counters`; a sweep
+reports them next to its engine stats.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ import pickle
 import signal
 import time
 import traceback
-import uuid
 from concurrent.futures import FIRST_COMPLETED, as_completed, wait
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
@@ -55,12 +55,12 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..faults import RetryPolicy, fault_point
+from .engine import stats_delta, sum_stats
 
 __all__ = [
     "ProcessScheduler",
     "UnitFailure",
     "WorkerSpec",
-    "aggregate_engine_stats",
     "resolve_processes",
     "resolve_ref",
 ]
@@ -128,12 +128,6 @@ _DEFAULT_UNIT_RETRY = RetryPolicy(attempts=2, base_delay=0.1, max_delay=1.0)
 # ----------------------------------------------------------------------
 _WORKER_CONTEXT: Any = None
 
-#: This worker process's identity (its pid plus a token, so a recycled pid is
-#: a new worker) and how many shards it has run: the parent keeps only the
-#: latest of a worker's cumulative stats snapshots.
-_WORKER_ID: str = ""
-_WORKER_SHARDS = 0
-
 
 def _worker_init(builder_ref: str, payload: Any) -> None:
     """Pool initializer: build this process's context from the spec.
@@ -143,9 +137,8 @@ def _worker_init(builder_ref: str, payload: Any) -> None:
     would otherwise run that handler instead of stopping when the watchdog
     terminates it.
     """
-    global _WORKER_CONTEXT, _WORKER_ID
+    global _WORKER_CONTEXT
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    _WORKER_ID = f"{os.getpid()}:{uuid.uuid4().hex}"
     _WORKER_CONTEXT = resolve_ref(builder_ref)(payload)
 
 
@@ -167,14 +160,15 @@ def _worker_run_shard(
     runner_ref: str,
     tasks: List[Any],
     stats_ref: Optional[str],
-) -> Tuple[List[Any], Optional[Tuple[str, int, Dict[str, object]]]]:
+) -> Tuple[List[Any], Dict[str, object]]:
     """Run one shard of tasks; each slot is a result or a UnitFailure.
 
-    The stats entry is ``(worker id, shards run, snapshot)`` or ``None``.
+    The stats are what the shard added to the worker's ``stats_ref``
+    snapshot, or ``{}`` without one.
     """
-    global _WORKER_SHARDS
-    _WORKER_SHARDS += 1
     runner = resolve_ref(runner_ref)
+    snapshot = resolve_ref(stats_ref) if stats_ref is not None else lambda context: {}
+    before = snapshot(_WORKER_CONTEXT)
     results: List[Any] = []
     for task in tasks:
         try:
@@ -182,32 +176,18 @@ def _worker_run_shard(
             results.append(runner(_WORKER_CONTEXT, task))
         except Exception as exc:  # noqa: BLE001 - isolated per unit
             results.append(_capture_failure(exc))
-    stats = None
-    if stats_ref is not None:
-        try:
-            stats = (_WORKER_ID, _WORKER_SHARDS, resolve_ref(stats_ref)(_WORKER_CONTEXT))
-        except Exception:  # noqa: BLE001 - stats are best-effort
-            stats = None
-    return results, stats
+    return results, stats_delta(before, snapshot(_WORKER_CONTEXT))
 
 
 # ----------------------------------------------------------------------
 # Parent-side scheduler
 # ----------------------------------------------------------------------
-def _keep_latest(
-    latest: Dict[str, Tuple[int, Dict[str, object]]],
-    stats: Optional[Tuple[str, int, Dict[str, object]]],
-) -> None:
-    """Record a shard's stats entry unless its worker already sent a later one."""
-    if stats is None:
-        return
-    worker, shards, snapshot = stats
-    if worker not in latest or latest[worker][0] < shards:
-        latest[worker] = (shards, snapshot)
-
-
 class ProcessScheduler:
     """Shards tasks over a process pool with order-preserving merge.
+
+    :meth:`map` also returns the sum of what each shard added to its
+    worker's ``stats_ref`` counters, so a sharded run's stats read like one
+    engine's; the pool's own robustness counters stay on :attr:`counters`.
 
     Parameters
     ----------
@@ -245,6 +225,7 @@ class ProcessScheduler:
         retry_policy: Optional[RetryPolicy] = None,
         unit_timeout: Optional[float] = None,
     ) -> None:
+        """Keep the settings; pools are made per :meth:`map` call."""
         self.spec = spec
         self.processes = resolve_processes(processes)
         self.start_method = start_method
@@ -252,7 +233,7 @@ class ProcessScheduler:
         self.retry_policy = retry_policy or _DEFAULT_UNIT_RETRY
         self.unit_timeout = float(unit_timeout) if unit_timeout else None
         #: Robustness counters, accumulated across this scheduler's ``map``
-        #: calls and merged into sweep engine stats under ``"procpool"``.
+        #: calls; a sweep reports them under ``"procpool"``.
         self.counters: Dict[str, int] = {
             "unit_retries": 0,
             "unit_crashes": 0,
@@ -262,11 +243,13 @@ class ProcessScheduler:
 
     # ------------------------------------------------------------------
     def _context(self):
+        """The ``multiprocessing`` context of :attr:`start_method`."""
         if self.start_method is None:
             return multiprocessing.get_context()
         return multiprocessing.get_context(self.start_method)
 
     def _pool(self, mp_context, max_workers: int) -> ProcessPoolExecutor:
+        """A fresh pool whose workers build their context from :attr:`spec`."""
         return ProcessPoolExecutor(
             max_workers=max_workers,
             mp_context=mp_context,
@@ -302,15 +285,15 @@ class ProcessScheduler:
         stats_ref: Optional[str] = None,
         on_result: Optional[Callable[[int, Any], None]] = None,
         bounds: Optional[Sequence[Tuple[int, int]]] = None,
-    ) -> Tuple[List[Any], List[Dict[str, object]]]:
+    ) -> Tuple[List[Any], Dict[str, object]]:
         """Run every task; slot ``i`` of the result is task ``i``'s outcome.
 
         Returns ``(results, stats)``: ``results[i]`` is the runner's return
-        value or a :class:`UnitFailure`; ``stats`` holds the latest snapshot
-        of each worker process when ``stats_ref`` is given (snapshots are
-        cumulative, so summing them counts every worker once).  The merge is
-        by task index, so the output order never depends on worker
-        scheduling.
+        value or a :class:`UnitFailure`; ``stats`` is the sum of what every
+        completed shard added to its worker's ``stats_ref`` snapshot, or
+        ``{}`` without ``stats_ref``.  A shard whose worker died adds
+        nothing.  The merge is by task index, so the output order never
+        depends on worker scheduling.
 
         ``bounds`` lists the shards as contiguous ``(lo, hi)`` spans covering
         every task once, in submission order; the default is
@@ -325,9 +308,9 @@ class ProcessScheduler:
         """
         tasks = list(tasks)
         results: List[Any] = [None] * len(tasks)
-        latest: Dict[str, Tuple[int, Dict[str, object]]] = {}
+        shard_stats: List[Dict[str, object]] = []
         if not tasks:
-            return results, []
+            return results, {}
         processes = min(self.processes, len(tasks))
         if bounds is None:
             bounds = self.shard_bounds(len(tasks), processes * self.shards_per_worker)
@@ -355,7 +338,7 @@ class ProcessScheduler:
                     retry_spans.append((lo, hi))
                 else:
                     results[lo:hi] = shard_results
-                    _keep_latest(latest, stats)
+                    shard_stats.append(stats)
                     if on_result is not None:
                         for offset, value in enumerate(shard_results):
                             on_result(lo + offset, value)
@@ -374,11 +357,11 @@ class ProcessScheduler:
                 tasks,
                 stats_ref,
                 results,
-                latest,
+                shard_stats,
                 mp_context,
                 on_result,
             )
-        return results, [snapshot for _, snapshot in latest.values()]
+        return results, sum_stats(shard_stats)
 
     def _watch(self, pool, future_spans, retry_spans, merge) -> None:
         """Progress watchdog over the in-flight shards.
@@ -423,7 +406,7 @@ class ProcessScheduler:
         tasks: List[Any],
         stats_ref: Optional[str],
         results: List[Any],
-        latest: Dict[str, Tuple[int, Dict[str, object]]],
+        shard_stats: List[Dict[str, object]],
         mp_context,
         on_result: Optional[Callable[[int, Any], None]] = None,
     ) -> None:
@@ -480,7 +463,7 @@ class ProcessScheduler:
                         )
                         continue
                     results[index] = shard_results[0]
-                    _keep_latest(latest, stats)
+                    shard_stats.append(stats)
                     if on_result is not None:
                         on_result(index, shard_results[0])
                     failure = None
@@ -492,64 +475,3 @@ class ProcessScheduler:
         finally:
             if pool is not None:
                 pool.shutdown(wait=True)
-
-
-# ----------------------------------------------------------------------
-# Stats aggregation
-# ----------------------------------------------------------------------
-#: Descriptive (non-counter) keys of ``ExecutionEngine.stats()`` snapshots:
-#: identical across workers, kept as-is instead of summed.
-_DESCRIPTIVE_KEYS = ("workers",)
-
-#: Hit-rate keys and the counter sub-dict each is recomputed from.
-_HIT_RATE_SOURCES = {
-    "simulation_hit_rate": "simulation_cache",
-    "instance_hit_rate": "instance_cache",
-    "plan_hit_rate": "plan_cache",
-    "batch_hit_rate": "batch",
-}
-
-
-def _merge_counters(dst: Dict[str, object], src: Dict[str, object]) -> None:
-    for key, value in src.items():
-        if isinstance(value, dict):
-            node = dst.setdefault(key, {})
-            if isinstance(node, dict):
-                _merge_counters(node, value)
-        elif isinstance(value, bool) or not isinstance(value, (int, float)):
-            dst[key] = value
-        elif key in _DESCRIPTIVE_KEYS or key.endswith("_rate"):
-            dst[key] = value  # rates are recomputed from merged counters below
-        else:
-            dst[key] = dst.get(key, 0) + value
-
-
-def aggregate_engine_stats(
-    stats_list: Sequence[Dict[str, object]],
-) -> Dict[str, object]:
-    """Merge per-worker ``ExecutionEngine.stats()`` snapshots into one.
-
-    Integer counters sum across workers (nested dicts recursively); the
-    descriptive keys keep their per-worker value (identical everywhere);
-    every derived rate is recomputed from the merged counters rather than
-    averaged, so the aggregate reads exactly like a single engine that did
-    all the work.
-    """
-    merged: Dict[str, object] = {}
-    for stats in stats_list:
-        if isinstance(stats, dict):
-            _merge_counters(merged, stats)
-    for rate_key, counters_key in _HIT_RATE_SOURCES.items():
-        counters = merged.get(counters_key)
-        if isinstance(counters, dict):
-            hits = counters.get("hits", 0)
-            lookups = hits + counters.get("misses", 0)
-            merged[rate_key] = hits / lookups if lookups else 0.0
-    solver_batch = merged.get("solver_batch")
-    if isinstance(solver_batch, dict):
-        samples = solver_batch.get("samples", 0)
-        passes = solver_batch.get("executor_passes", 0)
-        rate = 1.0 - passes / samples if samples else 0.0
-        solver_batch["fusion_rate"] = rate
-        merged["batch_fusion_rate"] = rate
-    return merged

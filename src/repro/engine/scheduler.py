@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, List, Sequence, TypeVar
+from typing import Callable, Iterable, List, TypeVar
 
 __all__ = ["TaskScheduler", "resolve_workers"]
 
@@ -37,6 +37,7 @@ class TaskScheduler:
     """Order-preserving parallel ``map`` over a configurable worker pool."""
 
     def __init__(self, workers: int = 1) -> None:
+        """Size the pool: ``workers`` threads, all cores when ``<= 0``."""
         self.workers = resolve_workers(workers)
 
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> List[R]:
@@ -51,7 +52,3 @@ class TaskScheduler:
             return [fn(item) for item in items]
         with ThreadPoolExecutor(max_workers=min(self.workers, len(items))) as pool:
             return list(pool.map(fn, items))
-
-    def starmap(self, fn: Callable[..., R], items: Iterable[Sequence[object]]) -> List[R]:
-        """Like :meth:`map` but unpacking each item into ``fn``'s arguments."""
-        return self.map(lambda args: fn(*args), items)

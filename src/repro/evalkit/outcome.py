@@ -60,6 +60,41 @@ class AttemptRecord:
         """True when both the syntax and the functionality checks passed."""
         return self.syntax_ok and self.functional_ok
 
+    def to_payload(self) -> Dict[str, object]:
+        """This attempt's serialised form in a report (no texts, no detail).
+
+        The guardrail flags are emitted only when set, so reports from
+        healthy runs serialise to exactly the bytes they did before the
+        flags existed (the store's content-dedup depends on that).  The
+        sweep journal adds ``error_detail``.
+        """
+        payload: Dict[str, object] = {
+            "iteration": self.iteration,
+            "syntax_ok": self.syntax_ok,
+            "functional_ok": self.functional_ok,
+            "error_category": self.error_category.value if self.error_category else None,
+        }
+        if self.degraded:
+            payload["degraded"] = True
+        if self.nonfinite:
+            payload["nonfinite"] = True
+        return payload
+
+    @classmethod
+    def from_payload(cls, payload: Dict[str, object]) -> "AttemptRecord":
+        """Inverse of :meth:`to_payload`; takes ``error_detail`` when present."""
+        raw_category = payload.get("error_category")
+        detail = payload.get("error_detail")
+        return cls(
+            iteration=int(payload["iteration"]),  # type: ignore[arg-type]
+            syntax_ok=bool(payload["syntax_ok"]),
+            functional_ok=bool(payload["functional_ok"]),
+            error_category=ErrorCategory(raw_category) if raw_category else None,
+            error_detail=str(detail) if detail is not None else None,
+            degraded=bool(payload.get("degraded", False)),
+            nonfinite=bool(payload.get("nonfinite", False)),
+        )
+
 
 @dataclass
 class SampleResult:
@@ -174,28 +209,6 @@ class EvalReport:
                     histogram[category] = histogram.get(category, 0) + 1
         return histogram
 
-    @staticmethod
-    def _attempt_payload(attempt: AttemptRecord) -> Dict[str, object]:
-        """One attempt's serialised form.
-
-        The guardrail flags are emitted only when set, so reports from
-        healthy runs serialise to exactly the bytes they did before the
-        flags existed (the store's content-dedup depends on that).
-        """
-        payload: Dict[str, object] = {
-            "iteration": attempt.iteration,
-            "syntax_ok": attempt.syntax_ok,
-            "functional_ok": attempt.functional_ok,
-            "error_category": (
-                attempt.error_category.value if attempt.error_category else None
-            ),
-        }
-        if attempt.degraded:
-            payload["degraded"] = True
-        if attempt.nonfinite:
-            payload["nonfinite"] = True
-        return payload
-
     def to_dict(self) -> Dict[str, object]:
         """Serialise the report (without response texts) to plain containers."""
         return {
@@ -208,10 +221,7 @@ class EvalReport:
                 problem: [
                     {
                         "sample_index": sample.sample_index,
-                        "attempts": [
-                            self._attempt_payload(attempt)
-                            for attempt in sample.attempts
-                        ],
+                        "attempts": [attempt.to_payload() for attempt in sample.attempts],
                     }
                     for sample in samples
                 ]
@@ -232,25 +242,16 @@ class EvalReport:
         results = payload.get("results", {})
         for problem, samples in dict(results).items():  # type: ignore[union-attr]
             for sample_payload in samples:
-                sample = SampleResult(
-                    problem=str(problem),
-                    sample_index=int(sample_payload["sample_index"]),
-                )
-                for attempt_payload in sample_payload["attempts"]:
-                    raw_category = attempt_payload.get("error_category")
-                    sample.attempts.append(
-                        AttemptRecord(
-                            iteration=int(attempt_payload["iteration"]),
-                            syntax_ok=bool(attempt_payload["syntax_ok"]),
-                            functional_ok=bool(attempt_payload["functional_ok"]),
-                            error_category=(
-                                ErrorCategory(raw_category) if raw_category else None
-                            ),
-                            degraded=bool(attempt_payload.get("degraded", False)),
-                            nonfinite=bool(attempt_payload.get("nonfinite", False)),
-                        )
+                report.add(
+                    SampleResult(
+                        problem=str(problem),
+                        sample_index=int(sample_payload["sample_index"]),
+                        attempts=[
+                            AttemptRecord.from_payload(attempt)
+                            for attempt in sample_payload["attempts"]
+                        ],
                     )
-                report.add(sample)
+                )
         return report
 
 

@@ -35,7 +35,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..engine.fingerprint import stable_hash
 from ..evalkit.outcome import AttemptRecord, SampleResult
-from ..netlist.errors import ErrorCategory
 
 __all__ = ["SweepJournal", "sweep_fingerprint", "unit_key"]
 
@@ -81,50 +80,24 @@ def unit_key(with_restrictions: bool, model: str, problem: str, sample_index: in
 
 
 def _sample_to_payload(sample: SampleResult) -> List[Dict[str, object]]:
-    """Journal form of a trajectory: everything the report serialises, plus
+    """Journal form of a trajectory: each attempt's report payload plus
     ``error_detail`` (crash diagnostics survive a resume); response texts are
     dropped, exactly as :meth:`EvalReport.to_dict` drops them."""
-    payloads: List[Dict[str, object]] = []
-    for attempt in sample.attempts:
-        payload: Dict[str, object] = {
-            "iteration": attempt.iteration,
-            "syntax_ok": attempt.syntax_ok,
-            "functional_ok": attempt.functional_ok,
-            "error_category": attempt.error_category.value if attempt.error_category else None,
-            "error_detail": attempt.error_detail,
-        }
-        # Guardrail flags only when set, mirroring EvalReport.to_dict: clean
-        # trajectories journal to exactly their pre-flag bytes.
-        if attempt.degraded:
-            payload["degraded"] = True
-        if attempt.nonfinite:
-            payload["nonfinite"] = True
-        payloads.append(payload)
-    return payloads
+    return [
+        {**attempt.to_payload(), "error_detail": attempt.error_detail}
+        for attempt in sample.attempts
+    ]
 
 
 def _sample_from_payload(
     problem: str, sample_index: int, attempts: List[Dict[str, object]]
 ) -> SampleResult:
-    sample = SampleResult(problem=problem, sample_index=sample_index)
-    for attempt in attempts:
-        raw_category = attempt.get("error_category")
-        sample.attempts.append(
-            AttemptRecord(
-                iteration=int(attempt["iteration"]),  # type: ignore[arg-type]
-                syntax_ok=bool(attempt["syntax_ok"]),
-                functional_ok=bool(attempt["functional_ok"]),
-                error_category=ErrorCategory(raw_category) if raw_category else None,
-                error_detail=(
-                    str(attempt["error_detail"])
-                    if attempt.get("error_detail") is not None
-                    else None
-                ),
-                degraded=bool(attempt.get("degraded", False)),
-                nonfinite=bool(attempt.get("nonfinite", False)),
-            )
-        )
-    return sample
+    """Inverse of :func:`_sample_to_payload`."""
+    return SampleResult(
+        problem=problem,
+        sample_index=sample_index,
+        attempts=[AttemptRecord.from_payload(attempt) for attempt in attempts],
+    )
 
 
 class SweepJournal:

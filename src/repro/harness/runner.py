@@ -18,8 +18,8 @@ from ..bench.golden import GoldenStore
 from ..bench.packs import CORE_PACK_NAME, PackParams, get_pack
 from ..bench.problem import Problem
 from ..bench.suite import all_problems
-from ..engine.engine import EngineConfig, ExecutionEngine
-from ..engine.procpool import ProcessScheduler, UnitFailure, WorkerSpec, aggregate_engine_stats
+from ..engine.engine import EngineConfig, ExecutionEngine, stats_delta, sum_stats
+from ..engine.procpool import ProcessScheduler, UnitFailure, WorkerSpec
 from ..evalkit.evaluator import EvaluationConfig, Evaluator
 from ..evalkit.outcome import AttemptRecord, EvalReport, SampleResult
 from ..faults import RetryPolicy, fault_point, fault_stats
@@ -332,11 +332,13 @@ class SweepConfig(SweepSpec):
 class SweepResult:
     """Reports of a sweep, keyed by (model name, with_restrictions).
 
-    ``engine_stats`` is populated by process-mode sweeps: the per-worker
-    ``ExecutionEngine.stats()`` snapshots merged with
-    :func:`repro.engine.procpool.aggregate_engine_stats` (counters summed,
-    rates recomputed).  Thread-mode sweeps leave it ``None`` -- the caller
-    holds the live engine and can ask it directly.
+    ``engine_stats`` is what the sweep added to the
+    :meth:`ExecutionEngine.stats` counters, as a tree of integers.  The
+    thread tier takes the :func:`~repro.engine.engine.stats_delta` of the
+    sweep's engine; the process tier sums every shard's delta with
+    :func:`~repro.engine.engine.sum_stats`, adds the parent's fault
+    counters under ``faults`` and the pool's robustness counters under
+    ``procpool``.  A reader derives rates from the counters.
     """
 
     config: SweepConfig
@@ -508,7 +510,7 @@ def _run_sweep_unit(context: Dict[str, object], unit: Tuple[bool, int, int, int]
 
 
 def _sweep_worker_stats(context: Dict[str, object]) -> Dict[str, object]:
-    """Worker stats snapshot, merged in the parent across all workers."""
+    """Worker stats snapshot, taken around each shard (see ``ProcessScheduler.map``)."""
     return context["engine"].stats()  # type: ignore[union-attr]
 
 
@@ -603,6 +605,8 @@ def _map_units_process(
     outcome lands (see :meth:`ProcessScheduler.map`), with ``index`` a
     position in ``units``; a unit whose worker died or raised is passed as
     its :class:`UnitFailure` and returned as a synthesised failure record.
+    The stats are the workers' summed shard deltas plus what the parent's
+    own fault points counted meanwhile, with ``procpool`` added.
     """
     spec = WorkerSpec(
         builder_ref="repro.harness.runner:_build_sweep_worker",
@@ -623,7 +627,8 @@ def _map_units_process(
     shards = min(scheduler.processes, len(units)) * scheduler.shards_per_worker
     order, bounds = _problem_shards(units, problems, span=-(-len(units) // max(1, shards)))
     reordered = [units[position] for position in order]
-    raw, stats_list = scheduler.map(
+    faults_before = fault_stats()
+    raw, worker_stats = scheduler.map(
         "repro.harness.runner:_run_sweep_unit",
         reordered,
         stats_ref="repro.harness.runner:_sweep_worker_stats",
@@ -637,11 +642,10 @@ def _map_units_process(
             if isinstance(outcome, UnitFailure)
             else outcome
         )
-    engine_stats = aggregate_engine_stats(stats_list)
+    engine_stats = sum_stats(
+        [worker_stats, {"faults": stats_delta(faults_before, fault_stats())}]
+    )
     engine_stats["procpool"] = dict(scheduler.counters)
-    parent_faults = fault_stats()
-    if parent_faults:
-        engine_stats["parent_faults"] = parent_faults
     return samples, engine_stats
 
 
@@ -760,10 +764,13 @@ def run_sweep(
                 "problems": problems,
                 "prompt_configs": _prompt_configs(config, restriction_settings),
             }
-            fresh = _sweep_evaluator(config, engine, golden_store).run_samples(
+            evaluator = _sweep_evaluator(config, engine, golden_store)
+            before = evaluator.engine.stats()
+            fresh = evaluator.run_samples(
                 [_evaluator_unit(context, units[index]) for index in pending],
                 on_done=checkpoint,
             )
+            result.engine_stats = stats_delta(before, evaluator.engine.stats())
     finally:
         if journal is not None:
             journal.close()

@@ -74,8 +74,9 @@ class JobRecord:
     ``error``/``error_traceback`` carry a failed executor's exception text
     and formatted traceback (the ``UnitFailure`` containment pattern);
     ``run_id`` references the results store's run row once the job is done;
-    ``engine_stats`` is the per-job delta of the shared engine's counters
-    (what *this* job added -- warm-cache regression tests read it).
+    ``engine_stats`` is the job's sweep ``engine_stats``: what *this* job
+    added to the engine counters, on either tier (warm-cache regression
+    tests read it).
     """
 
     job_id: str
@@ -93,11 +94,6 @@ class JobRecord:
     result: Optional[object] = None
     cancel_event: threading.Event = field(default_factory=threading.Event, repr=False)
     done_event: threading.Event = field(default_factory=threading.Event, repr=False)
-
-    @property
-    def cancel_requested(self) -> bool:
-        """Whether :meth:`JobQueue.cancel` has been called on this job."""
-        return self.cancel_event.is_set()
 
     def checkpoint(self) -> None:
         """Executor-side cancellation checkpoint.

@@ -5,9 +5,9 @@ tests drive.  It fixes the CLI's one-shot assumption: a single
 :class:`~repro.engine.engine.ExecutionEngine` (one compiled-plan cache, one
 simulation cache, one golden store per pack) outlives every job, so the
 second job on a structurally similar spec starts *warm* -- plan-cache and
-simulation-cache hits instead of cold recompiles.  Per-job engine-stats
-deltas (:func:`~repro.engine.engine.stats_delta`) make that observable and
-are persisted with each run.
+simulation-cache hits instead of cold recompiles.  Each job's
+``SweepResult.engine_stats`` (what the job added to the engine counters)
+makes that observable and is persisted with its run.
 
 Each job runs as one :func:`~repro.harness.runner.run_sweep` over its
 models and restriction settings, journaled under the job's fingerprint.
@@ -25,8 +25,8 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 from ..bench.golden import GoldenStore
-from ..engine.engine import EngineConfig, ExecutionEngine, stats_delta
-from ..faults import fault_point, fault_stats
+from ..engine.engine import EngineConfig, ExecutionEngine
+from ..faults import fault_point
 from ..evalkit.outcome import EvalReport
 from ..harness import runner
 from ..llm.profiles import get_profile
@@ -96,7 +96,6 @@ class EvalService:
         )
         self._golden_stores: Dict[Tuple[str, str, int], GoldenStore] = {}
         self._golden_lock = threading.Lock()
-        self._stats_lock = threading.Lock()
         # Idempotent re-submission: client-supplied key -> accepted job id.
         # In-memory on purpose -- it protects against the *client's own
         # transport retries* of one logical submit, not cross-restart
@@ -292,7 +291,6 @@ class EvalService:
             "engine": self.engine.stats(),
             "store": self.store.counts(),
             "store_write_retries": self.store.write_retries,
-            "faults": fault_stats(),
         }
 
     def close(self, *, wait: bool = True, timeout: Optional[float] = None) -> None:
@@ -340,13 +338,10 @@ class EvalService:
         golden store (thread tier) or one process pool sharding the whole
         job by problem over the shared disk caches (process tier).
         ``job.checkpoint`` runs after each fresh trajectory, so a cancel
-        request lands at the next finished trajectory.  The engine stats
-        recorded on the job and with the stored run are the shared engine's
-        per-job delta, or the workers' merged stats on the process tier.
+        request lands at the next finished trajectory.  The sweep's
+        ``engine_stats`` are recorded on the job and with the stored run.
         """
         spec = job.spec
-        with self._stats_lock:
-            stats_before = self.engine.stats()
         result = runner.run_sweep(
             spec.sweep_config(
                 cache_dir=self.cache_dir,
@@ -362,10 +357,7 @@ class EvalService:
             golden_store=self._golden_store(spec),
             on_unit=job.checkpoint,
         )
-        with self._stats_lock:
-            job.engine_stats = result.engine_stats or stats_delta(
-                stats_before, self.engine.stats()
-            )
+        job.engine_stats = result.engine_stats
         job.run_id, _created = self.store.save_run(
             spec, result.reports, engine_stats=job.engine_stats
         )

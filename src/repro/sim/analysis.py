@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -23,7 +23,7 @@ __all__ = ["FrequencyResponse", "ComparisonResult", "compare_responses"]
 
 @dataclass(frozen=True)
 class FrequencyResponse:
-    """A serialisable snapshot of a circuit's power frequency response.
+    """A snapshot of a circuit's power frequency response.
 
     Attributes
     ----------
@@ -53,17 +53,6 @@ class FrequencyResponse:
             transmission=transmission,
         )
 
-    def to_dict(self) -> Dict[str, object]:
-        """Serialise to plain Python containers (JSON friendly)."""
-        return {
-            "wavelengths": self.wavelengths.tolist(),
-            "ports": list(self.ports),
-            "transmission": {
-                f"{po}->{pi}": spectrum.tolist()
-                for (po, pi), spectrum in self.transmission.items()
-            },
-        }
-
     # Array views of ``transmission`` for :func:`compare_responses`, built
     # once per response (golden responses are compared many times).
     @cached_property
@@ -86,19 +75,6 @@ class FrequencyResponse:
         outputs = np.array([index[output] for output, _ in self.pairs], dtype=np.intp)
         inputs = np.array([index[source] for _, source in self.pairs], dtype=np.intp)
         return names, outputs, inputs
-
-    @classmethod
-    def from_dict(cls, obj: Mapping[str, object]) -> "FrequencyResponse":
-        """Inverse of :meth:`to_dict`."""
-        transmission: Dict[Tuple[str, str], np.ndarray] = {}
-        for key, spectrum in dict(obj["transmission"]).items():  # type: ignore[index]
-            out_port, in_port = str(key).split("->")
-            transmission[(out_port, in_port)] = np.asarray(spectrum, dtype=float)
-        return cls(
-            wavelengths=np.asarray(obj["wavelengths"], dtype=float),
-            ports=tuple(obj["ports"]),  # type: ignore[arg-type]
-            transmission=transmission,
-        )
 
 
 @dataclass

@@ -101,15 +101,14 @@ class BatchStats:
             return 0.0
         return 1.0 - self.executor_passes / self.samples
 
-    def as_dict(self) -> Dict[str, object]:
-        """Plain-dict snapshot (for logs and engine stats)."""
+    def as_dict(self) -> Dict[str, int]:
+        """Plain-dict snapshot of the counters (for logs and engine stats)."""
         return {
             "calls": self.calls,
             "samples": self.samples,
             "executor_passes": self.executor_passes,
             "vectorised_model_evals": self.vectorised_model_evals,
             "looped_model_evals": self.looped_model_evals,
-            "fusion_rate": self.fusion_rate,
         }
 
 

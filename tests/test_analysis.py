@@ -18,12 +18,6 @@ class TestFrequencyResponse:
         assert set(golden_response.ports) == {"I1", "O1"}
         assert len(golden_response.transmission) == 4
 
-    def test_serialisation_roundtrip(self, golden_response):
-        rebuilt = FrequencyResponse.from_dict(golden_response.to_dict())
-        assert rebuilt.ports == golden_response.ports
-        for pair, spectrum in golden_response.transmission.items():
-            assert np.allclose(rebuilt.transmission[pair], spectrum)
-
     def test_values_are_powers(self, golden_response):
         for spectrum in golden_response.transmission.values():
             assert np.all(spectrum >= 0.0)

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.bench.packs import get_pack, pack_names
-from repro.engine import ExecutionEngine, TaskScheduler
+from repro.engine import ExecutionEngine, TaskScheduler, stats_delta
 from repro.netlist import Instance, Netlist
 from repro.netlist.errors import OtherSyntaxError
 from repro.sim import (
@@ -406,10 +406,10 @@ class TestEngineBatch:
         netlist = _ring_netlist()
         overrides = {"cp": {"coupling": 0.25}}
         engine.evaluate(apply_settings(netlist, overrides), wavelengths)
+        before = engine.stats()
         engine.evaluate_batch(netlist, [overrides, {"cp": {"coupling": 0.35}}], wavelengths)
-        stats = engine.batch_stats()
-        assert stats.samples == 2
-        assert stats.cache_hits == 1
+        lookups = stats_delta(before, engine.stats())["simulation_cache"]
+        assert (lookups["hits"], lookups["misses"]) == (1, 1)
 
     def test_duplicate_samples_solve_once(self, wavelengths):
         engine = ExecutionEngine()
@@ -419,19 +419,18 @@ class TestEngineBatch:
         assert np.array_equal(results[0].data, results[1].data)
         assert engine.solver.batch_stats().samples == 1  # deduplicated
 
-    def test_stats_report_batch_hit_rates(self, wavelengths):
+    def test_stats_count_batched_samples_as_cache_lookups(self, wavelengths):
         engine = ExecutionEngine()
         netlist = _shifter_netlist()
         batch = [{"ps": {"phase": 0.1 * k}} for k in range(3)]
         engine.evaluate_batch(netlist, batch, wavelengths)
         engine.evaluate_batch(netlist, batch, wavelengths)  # all cache hits
         stats = engine.stats()
-        assert stats["batch"]["calls"] == 2
-        assert stats["batch"]["samples"] == 6
-        assert stats["batch"]["cache_hits"] == 3
-        assert stats["batch_hit_rate"] == pytest.approx(0.5)
+        assert stats["simulation_cache"]["hits"] == 3
+        assert stats["simulation_cache"]["misses"] == 3
+        assert stats["solver_batch"]["calls"] == 1
         assert stats["solver_batch"]["samples"] == 3
-        assert 0.0 <= stats["batch_fusion_rate"] <= 1.0
+        assert "batch" not in stats and "fusion_rate" not in stats["solver_batch"]
 
 
 # ----------------------------------------------------------------------

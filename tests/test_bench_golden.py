@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.bench import GoldenStore, get_problem, golden_response
+from repro.bench import get_problem, golden_response
 from repro.bench.problems.interconnects import (
     WDM_CHANNEL_RADII,
     optical_hybrid_golden,
@@ -28,16 +28,6 @@ class TestGoldenStore:
     def test_wavelength_grid_matches_band(self, golden_store):
         assert golden_store.wavelengths[0] == pytest.approx(1.510)
         assert golden_store.wavelengths[-1] == pytest.approx(1.590)
-
-    def test_disk_persistence(self, tmp_path):
-        store = GoldenStore(num_wavelengths=7, cache_dir=tmp_path)
-        response = store.response_for("mzi_ps")
-        files = list(tmp_path.glob("*.json"))
-        assert len(files) == 1
-        # A fresh store reloads from disk and matches.
-        reloaded = GoldenStore(num_wavelengths=7, cache_dir=tmp_path).response_for("mzi_ps")
-        for pair, spectrum in response.transmission.items():
-            assert np.allclose(reloaded.transmission[pair], spectrum)
 
     def test_module_level_helper(self):
         response = golden_response("direct_modulator", num_wavelengths=TEST_NUM_WAVELENGTHS)

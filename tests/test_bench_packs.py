@@ -256,38 +256,30 @@ class TestWdmLinksPack:
 
 
 class TestGoldenStoreNamespacing:
-    def test_disk_artefacts_are_namespaced_per_pack(self, tmp_path):
-        core_store = GoldenStore(
-            num_wavelengths=TEST_NUM_WAVELENGTHS, cache_dir=tmp_path
-        )
-        wdm_store = GoldenStore(
-            num_wavelengths=TEST_NUM_WAVELENGTHS, cache_dir=tmp_path, pack="wdm-links"
-        )
-        core_store.response_for("mzi_ps")
-        wdm_store.response_for("wdm_mux_2ch")
-        names = sorted(path.name for path in tmp_path.glob("*.json"))
-        assert any(name.startswith("core.mzi_ps.golden.") for name in names)
-        assert any(name.startswith("wdm-links.wdm_mux_2ch.golden.") for name in names)
+    def test_golden_keys_are_namespaced_per_pack(self):
+        core_store = GoldenStore(num_wavelengths=TEST_NUM_WAVELENGTHS)
+        wdm_store = GoldenStore(num_wavelengths=TEST_NUM_WAVELENGTHS, pack="wdm-links")
+        core_key = core_store._golden_key(get_problem("mzi_ps"))
+        wdm_key = wdm_store._golden_key(get_problem("wdm_mux_2ch", "wdm-links"))
+        assert core_key.startswith("core.mzi_ps.golden.")
+        assert wdm_key.startswith("wdm-links.wdm_mux_2ch.golden.")
 
     def test_string_lookup_resolves_against_store_pack(self):
         store = GoldenStore(num_wavelengths=TEST_NUM_WAVELENGTHS, pack="wdm-links")
         response = store.response_for("wdm_demux_2ch")
         assert response is store.response_for("wdm_demux_2ch")  # memory hit
 
-    def test_reparameterised_pack_gets_fresh_artefact(self, tmp_path):
-        narrow = GoldenStore(
-            num_wavelengths=TEST_NUM_WAVELENGTHS, cache_dir=tmp_path, pack="wdm-links"
-        )
+    def test_reparameterised_pack_gets_a_fresh_golden_key(self):
+        narrow = GoldenStore(num_wavelengths=TEST_NUM_WAVELENGTHS, pack="wdm-links")
         wide = GoldenStore(
             num_wavelengths=TEST_NUM_WAVELENGTHS,
-            cache_dir=tmp_path,
             pack="wdm-links",
             pack_params={"spacing": 0.2},
         )
-        narrow.response_for("wdm_mux_2ch")
-        wide.response_for("wdm_mux_2ch")
-        artefacts = list(tmp_path.glob("wdm-links.wdm_mux_2ch.golden.*.json"))
-        assert len(artefacts) == 2  # different golden fingerprints
+        narrow_key = narrow._golden_key(get_problem("wdm_mux_2ch", "wdm-links"))
+        wide_key = wide._golden_key(get_problem("wdm_mux_2ch", "wdm-links", {"spacing": 0.2}))
+        assert narrow_key.startswith("wdm-links.wdm_mux_2ch.golden.")
+        assert wide_key != narrow_key  # different golden fingerprints
 
 
 class TestHarnessPackSelection:

@@ -211,7 +211,7 @@ class TestYield:
             netlist, spec, draws=6, seed=2, wavelengths=wavelengths, engine=engine
         )
         assert result.draws == 6
-        assert engine.batch_stats().samples == 6
+        assert engine.cache.stats.misses == 6
         assert engine.solver.batch_stats().samples == 6
 
     def test_zero_draws_yield_is_one(self, wavelengths):

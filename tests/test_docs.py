@@ -28,6 +28,7 @@ class TestDocstringCoverage:
                 "--fail-under",
                 "90",
                 str(REPO_ROOT / "src" / "repro" / "bench"),
+                str(REPO_ROOT / "src" / "repro" / "engine"),
                 str(REPO_ROOT / "src" / "repro" / "harness"),
                 str(REPO_ROOT / "src" / "repro" / "sim"),
             ]

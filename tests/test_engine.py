@@ -365,7 +365,17 @@ class TestEngineStats:
         engine = ExecutionEngine(EngineConfig(workers=2))
         engine.evaluate(_mzi_netlist(), wavelengths)
         stats = engine.stats()
-        assert stats["workers"] == 2
+        assert set(stats) == {
+            "simulation_cache",
+            "instance_cache",
+            "plan_cache",
+            "solver_batch",
+            "solver_degradations",
+            "cache_nonfinite_rejected",
+            "faults",
+        }
         assert stats["simulation_cache"]["misses"] == 1
-        assert 0.0 <= stats["simulation_hit_rate"] <= 1.0
-        assert "instance_cache" in stats
+        groups = [group for group in stats.values() if isinstance(group, dict)]
+        counters = [stats["cache_nonfinite_rejected"]]
+        counters += [value for group in groups for value in group.values()]
+        assert all(type(value) is int for value in counters)

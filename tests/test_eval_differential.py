@@ -320,10 +320,9 @@ def comparison_cases(draw):
     ports = draw(st.lists(st.sampled_from(PORT_POOL), min_size=1, max_size=4, unique=True))
     wavelengths = np.linspace(1.51, 1.59, draw(st.integers(1, 6)))
     golden_smatrix = _random_smatrix(rng, wavelengths, ports)
-    golden_form = draw(st.sampled_from(("response", "disk", "smatrix", "stray pairs")))
+    golden_form = draw(st.sampled_from(("response", "smatrix", "stray pairs")))
     golden = {
         "response": FrequencyResponse.from_smatrix(golden_smatrix),
-        "disk": FrequencyResponse.from_dict(FrequencyResponse.from_smatrix(golden_smatrix).to_dict()),
         "smatrix": golden_smatrix,
         "stray pairs": None,
     }[golden_form]

@@ -2,10 +2,10 @@
 
 Covers the generic :class:`~repro.engine.procpool.ProcessScheduler` (order
 preservation, caller-given shard bounds, failure isolation, worker-crash
-containment, stats merging) and the harness integration: shards hold whole
-problems, costliest first, and process-sharded sweeps must be byte-identical
-to sequential ones across every registered problem pack, with the sequential
-cache counts.
+containment, summed per-shard stats deltas) and the harness integration:
+shards hold whole problems, costliest first, and process-sharded sweeps must
+be byte-identical to sequential ones across every registered problem pack,
+with the sequential cache counts.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from repro.engine.procpool import (
     ProcessScheduler,
     UnitFailure,
     WorkerSpec,
-    aggregate_engine_stats,
     resolve_processes,
 )
 from repro.faults import FaultRule, RetryPolicy, clear_plan, inject
@@ -88,17 +87,13 @@ def _crashing_task(context, task):
     return task * 10
 
 
-def _context_stats(context):
-    return {"built": 1, "offset": context["offset"]}
-
-
 def _counting_task(context, task):
     context["runs"] = context.get("runs", 0) + 1
-    return task
+    return context["offset"] + task * task
 
 
 def _run_count_stats(context):
-    return {"runs": context.get("runs", 0), "offset": context["offset"]}
+    return {"runs": context.get("runs", 0), "worker": {"offset": context["offset"]}}
 
 
 OFFSET_SPEC = WorkerSpec(
@@ -111,32 +106,31 @@ def test_scheduler_preserves_task_order():
     tasks = list(range(17))
     results, stats = scheduler.map("test_procpool:_square_task", tasks)
     assert results == [100 + task * task for task in tasks]
-    assert stats == []
+    assert stats == {}  # no stats_ref
 
 
 def test_scheduler_collects_worker_stats():
     scheduler = ProcessScheduler(OFFSET_SPEC, processes=2)
     results, stats = scheduler.map(
-        "test_procpool:_square_task",
+        "test_procpool:_counting_task",
         list(range(8)),
-        stats_ref="test_procpool:_context_stats",
+        stats_ref="test_procpool:_run_count_stats",
     )
     assert results[3] == 109
-    assert stats and all(snapshot["offset"] == 100 for snapshot in stats)
-    assert aggregate_engine_stats(stats)["built"] == len(stats)
+    # A leaf the shards do not change adds up to zero, not once per worker.
+    assert stats == {"runs": 8, "worker": {"offset": 0}}
 
 
 def test_worker_stats_count_each_worker_once():
-    """Snapshots are cumulative: only each worker's latest one is kept."""
+    """Each shard returns what it added to its worker's cumulative counters,
+    so the sum counts every run once however many shards a worker ran."""
     scheduler = ProcessScheduler(OFFSET_SPEC, processes=2)
     _, stats = scheduler.map(
         "test_procpool:_counting_task",
         list(range(40)),
         stats_ref="test_procpool:_run_count_stats",
     )
-    assert aggregate_engine_stats(stats)["runs"] == 40
-    assert 1 <= len(stats) <= 2
-    assert all(snapshot["offset"] == 100 for snapshot in stats)
+    assert stats["runs"] == 40
 
 
 def test_scheduler_runs_caller_bounds():
@@ -144,15 +138,15 @@ def test_scheduler_runs_caller_bounds():
     tasks = list(range(9))
     seen = []
     results, stats = scheduler.map(
-        "test_procpool:_square_task",
+        "test_procpool:_counting_task",
         tasks,
-        stats_ref="test_procpool:_context_stats",
+        stats_ref="test_procpool:_run_count_stats",
         bounds=[(0, 5), (5, 6), (6, 9)],
         on_result=lambda index, value: seen.append(index),
     )
     assert results == [100 + task * task for task in tasks]
     assert sorted(seen) == tasks
-    assert 1 <= len(stats) <= 2
+    assert stats["runs"] == len(tasks)
 
 
 def test_unit_exception_is_isolated():
@@ -377,28 +371,26 @@ def test_resolve_processes():
     assert resolve_processes(0) >= 1
 
 
-def test_aggregate_engine_stats_sums_and_recomputes_rates():
-    worker_a = {
-        "workers": 1,
-        "execution_mode": "thread",
-        "simulation_cache": {"hits": 3, "misses": 1},
-        "simulation_hit_rate": 0.75,
-        "solver_batch": {"samples": 4, "executor_passes": 2, "fusion_rate": 0.5},
-    }
-    worker_b = {
-        "workers": 1,
-        "execution_mode": "thread",
-        "simulation_cache": {"hits": 1, "misses": 3},
-        "simulation_hit_rate": 0.25,
-        "solver_batch": {"samples": 0, "executor_passes": 0, "fusion_rate": 0.0},
-    }
-    merged = aggregate_engine_stats([worker_a, worker_b])
-    assert merged["workers"] == 1  # descriptive, not summed
-    assert merged["simulation_cache"] == {"hits": 4, "misses": 4}
-    assert merged["simulation_hit_rate"] == 0.5  # recomputed, not averaged
-    assert merged["solver_batch"]["samples"] == 4
-    assert merged["batch_fusion_rate"] == 0.5
-    assert aggregate_engine_stats([]) == {}
+def test_retried_units_add_their_shard_stats():
+    """A crashed shard's delta dies with its worker, and each of its units
+    returns its own delta when re-run in isolation: every run counts once."""
+    clear_plan()
+    scheduler = ProcessScheduler(
+        OFFSET_SPEC,
+        processes=1,
+        start_method="fork",  # workers must inherit the injected plan
+        retry_policy=RetryPolicy(attempts=3, base_delay=0.0),
+    )
+    with inject(FaultRule("procpool.unit", kind="kill", after=2)):
+        results, stats = scheduler.map(
+            "test_procpool:_counting_task",
+            list(range(8)),
+            stats_ref="test_procpool:_run_count_stats",
+        )
+    clear_plan()
+    assert results == [100 + task * task for task in range(8)]
+    assert scheduler.counters["unit_crashes"] >= 1
+    assert stats["runs"] == 8
 
 
 # ----------------------------------------------------------------------

@@ -181,6 +181,44 @@ def test_journal_round_trip_preserves_report_surface(tmp_path):
         assert restored_attempt.response_text is None
 
 
+#: A journal line as earlier releases wrote it: an error detail and both
+#: guardrail flags on the first attempt, a clean pass on the second.
+EARLIER_LINE = (
+    '{"attempts": [{"degraded": true, "error_category": "functional", '
+    '"error_detail": "worst |S|^2 error 0.41 at O1->I1", "functional_ok": false, '
+    '"iteration": 0, "nonfinite": true, "syntax_ok": true}, {"error_category": null, '
+    '"error_detail": null, "functional_ok": true, "iteration": 1, "syntax_ok": true}], '
+    '"model": "GPT-4o", "problem": "mzi_ps", "sample_index": 3, "with_restrictions": true}'
+)
+
+
+def test_journal_reads_and_writes_an_earlier_line_unchanged(tmp_path):
+    expected = SampleResult(
+        problem="mzi_ps",
+        sample_index=3,
+        attempts=[
+            AttemptRecord(
+                iteration=0,
+                syntax_ok=True,
+                functional_ok=False,
+                error_category=ErrorCategory.FUNCTIONAL,
+                error_detail="worst |S|^2 error 0.41 at O1->I1",
+                degraded=True,
+                nonfinite=True,
+            ),
+            AttemptRecord(iteration=1, syntax_ok=True, functional_ok=True),
+        ],
+    )
+    key = unit_key(True, "GPT-4o", "mzi_ps", 3)
+    journal = SweepJournal(tmp_path, "deadbeef")
+    journal.path.write_text(EARLIER_LINE + "\n", encoding="utf-8")
+    assert journal.load() == {key: expected}
+    journal.discard()
+    with journal:
+        journal.record(key, expected)
+    assert journal.path.read_text(encoding="utf-8") == EARLIER_LINE + "\n"
+
+
 def test_journal_tolerates_torn_trailing_line(tmp_path):
     journal = SweepJournal(tmp_path, "deadbeef")
     with journal:

@@ -514,7 +514,6 @@ def test_sequential_jobs_share_plan_cache(service):
     assert record.state is JobState.DONE
     plan = record.engine_stats["plan_cache"]
     assert plan["hits"] > 0, "job 2 must get warm plan-cache hits"
-    assert plan["hit_rate"] > 0.0
 
 
 def test_identical_resubmission_is_fully_warm(service):
